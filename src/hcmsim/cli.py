@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .core import InvariantError, stream_gen
@@ -95,6 +97,7 @@ def _write_manifest(out_dir: Path, cfg: dict, outputs: list, started: float):
         "config_hash": config_hash(cfg),
         "master_seed": cfg.get("master_seed", 0),
         "module_version": __version__,
+        "versions": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__},
         "started": started,
         "finished": time.time(),
         "outputs": sorted(str(o) for o in outputs),
@@ -254,7 +257,7 @@ def run(config_path: str, overrides: dict | None = None) -> int:
     return _dispatch(cfg)
 
 
-def _dispatch(cfg: dict, dump_graph=False, dump_trace=None, dump_limit_path=False) -> int:
+def _dispatch(cfg: dict, dump_graph=False, dump_trace=None) -> int:
     experiment = cfg.get("experiment")
     if experiment not in {"thm16", "thm17", "mcmw", "percolate", "levy", "validate-degrees"}:
         print(f"config error: unknown experiment {experiment!r}", file=sys.stderr)
@@ -304,7 +307,6 @@ def main(argv=None) -> int:
     p_perc.add_argument("--mu", type=float, help="sets s = mu gamma_n / c_n")
     p_perc.add_argument("--n", type=int, default=1000)
     p_perc.add_argument("--tau", type=float, default=3.5)
-    p_perc.add_argument("--reps", type=int, default=1)
     p_perc.add_argument("--dump-graph", action="store_true")
 
     p_levy = sub.add_parser("levy", help="sample the limit pair and surplus process")
@@ -312,7 +314,6 @@ def main(argv=None) -> int:
     p_levy.add_argument("--k-max", type=int, default=1000)
     p_levy.add_argument("--horizon", type=float, default=10.0)
     p_levy.add_argument("--grid-step", type=float)
-    p_levy.add_argument("--dump-limit-path", action="store_true")
 
     p_val = sub.add_parser("validate-degrees", help="build, tune, and validate a degree sequence")
     p_val.add_argument("--n", type=int, default=1000)
@@ -344,7 +345,6 @@ def main(argv=None) -> int:
 
     dump_graph = False
     dump_trace = None
-    dump_limit_path = False
     if args.command:
         cfg["experiment"] = args.command
         if args.command == "mcmw":
@@ -368,7 +368,6 @@ def main(argv=None) -> int:
             cfg["levy_horizon"] = args.horizon
             if args.grid_step:
                 cfg["grid_step"] = args.grid_step
-            dump_limit_path = args.dump_limit_path
         elif args.command == "validate-degrees":
             cfg["n"] = args.n
             cfg["tau"] = args.tau
@@ -386,7 +385,7 @@ def main(argv=None) -> int:
     if "experiment" not in cfg:
         print("config error: no experiment selected", file=sys.stderr)
         return EXIT_CONFIG
-    return _dispatch(cfg, dump_graph=dump_graph, dump_trace=dump_trace, dump_limit_path=dump_limit_path)
+    return _dispatch(cfg, dump_graph=dump_graph, dump_trace=dump_trace)
 
 
 if __name__ == "__main__":

@@ -13,17 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_generator
+from .core import InvariantError, as_generator
+from .graphs import labels_from_edges
 
 
 @dataclass
 class BlockSystem:
-    """Disjoint blocks with accumulated (mass, weight) and merge history."""
+    """Disjoint blocks with accumulated (mass, weight)."""
 
     mass: np.ndarray
     weight: np.ndarray
     parent: np.ndarray = field(init=False)
-    history: list = field(default_factory=list)
 
     def __post_init__(self):
         self.mass = np.asarray(self.mass, dtype=float).copy()
@@ -44,7 +44,7 @@ class BlockSystem:
             self.parent[i], i = root, self.parent[i]
         return root
 
-    def merge(self, i: int, j: int, when: float | None = None) -> bool:
+    def merge(self, i: int, j: int) -> bool:
         ri, rj = self.find(i), self.find(j)
         if ri == rj:
             return False
@@ -53,7 +53,6 @@ class BlockSystem:
         self.parent[rj] = ri
         self.mass[ri] += self.mass[rj]
         self.weight[ri] += self.weight[rj]
-        self.history.append((when, ri, rj))
         return True
 
     def roots(self) -> np.ndarray:
@@ -71,9 +70,9 @@ class BlockSystem:
         r = self.roots()
         scale = max(1.0, abs(self._total_mass), abs(self._total_weight))
         if abs(self.mass[r].sum() - self._total_mass) > tol * scale:
-            raise ValueError("mass not conserved")
+            raise InvariantError("mass not conserved")
         if abs(self.weight[r].sum() - self._total_weight) > tol * scale:
-            raise ValueError("weight not conserved")
+            raise InvariantError("weight not conserved")
 
 
 def sample_clock_table(n: int, rng) -> np.ndarray:
@@ -157,24 +156,24 @@ def scaling_transform(x, y, a: float, b: float, c: float):
 # -- vectorised replicate engine ------------------------------------------
 
 
-def _reach(adj: np.ndarray) -> np.ndarray:
-    """Transitive closure per replicate of (reps, n, n) boolean adjacency."""
-    n = adj.shape[1]
-    if n > 255:
-        raise ValueError("batch reachability is meant for small block systems")
-    R = adj | np.eye(n, dtype=bool)
-    hops = 1
-    while hops < n:
-        R = np.matmul(R.astype(np.uint8), R.astype(np.uint8)).astype(bool)
-        hops *= 2
-    return R
+def _root_masses(labels: np.ndarray, x: np.ndarray, reps: int) -> np.ndarray:
+    """(reps, n): each component's mass at its least vertex, zero elsewhere,
+    for ``reps`` disjoint copies of n vertices labelled as one graph."""
+    mass = np.bincount(labels, weights=np.tile(x, reps))
+    least = np.full(mass.size, labels.size)
+    np.minimum.at(least, labels, np.arange(labels.size))
+    out = np.zeros(labels.size)
+    out[least] = mass
+    return out.reshape(reps, x.size)
 
 
 def mcmw_batch(x, y, t: float, reps: int, rng_seed, xi_batch: np.ndarray | None = None) -> np.ndarray:
     """(reps, n) ordered component masses of MC2(x, y, t), zero-padded.
 
     ``xi_batch`` (reps, n_pairs) reuses clocks across calls for coupled
-    comparisons; otherwise per-pair Bernoulli edges are drawn.
+    comparisons; otherwise per-pair Bernoulli edges are drawn. Replicate r
+    owns vertices r*n .. r*n + n - 1 of one block-diagonal graph, which is
+    labelled in a single sparse pass.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -185,18 +184,16 @@ def mcmw_batch(x, y, t: float, reps: int, rng_seed, xi_batch: np.ndarray | None 
         p = -np.expm1(-y[iu] * y[ju] * t)
         E = rng.random((reps, iu.size)) < p
     else:
+        if np.shape(xi_batch) != (reps, iu.size):
+            raise ValueError(f"xi_batch must have shape {(reps, iu.size)}")
         E = xi_batch <= y[iu] * y[ju] * t
-    adj = np.zeros((reps, n, n), dtype=bool)
-    adj[:, iu, ju] = E
-    adj[:, ju, iu] = E
-    R = _reach(adj)
-    comp_mass = R @ x  # mass of the component containing each vertex
-    root = np.ones((reps, n), dtype=bool)
-    for i in range(1, n):
-        root[:, i] = ~R[:, i, :i].any(axis=1)
-    masses = np.where(root, comp_mass, 0.0)
+    r, k = np.nonzero(E)
+    masses = _root_masses(labels_from_edges(r * n + iu[k], r * n + ju[k], reps * n), x, reps)
     masses.sort(axis=1)
-    return masses[:, ::-1]
+    masses = masses[:, ::-1]
+    if np.any(np.abs(masses.sum(axis=1) - x.sum()) > 1e-12 * np.abs(x).sum()):
+        raise InvariantError("batch masses not conserved")
+    return masses
 
 
 def sample_xi_batch(n: int, reps: int, rng_seed) -> np.ndarray:
@@ -274,27 +271,21 @@ def bipartite_bound_check(x, y, m_split: int, t: float, epsilon: float, replicat
     if not 1 <= m_split < n:
         raise ValueError("split must satisfy 1 <= m < n")
     rng = as_generator(rng_seed)
-    left = np.arange(m_split)
-    right = np.arange(m_split, n)
-    p = -np.expm1(-t * np.outer(y[left], y[right]))
+    left = np.arange(n) < m_split
+    p = -np.expm1(-t * np.outer(y[left], y[~left]))
     alpha1 = float(np.sum(x[left] ** 2))
     alpha2 = float(np.sum(y[left] ** 2))
-    tail = float(np.sum((x[right] + y[right]) ** 2))
+    tail = float(np.sum((x[~left] + y[~left]) ** 2))
     rhs = (t * (alpha1 + 2 * alpha2 + 3 * epsilon) + t**2 * (alpha1 + alpha2 + 2 * epsilon) ** 2) * tail
 
     E = rng.random((replicates, m_split, n - m_split)) < p
-    adj = np.zeros((replicates, n, n), dtype=bool)
-    adj[:, left[:, None], right[None, :]] = E
-    adj[:, right[:, None], left[None, :]] = np.transpose(E, (0, 2, 1))
-    R = _reach(adj)
-    comp_mass = R @ x
-    root = np.ones((replicates, n), dtype=bool)
-    for i in range(1, n):
-        root[:, i] = ~R[:, i, :i].any(axis=1)
+    r, a, b = np.nonzero(E)
+    labels = labels_from_edges(r * n + a, r * n + m_split + b, replicates * n)
     # components made of right-side vertices only never entered the left
     # susceptibility ledger: with no edges the sum is exactly alpha1
-    has_left = R[:, :, :m_split].any(axis=2)
-    Z_sq = np.sum(np.where(root & has_left, comp_mass, 0.0) ** 2, axis=1)
+    has_left = np.bincount(labels, weights=np.tile(left, replicates)) > 0
+    left_mass = np.where(has_left[labels].reshape(replicates, n), _root_masses(labels, x, replicates), 0.0)
+    Z_sq = np.sum(left_mass**2, axis=1)
     p_hat = float(np.mean(Z_sq > alpha1 + epsilon))
     lhs = epsilon * p_hat
     se = epsilon * float(np.sqrt(max(p_hat * (1 - p_hat), 1.0 / replicates) / replicates))

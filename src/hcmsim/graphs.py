@@ -6,10 +6,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _cc
 
-from .core import as_generator
+from .core import InvariantError, as_generator
 from .degrees import DegreeSequence
 
 
@@ -45,13 +45,13 @@ class ColoredMultigraph:
         idx = np.flatnonzero(paired)
         if idx.size:
             if np.any(match[match[idx]] != idx):
-                raise ValueError("matching is not an involution")
+                raise InvariantError("matching is not an involution")
             if np.any(match[idx] == idx):
-                raise ValueError("matching has a fixed point")
+                raise InvariantError("matching has a fixed point")
         counts = np.bincount(owner, minlength=self.n)
         expected = self.seq.white if owner is self.white_owner else self.seq.black
         if not np.array_equal(counts, expected):
-            raise ValueError("half-edge ownership does not match the degree sequence")
+            raise InvariantError("half-edge ownership does not match the degree sequence")
 
     def white_pairs(self) -> np.ndarray:
         """(m, 2) array of matched white half-edge pairs, first id smaller."""
@@ -158,11 +158,25 @@ def component_labels(g: ColoredMultigraph, extra_edges: np.ndarray | None = None
         extra = np.asarray(extra_edges)
         rows.append(extra[:, 0])
         cols.append(extra[:, 1])
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    adj = coo_matrix((np.ones(r.size, dtype=np.int8), (r, c)), shape=(g.n, g.n))
-    _, labels = _cc(adj, directed=False)
-    return labels
+    return labels_from_edges(np.concatenate(rows), np.concatenate(cols), g.n)
+
+
+def labels_from_edges(rows, cols, n: int) -> np.ndarray:
+    """Component label per vertex of the undirected graph on ``n`` vertices
+    with edges ``(rows[k], cols[k])``.
+
+    The CSR arrays are built here, so scipy neither converts nor sums
+    duplicates. Rows that arrive as a few sorted runs (white pairs, black
+    pairs, a batch's replicates) make the stable sort nearly linear.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    # scipy's own index width, and float data, so that scipy copies nothing
+    idx = np.int32 if max(n, rows.size) < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = np.asarray(cols, dtype=idx)[np.argsort(rows, kind="stable")]
+    adj = csr_matrix((np.ones(rows.size), indices, indptr), shape=(n, n))
+    return _cc(adj, directed=False)[1]
 
 
 def component_table(g: ColoredMultigraph, extra_edges: np.ndarray | None = None):

@@ -61,6 +61,9 @@ def ks_two_sample(a, b):
     return float(res.statistic), float(res.pvalue)
 
 
+_STREAM_FIELD = 2**22  # n and r each get 22 bits of the stream index (_sidx)
+
+
 @dataclass
 class ExperimentConfig:
     n_grid: list = field(default_factory=lambda: [1000, 10000, 100000])
@@ -86,6 +89,12 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
+        # every (n, replicate) pair must map to its own RNG stream (_sidx)
+        if not all(0 <= n < _STREAM_FIELD for n in self.n_grid):
+            raise ValueError(f"n_grid entries must lie in [0, {_STREAM_FIELD})")
+        counts = [self.replicates, self.limit_replicates, *(self.replicates_by_n or {}).values()]
+        if any(int(c) > _STREAM_FIELD for c in counts):
+            raise ValueError(f"replicate counts must not exceed {_STREAM_FIELD}")
 
     def reps_for(self, n: int) -> int:
         if self.replicates_by_n and n in self.replicates_by_n:
@@ -102,8 +111,11 @@ def _parallel_map(fn, indices, threads):
 
 def _sidx(code: int, n: int, r: int = 0) -> int:
     """Stable stream index: results depend only on (code, n, r), never on
-    worker scheduling or interpreter hash salts."""
-    return code * 2**44 + n * 2**22 + r
+    worker scheduling or interpreter hash salts. Distinct triples give
+    distinct indices because n and r are checked to fit their fields."""
+    if not (0 <= n < _STREAM_FIELD and 0 <= r < _STREAM_FIELD):
+        raise ValueError(f"stream index fields n={n}, r={r} must lie in [0, {_STREAM_FIELD})")
+    return (code * _STREAM_FIELD + n) * _STREAM_FIELD + r
 
 
 def build_critical_sequence(config: ExperimentConfig, n: int):

@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
-from hcmsim.cli import EXIT_CONFIG, EXIT_OK, config_hash, main, parse_config
+import numpy as np
+import scipy
+
+from hcmsim.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, config_hash, main, parse_config
 
 
 def run_cli(args):
@@ -53,6 +56,11 @@ def test_thm16_smoke_run(tmp_path):
     assert len(report["records"]) == 2
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert "config_hash" in manifest and manifest["outputs"]
+    assert manifest["versions"] == {
+        "python": "{}.{}.{}".format(*sys.version_info[:3]),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
 
 
 def test_determinism_across_thread_counts(tmp_path):
@@ -100,7 +108,7 @@ def test_percolate_subcommand(tmp_path):
 
 def test_levy_subcommand(tmp_path):
     assert run_cli(["--out-dir", str(tmp_path), "--seed", "3", "levy",
-                    "--k-max", "50", "--horizon", "4.0", "--dump-limit-path"]) == EXIT_OK
+                    "--k-max", "50", "--horizon", "4.0"]) == EXIT_OK
     lines = (tmp_path / "limit_path.csv").read_text().splitlines()
     assert lines[0] == "t,X,Y,N"
     assert len(lines) > 10
@@ -149,3 +157,24 @@ def test_thm17_smoke_run(tmp_path):
     report = json.loads((tmp_path / "out" / "thm17_report.json").read_text())
     assert {rec["experiment"] for rec in report["records"]} == {"thm17"}
     assert (tmp_path / "out" / "thm17_report.csv").exists()
+
+
+def test_stream_field_overflow_exits_2(tmp_path):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"experiment=thm16\nn_grid=1000,{2**22}\nout_dir={tmp_path / 'out'}\n")
+    assert run_cli(["--config", str(cfg)]) == EXIT_CONFIG
+
+
+def test_corrupted_matching_exits_3(tmp_path, monkeypatch):
+    import hcmsim.graphs as graphs
+
+    uniform = graphs._uniform_matching
+
+    def corrupted(n_half, rng):
+        match = uniform(n_half, rng)
+        match[0] = 0  # a fixed point breaks the involution
+        return match
+
+    monkeypatch.setattr(graphs, "_uniform_matching", corrupted)
+    assert run_cli(["--out-dir", str(tmp_path), "--seed", "2", "percolate", "--n", "80", "--mu", "0.5"]) == EXIT_INVARIANT
+    assert not (tmp_path / "manifest.json").exists()

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hcmsim.core import stream_gen
+from hcmsim.core import InvariantError, stream_gen
 from hcmsim.degrees import DegreeSequence, make_limit_parameters, make_scaling
 from hcmsim.graphs import (
     components,
@@ -154,7 +154,7 @@ def test_invariants_assert_after_sampling():
     seq = _seq([3, 2, 2, 1], black=[1, 1, 0, 0])
     g = sample_white_matching(seq, 11)
     g.assert_matching(g.white_match, g.white_owner)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         bad = g.white_match.copy()
         bad[0] = 0
         g.assert_matching(bad, g.white_owner)

@@ -1,0 +1,147 @@
+"""The sparse batch engine against the dense transitive-closure oracle.
+
+The oracle is the former implementation of ``mcmw_batch`` and
+``bipartite_bound_check``: per replicate a dense (n, n) adjacency closed
+under repeated boolean matrix products, with each component's mass read at
+its least vertex. Given one seed both draw the same edge indicators, so
+they must agree up to the order of floating-point mass sums.
+"""
+
+import numpy as np
+import pytest
+
+from hcmsim.coalescent import BlockSystem, bipartite_bound_check, mcmw_batch, sample_xi_batch
+from hcmsim.core import InvariantError, stream_gen
+
+
+def _reach(adj):
+    """Transitive closure per replicate of (reps, n, n) boolean adjacency."""
+    n = adj.shape[1]
+    R = adj | np.eye(n, dtype=bool)
+    hops = 1
+    while hops < n:
+        R = np.matmul(R.astype(np.uint8), R.astype(np.uint8)).astype(bool)
+        hops *= 2
+    return R
+
+
+def _roots(R):
+    """Vertex i is a root iff no smaller vertex reaches it."""
+    reps, n, _ = R.shape
+    root = np.ones((reps, n), dtype=bool)
+    for i in range(1, n):
+        root[:, i] = ~R[:, i, :i].any(axis=1)
+    return root
+
+
+def _edge_indicators(y, t, reps, rng, xi_batch=None):
+    iu, ju = np.triu_indices(y.size, 1)
+    if xi_batch is None:
+        p = -np.expm1(-y[iu] * y[ju] * t)
+        return iu, ju, rng.random((reps, iu.size)) < p
+    return iu, ju, xi_batch <= y[iu] * y[ju] * t
+
+
+def dense_mcmw_batch(x, y, t, reps, rng_seed, xi_batch=None):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    iu, ju, E = _edge_indicators(y, t, reps, stream_gen(*rng_seed), xi_batch)
+    adj = np.zeros((reps, n, n), dtype=bool)
+    adj[:, iu, ju] = E
+    adj[:, ju, iu] = E
+    R = _reach(adj)
+    masses = np.where(_roots(R), R @ x, 0.0)
+    masses.sort(axis=1)
+    return masses[:, ::-1]
+
+
+def dense_bipartite_p_hat(x, y, m_split, t, epsilon, replicates, rng_seed):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    left = np.arange(m_split)
+    right = np.arange(m_split, n)
+    p = -np.expm1(-t * np.outer(y[left], y[right]))
+    alpha1 = float(np.sum(x[left] ** 2))
+    E = stream_gen(*rng_seed).random((replicates, m_split, n - m_split)) < p
+    adj = np.zeros((replicates, n, n), dtype=bool)
+    adj[:, left[:, None], right[None, :]] = E
+    adj[:, right[:, None], left[None, :]] = np.transpose(E, (0, 2, 1))
+    R = _reach(adj)
+    has_left = R[:, :, :m_split].any(axis=2)
+    Z_sq = np.sum(np.where(_roots(R) & has_left, R @ x, 0.0) ** 2, axis=1)
+    return float(np.mean(Z_sq > alpha1 + epsilon))
+
+
+def _inputs(m, seed):
+    rng = stream_gen(seed, 0)
+    # heavy-ish spread of masses and weights, like rescaled critical blocks
+    return np.sort(rng.pareto(2.5, m) + 0.05)[::-1], np.sort(rng.pareto(2.5, m) + 0.05)[::-1]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 20, 100])
+@pytest.mark.parametrize("coupled", [False, True])
+def test_batch_equals_dense_oracle(m, coupled):
+    x, y = _inputs(m, 100 + m)
+    reps = 400 if m <= 3 else 25
+    t = 1.5 / max(1.0, float(np.sum(y**2)))  # near the merging threshold
+    xi = sample_xi_batch(m, reps, stream_gen(m, 1)) if coupled else None
+    got = mcmw_batch(x, y, t, reps, stream_gen(m, 2), xi_batch=xi)
+    want = dense_mcmw_batch(x, y, t, reps, (m, 2), xi_batch=xi)
+    assert got.shape == want.shape == (reps, m)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # at this time the oracle's rows show both merges and separate blocks
+    blocks = np.count_nonzero(want, axis=1)
+    assert m == 1 or (blocks.min() < m and blocks.max() > 1)
+
+
+@pytest.mark.parametrize("n, m_split, t", [(2, 1, 0.5), (3, 1, 0.5), (10, 4, 0.1), (40, 15, 0.005)])
+def test_bipartite_equals_dense_oracle(n, m_split, t):
+    x, y = _inputs(n, 200 + n)
+    eps, reps = 0.3, 300
+    rep = bipartite_bound_check(x, y, m_split, t, eps, reps, stream_gen(n, 3))
+    p_hat = dense_bipartite_p_hat(x, y, m_split, t, eps, reps, (n, 3))
+    assert rep["p_hat"] == pytest.approx(p_hat, rel=1e-12, abs=0)
+    assert 0.0 < p_hat < 1.0
+
+
+def test_batch_past_the_dense_size_limit_matches_union_find():
+    # m = 300 was out of reach of the dense closure (capped at 255); compare
+    # row by row with a union-find over the same edge indicators
+    m, reps = 300, 4
+    x, y = _inputs(m, 300)
+    t = 1.0 / float(np.sum(y**2))
+    got = mcmw_batch(x, y, t, reps, stream_gen(300, 2))
+    iu, ju, E = _edge_indicators(y, t, reps, stream_gen(300, 2))
+    assert got.shape == (reps, m)
+    for r in range(reps):
+        blocks = BlockSystem(x, y)
+        for i, j in zip(iu[E[r]], ju[E[r]]):
+            blocks.merge(int(i), int(j))
+        want = np.zeros(m)
+        ordered = blocks.ordered_masses()
+        want[: ordered.size] = ordered
+        np.testing.assert_allclose(got[r], want, rtol=1e-12, atol=1e-12 * x.sum())
+        assert 1 < ordered.size < m
+
+
+def test_batch_detects_a_labelling_that_leaks_across_replicates(monkeypatch):
+    import hcmsim.coalescent as coalescent
+
+    # one label for every vertex puts all replicates' mass into one row
+    monkeypatch.setattr(coalescent, "labels_from_edges", lambda rows, cols, n: np.zeros(n, dtype=np.int64))
+    with pytest.raises(InvariantError):
+        mcmw_batch([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], 0.5, 4, 0)
+
+
+def test_batch_empty_shapes():
+    assert mcmw_batch([1.0, 2.0], [1.0, 1.0], 1.0, 0, 0).shape == (0, 2)
+    assert mcmw_batch([], [], 1.0, 3, 0).shape == (3, 0)
+
+
+def test_batch_rejects_clocks_of_another_shape():
+    # one clock row for many replicates would leave the other rows edgeless
+    xi = sample_xi_batch(3, 1, 0)
+    with pytest.raises(ValueError):
+        mcmw_batch([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], 0.5, 4, 0, xi_batch=xi)

@@ -4,6 +4,7 @@ import pytest
 from hcmsim.core import stream_gen
 from hcmsim.stats import (
     ExperimentConfig,
+    _sidx,
     build_critical_sequence,
     ks_two_sample,
     l22_norm,
@@ -79,6 +80,20 @@ def test_experiment_config_validation():
         ExperimentConfig(replicates=0)
     cfg = ExperimentConfig(n_grid=[500, 200])
     assert cfg.n_grid == [200, 500]
+
+
+def test_stream_index_fields_cannot_overflow():
+    # unchecked, (1, 2**22, 0) would alias (2, 0, 0) and (2, 1000, 2**22) would alias (2, 1001, 0)
+    for code, n, r in [(1, 2**22, 0), (2, 1000, 2**22)]:
+        with pytest.raises(ValueError):
+            _sidx(code, n, r)
+    assert _sidx(1, 2**22 - 1, 2**22 - 1) < _sidx(2, 0, 0)
+    assert _sidx(2, 1000, 2**22 - 1) < _sidx(2, 1001, 0)
+    for bad in (dict(n_grid=[2**22]), dict(n_grid=[-1]), dict(replicates=2**22 + 1),
+                dict(limit_replicates=2**22 + 1), dict(n_grid=[100], replicates_by_n={100: 2**22 + 1})):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+    ExperimentConfig(n_grid=[2**22 - 1], replicates=2**22, limit_replicates=2**22)
 
 
 def test_limit_pairs_shape_and_padding():
