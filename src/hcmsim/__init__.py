@@ -4,7 +4,7 @@ and weight, and their thinned Levy scaling limits."""
 
 __version__ = "0.1.0"
 
-from .core import InvariantError, as_generator, seed_stream, stream_gen
+from .core import InvariantError, as_generator, stream_gen
 from .degrees import (
     BulkLaw,
     DegreeSequence,

@@ -24,24 +24,14 @@ def as_generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 
-def seed_stream(master_seed: int, stream_index: int) -> int:
-    """Derive the child seed for one replicate stream.
+def stream_gen(master_seed: int, stream_index: int) -> np.random.Generator:
+    """Philox generator for replicate ``stream_index`` under ``master_seed``.
 
     Scheme (stable across platforms and releases, reproducible by
-    independent implementations): the child seed is the first 128 bits of
+    independent implementations): the Philox key is derived by
     ``numpy.random.SeedSequence(entropy=master_seed,
-    spawn_key=(stream_index,))``, read as four big-endian 32-bit words.
-    Distinct stream indices give distinct spawn keys, so streams never
-    collide.
+    spawn_key=(stream_index,))``. Distinct stream indices give distinct
+    spawn keys, so streams never collide.
     """
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(stream_index),))
-    out = 0
-    for w in ss.generate_state(4, dtype=np.uint32):
-        out = (out << 32) | int(w)
-    return out
-
-
-def stream_gen(master_seed: int, stream_index: int) -> np.random.Generator:
-    """Philox generator for replicate ``stream_index`` under ``master_seed``."""
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(stream_index),))
     return np.random.Generator(np.random.Philox(ss))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_generator
+from .core import InvariantError, as_generator
 
 
 @dataclass(frozen=True)
@@ -193,13 +193,14 @@ class DegreeSequence:
         return self.white / self.scaling.a_n + self.black / self.scaling.b_n
 
     def assert_valid(self):
+        """Invariants that building and tuning establish; a failure is a bug."""
         if self.total_white % 2 or self.total_black % 2:
-            raise ValueError("colour totals must both be even")
+            raise InvariantError("colour totals must both be even")
         if np.any(self.white < 1):
-            raise ValueError("all white degrees must be >= 1")
+            raise InvariantError("all white degrees must be >= 1")
         key = self.arrangement_key()
         if np.any(np.diff(key) > 1e-12):
-            raise ValueError("arrangement is not non-increasing")
+            raise InvariantError("arrangement is not non-increasing")
 
     def sorted_by_arrangement(self) -> "DegreeSequence":
         order = np.argsort(-self.arrangement_key(), kind="stable")

@@ -20,10 +20,14 @@ from .coalescent import BlockSystem
 from .graphs import ColoredMultigraph, component_table
 
 
-def _require_unpaired_black(g: ColoredMultigraph):
+def _black_half_edge_count(g: ColoredMultigraph) -> int:
     if g.black_match is not None:
         raise ValueError("percolation processes pair the black half-edges themselves; "
                          "pass the white-only graph G_n(0)")
+    n_he = g.black_owner.size
+    if n_he % 2:
+        raise ValueError("black parity violated")
+    return n_he
 
 
 def _death_times(q0: int, horizon: float, rng) -> np.ndarray:
@@ -35,83 +39,70 @@ def _death_times(q0: int, horizon: float, rng) -> np.ndarray:
     return times[times <= horizon]
 
 
+EVENT_DTYPE = np.dtype([("time", np.float64), ("a", np.int64), ("b", np.int64)])
+
+
+def _event_table(times, a, b) -> np.ndarray:
+    log = np.empty(len(times), dtype=EVENT_DTYPE)
+    log["time"], log["a"], log["b"] = times, a, b
+    return log
+
+
+def _check_partial_matching(log: np.ndarray):
+    he = np.concatenate((log["a"], log["b"]))
+    if np.unique(he).size != he.size:
+        raise InvariantError("a black half-edge was paired twice")
+
+
 @dataclass
 class PercolationState:
     graph: ColoredMultigraph
-    mode: str  # "dynamic" | "modified"
     q0: int
-    event_log: list  # (time, half_edge_a, half_edge_b)
-    q_final: int
-    paired: np.ndarray  # per black half-edge, True once consumed (dynamic only)
+    event_log: np.ndarray  # EVENT_DTYPE rows (time, half-edge a, half-edge b) in time order
 
     def event_vertex_pairs(self) -> np.ndarray:
-        if not self.event_log:
-            return np.zeros((0, 2), dtype=np.int64)
         owner = self.graph.black_owner
-        he = np.array([(a, b) for _, a, b in self.event_log], dtype=np.int64)
-        return np.column_stack((owner[he[:, 0]], owner[he[:, 1]]))
+        return np.column_stack((owner[self.event_log["a"]], owner[self.event_log["b"]]))
 
     def component_sizes(self) -> np.ndarray:
         sizes, *_ = component_table(self.graph, self.event_vertex_pairs())
         return sizes
 
-    def component_arrays(self):
-        sizes, blacks, *_ = component_table(self.graph, self.event_vertex_pairs())
-        return sizes, blacks
-
-    def check_q(self):
-        if self.mode == "dynamic" and self.q_final + len(self.event_log) != self.q0:
-            raise InvariantError("Q(t) + #events != Q(0)")
-
 
 def run_dynamic(g: ColoredMultigraph, s_max: float, rng_seed) -> PercolationState:
     """Algorithm: at each event of a rate-Q(t) clock, pair two distinct
-    uniformly chosen unpaired black half-edges."""
+    uniformly chosen unpaired black half-edges.
+
+    The pairs are the consecutive picks of a partial Fisher-Yates shuffle of
+    the half-edges: all swap indices are drawn at once (bounds n_he,
+    n_he - 1, ...) and the swaps are replayed on the moved positions only.
+    """
     rng = as_generator(rng_seed)
-    _require_unpaired_black(g)
-    n_he = g.black_owner.size
-    if n_he % 2:
-        raise ValueError("black parity violated")
+    n_he = _black_half_edge_count(g)
     q0 = n_he // 2
     times = _death_times(q0, s_max, rng)
-    pool = np.arange(n_he, dtype=np.int64)
-    m = n_he
-    paired = np.zeros(n_he, dtype=bool)
-    log = []
-    for t in times:
-        i = int(rng.integers(m))
-        a = int(pool[i])
-        pool[i], pool[m - 1] = pool[m - 1], pool[i]
-        m -= 1
-        j = int(rng.integers(m))
-        b = int(pool[j])
-        pool[j], pool[m - 1] = pool[m - 1], pool[j]
-        m -= 1
-        paired[a] = paired[b] = True
-        log.append((float(t), a, b))
-    state = PercolationState(g, "dynamic", q0, log, q0 - len(log), paired)
-    state.check_q()
-    return state
+    swaps = rng.integers(0, np.arange(n_he, n_he - 2 * times.size, -1))
+    moved: dict[int, int] = {}  # position -> half-edge swapped into it
+    picked = []
+    for last, i in zip(range(n_he - 1, -1, -1), swaps.tolist()):
+        picked.append(moved.get(i, i))
+        moved[i] = moved.get(last, last)
+    log = _event_table(times, picked[0::2], picked[1::2])
+    _check_partial_matching(log)
+    return PercolationState(g, q0, log)
 
 
 def run_modified(g: ColoredMultigraph, s_max: float, rng_seed) -> PercolationState:
     """Constant rate Q(0); the chosen half-edges remain available."""
     rng = as_generator(rng_seed)
-    _require_unpaired_black(g)
-    n_he = g.black_owner.size
-    if n_he % 2:
-        raise ValueError("black parity violated")
+    n_he = _black_half_edge_count(g)
     q0 = n_he // 2
     n_events = rng.poisson(q0 * s_max)
     times = np.sort(rng.random(n_events) * s_max)
-    log = []
-    for t in times:
-        a = int(rng.integers(n_he))
-        b = int(rng.integers(n_he - 1))
-        if b >= a:
-            b += 1
-        log.append((float(t), a, b))
-    return PercolationState(g, "modified", q0, log, q0, np.zeros(n_he, dtype=bool))
+    pairs = rng.integers(0, np.tile([n_he, n_he - 1], n_events)).reshape(-1, 2)
+    a, b = pairs[:, 0], pairs[:, 1]
+    b += b >= a  # b is uniform over the half-edges other than a
+    return PercolationState(g, q0, _event_table(times, a, b))
 
 
 @dataclass
@@ -127,29 +118,18 @@ def run_coupled(g: ColoredMultigraph, s_max: float, rng_seed) -> CoupledPair:
     every time."""
     rng = as_generator(rng_seed)
     modified = run_modified(g, s_max, rng)
-    n_he = g.black_owner.size
-    paired = np.zeros(n_he, dtype=bool)
-    dyn_log = []
-    for t, a, b in modified.event_log:
-        if not paired[a] and not paired[b]:
-            paired[a] = paired[b] = True
-            dyn_log.append((t, a, b))
-    q0 = modified.q0
-    dynamic = PercolationState(g, "dynamic", q0, dyn_log, q0 - len(dyn_log), paired)
-    dynamic.check_q()
-    if not set(dyn_log) <= set(modified.event_log):
+    mod_log = modified.event_log
+    used: set[int] = set()
+    keep = []
+    for k, (a, b) in enumerate(zip(mod_log["a"].tolist(), mod_log["b"].tolist())):
+        if a not in used and b not in used:
+            used.update((a, b))
+            keep.append(k)
+    dyn_log = mod_log[np.array(keep, dtype=np.int64)]
+    _check_partial_matching(dyn_log)
+    if not np.isin(dyn_log, mod_log).all():
         raise InvariantError("dynamic edge set escaped the modified edge set")
-    return CoupledPair(dynamic=dynamic, modified=modified)
-
-
-def refines(fine_labels: np.ndarray, coarse_labels: np.ndarray) -> bool:
-    """True if every fine component is contained in one coarse component."""
-    seen = {}
-    for f, c in zip(fine_labels, coarse_labels):
-        if f in seen and seen[f] != c:
-            return False
-        seen[f] = c
-    return True
+    return CoupledPair(dynamic=PercolationState(g, modified.q0, dyn_log), modified=modified)
 
 
 def q_trajectory_check(
@@ -165,7 +145,8 @@ def q_trajectory_check(
     Records sup_{t <= T/c_n} |Q(t)/n - (Q(0)/n) e^{-t}| per replicate and
     the exceedance rate of delta_n = n^{-delta_exponent}, to compare with
     the bound 2 gamma T / (delta_n^2 n c_n). Also reports the mean of
-    Q(t)/n at ``t_mean_check`` against its exact value.
+    Q(t)/n at ``t_mean_check`` against its exact value. All replicates are
+    held at once: memory is O(replicates * Q(0)).
     """
     if replicates < 100:
         raise ValueError("trajectory check needs at least 1e2 replicates")
@@ -175,23 +156,20 @@ def q_trajectory_check(
     c_n = g.seq.scaling.c_n
     gamma = g.black_owner.size / n
     horizon_sup = T / c_n
-    horizon = max(horizon_sup, t_mean_check)
     delta_n = n ** (-delta_exponent)
-    sups = np.empty(replicates)
-    q_at_t = np.empty(replicates)
-    for r in range(replicates):
-        times = _death_times(q0, horizon, rng)
-        k = np.searchsorted(times, horizon_sup, side="right")
-        ts = times[:k]
-        # Q/n is constant between events and the ODE curve is monotone, so the
-        # sup is attained at event times (just before/after) or the endpoints.
-        grid = np.concatenate(([0.0], ts, [horizon_sup]))
-        q_left = q0 - np.concatenate(([0], np.arange(len(ts)), [len(ts)]))
-        q_right = q0 - np.concatenate(([0], np.arange(1, len(ts) + 1), [len(ts)]))
-        f = q0 * np.exp(-grid)
-        dev = np.maximum(np.abs(q_left - f), np.abs(q_right - f)) / n
-        sups[r] = dev.max()
-        q_at_t[r] = (q0 - np.searchsorted(times, t_mean_check, side="right")) / n
+    # one row of pairing-clock event times per replicate: the draws of
+    # _death_times, replicate after replicate, without its horizon cut
+    rates = np.arange(q0, 0, -1, dtype=float)
+    times = np.cumsum(rng.exponential(1.0 / rates, size=(replicates, q0)), axis=1)
+    # Q/n is constant between events and the ODE curve is monotone, so the
+    # sup is attained at event times (just before/after) or the endpoints.
+    k = np.sum(times <= horizon_sup, axis=1)
+    j = np.arange(1, q0 + 1)
+    f = q0 * np.exp(-times)
+    dev = np.maximum(np.abs(q0 - (j - 1) - f), np.abs(q0 - j - f)) / n
+    at_events = np.where(j <= k[:, None], dev, 0.0).max(axis=1, initial=0.0)
+    sups = np.maximum(at_events, np.abs(q0 - k - q0 * np.exp(-horizon_sup)) / n)
+    q_at_t = (q0 - np.sum(times <= t_mean_check, axis=1)) / n
     exceed = float(np.mean(sups > delta_n))
     bound = 2.0 * gamma * T / (delta_n**2 * n * c_n)
     se_exceed = float(np.sqrt(max(exceed * (1 - exceed), 1.0 / replicates) / replicates))
@@ -221,22 +199,19 @@ def edge_probability_estimate(
 ) -> float:
     """Monte Carlo frequency that a black edge joins the two components by
     time s*gamma_n/c_n in the dynamic process, given the initial graph."""
-    vi = set(int(v) for v in component_i)
-    vj = set(int(v) for v in component_j)
-    if vi & vj:
+    in_i = np.zeros(g.n, dtype=bool)
+    in_j = np.zeros(g.n, dtype=bool)
+    in_i[np.asarray(component_i, dtype=np.int64)] = True
+    in_j[np.asarray(component_j, dtype=np.int64)] = True
+    if np.any(in_i & in_j):
         raise ValueError("components must be disjoint")
     rng = as_generator(rng_seed)
     gamma_n = g.black_owner.size / g.n
     horizon = s * gamma_n / g.seq.scaling.c_n
-    owner = g.black_owner
     hits = 0
     for _ in range(replicates):
-        state = run_dynamic(g, horizon, rng)
-        for _, a, b in state.event_log:
-            oa, ob = int(owner[a]), int(owner[b])
-            if (oa in vi and ob in vj) or (oa in vj and ob in vi):
-                hits += 1
-                break
+        u, v = run_dynamic(g, horizon, rng).event_vertex_pairs().T
+        hits += bool(np.any((in_i[u] & in_j[v]) | (in_j[u] & in_i[v])))
     return hits / replicates
 
 
@@ -248,10 +223,5 @@ def modified_block_view(g: ColoredMultigraph) -> BlockSystem:
 
 
 def write_event_csv(state: PercolationState, path):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "half_edge_a", "half_edge_b"])
-        for t, a, b in state.event_log:
-            writer.writerow([f"{t:.12g}", a, b])
+    np.savetxt(path, state.event_log, fmt="%.12g,%d,%d", header="time,half_edge_a,half_edge_b",
+               comments="", newline="\r\n")

@@ -21,7 +21,6 @@ class ExcursionInterval:
     l: float
     r: float
     length: float
-    g_increment: float | None = None
 
 
 @dataclass
@@ -103,8 +102,6 @@ def gamma_down(f: CadlagPath, g: CadlagPath) -> np.ndarray:
     g_left = _left_eval(g, lefts)
     g_right = np.atleast_1d(g.eval(rights))
     pairs = np.column_stack((rights - lefts, g_right - g_left))
-    for e, inc in zip(exc, pairs[:, 1]):
-        e.g_increment = float(inc)
     idx = np.lexsort((lefts, -pairs[:, 0]))
     return pairs[idx]
 

@@ -93,13 +93,10 @@ class ExplorationTrace:
         return make(Xv), make(Yv), tau_v
 
 
-def explore(g: ColoredMultigraph, rng_seed, mode: str = "replay") -> ExplorationTrace:
-    """Run the exploration; ``mode='replay'`` follows the sampled matching,
-    ``mode='lazy'`` reveals a uniform matching on the fly (same law)."""
-    if mode not in ("replay", "lazy"):
-        raise ValueError("mode must be 'replay' or 'lazy'")
-    if mode == "replay" and g.white_match is None:
-        raise ValueError("replay mode needs a sampled white matching")
+def explore(g: ColoredMultigraph, rng_seed) -> ExplorationTrace:
+    """Run the exploration, following the sampled white matching."""
+    if g.white_match is None:
+        raise ValueError("exploration needs a sampled white matching")
     rng = as_generator(rng_seed)
     seq = g.seq
     n = seq.n
@@ -167,12 +164,9 @@ def explore(g: ColoredMultigraph, rng_seed, mode: str = "replay") -> Exploration
         v = exploring
         e = _next_active(v, next_he, indptr, is_alive)
         kill(e)
-        if mode == "lazy":
-            f = int(alive[rng.integers(alive_count)])
-        else:
-            f = int(match[e])
-            if not is_alive[f]:
-                raise InvariantError("matched partner already killed")
+        f = int(match[e])
+        if not is_alive[f]:
+            raise InvariantError("matched partner already killed")
         kill(f)
         u = int(owner[f])
         t += 1

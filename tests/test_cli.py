@@ -178,3 +178,18 @@ def test_corrupted_matching_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr(graphs, "_uniform_matching", corrupted)
     assert run_cli(["--out-dir", str(tmp_path), "--seed", "2", "percolate", "--n", "80", "--mu", "0.5"]) == EXIT_INVARIANT
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_invalid_built_degrees_exits_3(tmp_path, monkeypatch):
+    import hcmsim.cli as cli
+
+    build = cli.build_degree_sequence
+
+    def odd_black_total(*args, **kwargs):
+        seq = build(*args, **kwargs)
+        seq.black[-1] += 1  # breaks the parity the build guarantees
+        return seq
+
+    monkeypatch.setattr(cli, "build_degree_sequence", odd_black_total)
+    assert run_cli(["--out-dir", str(tmp_path), "validate-degrees", "--n", "200"]) == EXIT_INVARIANT
+    assert not (tmp_path / "manifest.json").exists()

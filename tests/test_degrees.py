@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from hcmsim.core import InvariantError
 from hcmsim.degrees import (
     DEFAULT_BULK_WHITE,
     BulkLaw,
+    DegreeSequence,
     build_degree_sequence,
     criticality,
     make_limit_parameters,
@@ -140,6 +142,24 @@ def test_tune_unreachable_raises():
     # no degree-1 or degree-3 bulk vertices: only nu = 1 is reachable
     with pytest.raises(ValueError):
         tune_to_criticality(seq, 30.0)
+
+
+def test_assert_valid_raises_invariant_error():
+    sc = make_scaling(4, 3.5)
+    lim = make_limit_parameters(3.5, 2)
+
+    def seq(white, black):
+        return DegreeSequence(np.array(white), np.array(black), sc, lim, np.zeros(4, bool))
+
+    seq([2, 2, 1, 1], [1, 1, 0, 0]).assert_valid()
+    for white, black in (
+        ([3, 2, 1, 1], [1, 1, 0, 0]),  # odd white total
+        ([2, 2, 1, 1], [1, 0, 0, 0]),  # odd black total
+        ([2, 2, 2, 0], [1, 1, 0, 0]),  # a white degree of zero
+        ([1, 1, 2, 2], [0, 0, 1, 1]),  # arrangement increasing
+    ):
+        with pytest.raises(InvariantError):
+            seq(white, black).assert_valid()
 
 
 def test_validate_assumptions_hand_values():

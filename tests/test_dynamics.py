@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from hcmsim.coalescent import mcmw_batch
-from hcmsim.core import stream_gen
+from hcmsim.core import as_generator, stream_gen
 from hcmsim.degrees import DegreeSequence, make_limit_parameters, make_scaling
 from hcmsim.dynamics import (
+    _death_times,
     edge_probability_estimate,
     modified_block_view,
     q_trajectory_check,
-    refines,
     run_coupled,
     run_dynamic,
     run_modified,
@@ -36,8 +38,8 @@ def test_zero_horizon_no_events():
     g = _graph([1, 1, 2, 2], [2, 2, 1, 1])
     for runner in (run_dynamic, run_modified):
         state = runner(g, 0.0, 3)
-        assert state.event_log == []
-        assert state.q_final == state.q0
+        assert len(state.event_log) == 0
+        assert state.q0 == 3
 
 
 def test_single_pair_exponential_clock():
@@ -45,7 +47,7 @@ def test_single_pair_exponential_clock():
     rng = stream_gen(5, 0)
     reps = 60_000
     s = 0.8
-    paired = sum(bool(run_dynamic(g, s, rng).event_log) for _ in range(reps))
+    paired = sum(len(run_dynamic(g, s, rng).event_log) for _ in range(reps))
     p = 1 - np.exp(-s)
     assert abs(paired / reps - p) <= 3 * np.sqrt(p * (1 - p) / reps)
 
@@ -54,8 +56,10 @@ def test_q_decreases_by_one_per_event():
     g = _graph([1, 1, 2, 2], [2, 2, 2, 2], seed=2)
     state = run_dynamic(g, 10.0, 7)
     assert state.q0 == 4
-    assert state.q_final + len(state.event_log) == state.q0
-    times = [t for t, _, _ in state.event_log]
+    assert len(state.event_log) == state.q0  # every pair formed by time 10
+    he = state.event_log[["a", "b"]].tolist()
+    assert len({h for pair in he for h in pair}) == 2 * state.q0
+    times = state.event_log["time"].tolist()
     assert times == sorted(times)
     assert len(set(times)) == len(times)
 
@@ -130,8 +134,8 @@ def test_coupled_subset_and_refinement():
     rng = stream_gen(19, 0)
     for _ in range(300):
         pair = run_coupled(g, 1.0, rng)
-        dyn_events = set(pair.dynamic.event_log)
-        mod_events = set(pair.modified.event_log)
+        dyn_events = set(pair.dynamic.event_log.tolist())
+        mod_events = set(pair.modified.event_log.tolist())
         assert dyn_events <= mod_events
         # refinement of the partition and the norm inequality
         lab_dyn = component_labels(g, pair.dynamic.event_vertex_pairs())
@@ -147,7 +151,7 @@ def test_coupled_single_pair_coincide_until_first_event():
     rng = stream_gen(23, 0)
     for _ in range(200):
         pair = run_coupled(g, 3.0, rng)
-        if pair.modified.event_log:
+        if len(pair.modified.event_log):
             assert pair.dynamic.event_log[0] == pair.modified.event_log[0]
 
 
@@ -163,6 +167,45 @@ def test_q_trajectory_trivial_and_mean():
     rep = q_trajectory_check(g, 1.0, 150, 3)
     assert rep["mean_ok"], rep
     assert rep["exceedance_ok"], rep
+
+
+def _q_trajectory_oracle(g, T, replicates, rng_seed, delta_exponent=0.4, t_mean_check=1.0):
+    """The per-replicate loop q_trajectory_check replaced; returns (sups, q_at_t)."""
+    rng = as_generator(rng_seed)
+    n = g.n
+    q0 = g.black_owner.size // 2
+    horizon_sup = T / g.seq.scaling.c_n
+    horizon = max(horizon_sup, t_mean_check)
+    sups = np.empty(replicates)
+    q_at_t = np.empty(replicates)
+    for r in range(replicates):
+        times = _death_times(q0, horizon, rng)
+        k = np.searchsorted(times, horizon_sup, side="right")
+        ts = times[:k]
+        grid = np.concatenate(([0.0], ts, [horizon_sup]))
+        q_left = q0 - np.concatenate(([0], np.arange(len(ts)), [len(ts)]))
+        q_right = q0 - np.concatenate(([0], np.arange(1, len(ts) + 1), [len(ts)]))
+        f = q0 * np.exp(-grid)
+        dev = np.maximum(np.abs(q_left - f), np.abs(q_right - f)) / n
+        sups[r] = dev.max()
+        q_at_t[r] = (q0 - np.searchsorted(times, t_mean_check, side="right")) / n
+    return sups, q_at_t
+
+
+@pytest.mark.parametrize("n,T,t_mean", [(2000, 0.0, 1.0), (2000, 1.0, 1.0), (2000, 40.0, 0.5), (301, 5.0, 2.0)])
+def test_q_trajectory_check_equals_loop_oracle(n, T, t_mean):
+    lim = make_limit_parameters(3.5, 2)
+    white = np.full(n, 2, dtype=np.int64)
+    black = np.tile([1, 1, 2, 0], n)[:n].astype(np.int64)
+    black[-1] += black.sum() % 2
+    seq = DegreeSequence(white, black, make_scaling(n, 3.5), lim, np.zeros(n, bool))
+    g = sample_white_matching(seq, 1)
+    rep = q_trajectory_check(g, T, 120, 4, t_mean_check=t_mean)
+    sups, q_at_t = _q_trajectory_oracle(g, T, 120, 4, t_mean_check=t_mean)
+    assert rep["sup_deviation_mean"] == float(np.mean(sups))
+    assert rep["exceedance_rate"] == float(np.mean(sups > rep["delta_n"]))
+    assert rep["mean_q_at_t"] == float(np.mean(q_at_t))
+    assert rep["mean_q_sd"] == float(np.std(q_at_t, ddof=1))
 
 
 def test_edge_probability_zero_time():
@@ -227,3 +270,143 @@ def test_edge_probability_tracks_limit_formula_at_scale():
     p_hat = edge_probability_estimate(g, comp_i, comp_j, s, 3000, stream_gen(3, 2))
     ref = 1 - np.exp(-(blacks[0] / b_n) * (blacks[1] / b_n) * s)
     assert abs(p_hat - ref) <= 0.05
+
+
+def refines(fine_labels: np.ndarray, coarse_labels: np.ndarray) -> bool:
+    """True if every fine component is contained in one coarse component."""
+    seen = {}
+    for f, c in zip(fine_labels, coarse_labels):
+        if f in seen and seen[f] != c:
+            return False
+        seen[f] = c
+    return True
+
+
+# Reference loops: the per-event implementations the array kernels replaced,
+# one scalar draw per pick. The kernels must reproduce them exactly.
+
+
+def _dynamic_oracle(g, s_max, rng_seed) -> list:
+    rng = as_generator(rng_seed)
+    n_he = g.black_owner.size
+    times = _death_times(n_he // 2, s_max, rng)
+    pool = np.arange(n_he, dtype=np.int64)  # swap-pop pool of unpaired half-edges
+    m = n_he
+    log = []
+    for t in times:
+        i = int(rng.integers(m))
+        a = int(pool[i])
+        pool[i], pool[m - 1] = pool[m - 1], pool[i]
+        m -= 1
+        j = int(rng.integers(m))
+        b = int(pool[j])
+        pool[j], pool[m - 1] = pool[m - 1], pool[j]
+        m -= 1
+        log.append((float(t), a, b))
+    return log
+
+
+def _modified_oracle(g, s_max, rng_seed) -> list:
+    rng = as_generator(rng_seed)
+    n_he = g.black_owner.size
+    n_events = rng.poisson(n_he // 2 * s_max)
+    times = np.sort(rng.random(n_events) * s_max)
+    log = []
+    for t in times:
+        a = int(rng.integers(n_he))
+        b = int(rng.integers(n_he - 1))
+        if b >= a:
+            b += 1
+        log.append((float(t), a, b))
+    return log
+
+
+def _coupled_oracle(g, s_max, rng_seed) -> tuple[list, list]:
+    mod_log = _modified_oracle(g, s_max, rng_seed)
+    paired = np.zeros(g.black_owner.size, dtype=bool)
+    dyn_log = []
+    for t, a, b in mod_log:
+        if not paired[a] and not paired[b]:
+            paired[a] = paired[b] = True
+            dyn_log.append((t, a, b))
+    return dyn_log, mod_log
+
+
+def _assert_kernels_match_oracles(g, s, seed):
+    assert run_dynamic(g, s, stream_gen(seed, 0)).event_log.tolist() == _dynamic_oracle(g, s, stream_gen(seed, 0))
+    assert run_modified(g, s, stream_gen(seed, 1)).event_log.tolist() == _modified_oracle(g, s, stream_gen(seed, 1))
+    pair = run_coupled(g, s, stream_gen(seed, 2))
+    dyn, mod = _coupled_oracle(g, s, stream_gen(seed, 2))
+    assert pair.dynamic.event_log.tolist() == dyn
+    assert pair.modified.event_log.tolist() == mod
+
+
+SMALL_GRAPHS = [
+    ([1, 1, 2, 2], [2, 2, 1, 1], 0),
+    ([1, 1], [1, 1], 0),  # a single pair
+    ([1, 1, 2, 2], [2, 2, 2, 2], 2),
+    ([1, 1, 2, 2], [3, 1, 2, 2], 9),
+    ([2, 2, 1, 1, 1, 1], [2, 2, 2, 2, 1, 1], 6),
+    ([1, 1], [0, 0], 0),  # no black half-edges
+]
+
+
+@pytest.mark.parametrize("white,black,graph_seed", SMALL_GRAPHS)
+def test_event_kernels_equal_loop_oracles_small(white, black, graph_seed):
+    g = _graph(white, black, seed=graph_seed)
+    for s in (0.0, 0.3, 1.0, 50.0):  # zero horizon up to every pair consumed
+        for seed in range(20):
+            _assert_kernels_match_oracles(g, s, seed)
+    if g.black_owner.size:
+        assert len(run_dynamic(g, 50.0, 0).event_log) == g.black_owner.size // 2
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_event_kernels_equal_loop_oracles_critical(n):
+    from hcmsim.stats import ExperimentConfig, build_critical_sequence
+
+    for seed in (1, 2, 9001):
+        seq = build_critical_sequence(ExperimentConfig(n_grid=[n], master_seed=seed), n)
+        g = sample_white_matching(seq, stream_gen(seed, 2))
+        s = (g.black_owner.size / n) / seq.scaling.c_n  # mu = 1
+        _assert_kernels_match_oracles(g, s, seed)
+
+
+@st.composite
+def _small_graphs(draw):
+    """White-only graphs on 1-8 vertices with even colour totals."""
+    n = draw(st.integers(1, 8))
+    white = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    black = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    white[-1] += sum(white) % 2
+    black[-1] += sum(black) % 2
+    return _graph(white, black, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(_small_graphs(), st.floats(0.0, 5.0), st.integers(0, 2**32 - 1))
+def test_dynamic_events_partial_matching_property(g, s, seed):
+    state = run_dynamic(g, s, seed)
+    log = state.event_log
+    he = np.concatenate((log["a"], log["b"]))
+    assert np.unique(he).size == he.size
+    assert len(log) <= state.q0 == g.black_owner.size // 2
+    assert np.all(np.diff(log["time"]) > 0) and np.all(log["time"] <= s)
+    assert log.tolist() == _dynamic_oracle(g, s, seed)
+
+
+@_PROPERTY
+@given(_small_graphs(), st.floats(0.0, 5.0), st.integers(0, 2**32 - 1))
+def test_coupled_subset_and_refinement_property(g, s, seed):
+    pair = run_coupled(g, s, seed)
+    dyn, mod = pair.dynamic.event_log, pair.modified.event_log
+    assert set(dyn.tolist()) <= set(mod.tolist())
+    he = np.concatenate((dyn["a"], dyn["b"]))
+    assert np.unique(he).size == he.size
+    lab_dyn = component_labels(g, pair.dynamic.event_vertex_pairs())
+    lab_mod = component_labels(g, pair.modified.event_vertex_pairs())
+    assert refines(lab_dyn, lab_mod)
+    assert (dyn.tolist(), mod.tolist()) == _coupled_oracle(g, s, seed)

@@ -56,23 +56,6 @@ def test_trace_matches_union_find_oracle():
             assert walk == oracle
 
 
-def test_lazy_mode_same_law_as_replay():
-    from scipy.stats import ks_2samp
-
-    lim = make_limit_parameters(3.5, 5)
-    sc = make_scaling(200, 3.5)
-    seq = build_degree_sequence(sc, lim, 5, DEFAULT_BULK_WHITE, 3)
-    rng = stream_gen(8, 1)
-    largest_replay = []
-    largest_lazy = []
-    for _ in range(400):
-        g = sample_white_matching(seq, rng)
-        largest_replay.append(max(c.size for c in explore(g, rng).components()))
-        g2 = sample_white_matching(seq, rng)  # matching ignored in lazy mode
-        largest_lazy.append(max(c.size for c in explore(g2, rng, mode="lazy").components()))
-    assert ks_2samp(largest_replay, largest_lazy).pvalue > 1e-3
-
-
 def test_walk_final_identities():
     lim = make_limit_parameters(3.5, 5)
     sc = make_scaling(300, 3.5)
