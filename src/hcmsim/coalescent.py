@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import InvariantError, as_generator
+from .core import InvariantError, as_generator, write_rows
 from .graphs import labels_from_edges
 
 
@@ -302,4 +302,5 @@ def bipartite_bound_check(x, y, m_split: int, t: float, epsilon: float, replicat
 
 def write_masses_csv(masses: np.ndarray, path):
     """One replicate per row, ordered masses, zero-padded columns."""
-    np.savetxt(path, np.atleast_2d(masses), delimiter=",", fmt="%.12g")
+    masses = np.atleast_2d(masses)
+    write_rows(path, ",".join(["{:.12g}"] * masses.shape[1]) + "\n", masses.T)

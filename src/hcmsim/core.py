@@ -1,4 +1,4 @@
-"""Seeding, reproducible RNG streams, and shared error types."""
+"""Seeding, reproducible RNG streams, shared error types, and the CSV row writer."""
 
 from __future__ import annotations
 
@@ -35,3 +35,19 @@ def stream_gen(master_seed: int, stream_index: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(stream_index),))
     return np.random.Generator(np.random.Philox(ss))
+
+
+_ROWS_PER_WRITE = 16384
+
+
+def write_rows(path, line: str, columns, header: str = ""):
+    """Write ``header``, then ``line.format(*row)`` for each row of the
+    equal-length 1-D ``columns``.
+
+    ``line`` holds the separators and the newline. Rows are formatted and
+    written about 16k at a time, so memory stays bounded by one chunk.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for s in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            fh.write("".join(map(line.format, *(c[s : s + _ROWS_PER_WRITE].tolist() for c in columns))))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvariantError, as_generator
+from .core import InvariantError, as_generator, write_rows
 
 
 @dataclass(frozen=True)
@@ -352,11 +352,7 @@ def validate_assumptions(seq: DegreeSequence, K: int | None = None, rel_tol: flo
 
 
 def write_degree_csv(seq: DegreeSequence, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["white", "black"])
-        for wv, bv in zip(seq.white, seq.black):
-            writer.writerow([int(wv), int(bv)])
+    write_rows(path, "{},{}\r\n", (seq.white, seq.black), header="white,black\r\n")
 
 
 def read_degree_csv(path):

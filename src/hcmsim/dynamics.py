@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvariantError, as_generator
+from .core import InvariantError, as_generator, write_rows
 from .coalescent import BlockSystem
 from .graphs import ColoredMultigraph, component_table
 
@@ -125,10 +125,11 @@ def run_coupled(g: ColoredMultigraph, s_max: float, rng_seed) -> CoupledPair:
         if a not in used and b not in used:
             used.update((a, b))
             keep.append(k)
-    dyn_log = mod_log[np.array(keep, dtype=np.int64)]
-    _check_partial_matching(dyn_log)
-    if not np.isin(dyn_log, mod_log).all():
+    keep = np.array(keep, dtype=np.int64)
+    if keep.size and (np.any(np.diff(keep) <= 0) or keep[0] < 0 or keep[-1] >= len(mod_log)):
         raise InvariantError("dynamic edge set escaped the modified edge set")
+    dyn_log = mod_log[keep]
+    _check_partial_matching(dyn_log)
     return CoupledPair(dynamic=PercolationState(g, modified.q0, dyn_log), modified=modified)
 
 
@@ -223,5 +224,5 @@ def modified_block_view(g: ColoredMultigraph) -> BlockSystem:
 
 
 def write_event_csv(state: PercolationState, path):
-    np.savetxt(path, state.event_log, fmt="%.12g,%d,%d", header="time,half_edge_a,half_edge_b",
-               comments="", newline="\r\n")
+    log = state.event_log
+    write_rows(path, "{:.12g},{},{}\r\n", (log["time"], log["a"], log["b"]), header="time,half_edge_a,half_edge_b\r\n")

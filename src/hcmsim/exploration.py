@@ -1,8 +1,19 @@
 """Breadth-first exploration of the white graph and its walk encoding.
 
-One exploration step either discovers the seed of a new component (chosen
-proportional to white degree among undiscovered vertices) or pairs one
-active half-edge. The walks are
+Components are explored one after another. Their order and seeds come
+from one uniform permutation of the white half-edges: components appear
+in the order of their first half-edge in it, and the owner of that
+half-edge is the seed. The next component is thus drawn proportional to
+its white half-edges among those left and its seed proportional to white
+degree (the size-biased order). Within a component, vertices are
+discovered breadth-first from the seed, each vertex's children in the
+order of its half-edges.
+
+A component takes one seed step, which discovers the seed, and then one
+step per white edge. Edges are stepped in order of the endpoint that
+comes first by (discovery rank, half-edge index); a step discovers the
+partner's owner if it is new and is a surplus step otherwise. The walks
+are
 
     X(t) = -2t + sum_i d_i^w 1[eta_i <= t]
     Y(t) =        sum_i d_i^b 1[eta_i <= t]
@@ -17,14 +28,14 @@ and the k-th component satisfies, with tau(k) = min{t : X(t) = -2k},
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order
 
-from .core import InvariantError, as_generator
+from .core import InvariantError, as_generator, write_rows
 from .degrees import ScalingConstants
-from .graphs import ColoredMultigraph
+from .graphs import ColoredMultigraph, csr_adjacency, labels_from_edges
 from .paths import CadlagPath
 
 
@@ -97,123 +108,91 @@ def explore(g: ColoredMultigraph, rng_seed) -> ExplorationTrace:
     """Run the exploration, following the sampled white matching."""
     if g.white_match is None:
         raise ValueError("exploration needs a sampled white matching")
-    rng = as_generator(rng_seed)
-    seq = g.seq
-    n = seq.n
-    d_w = seq.white
-    d_b = seq.black
     owner = g.white_owner
-    match = g.white_match
-    n_half = int(d_w.sum())
+    labels = labels_from_edges(owner, owner[g.white_match], g.n)
+    return _walk(g, labels, _seed_order(g, labels, as_generator(rng_seed)))
 
-    # CSR-style half-edge lists per vertex
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(d_w, out=indptr[1:])
 
-    alive = np.arange(n_half, dtype=np.int64)  # swap-pop pool of alive half-edges
-    pos = np.arange(n_half, dtype=np.int64)
-    alive_count = n_half
-    is_alive = np.ones(n_half, dtype=bool)
+def _seed_order(g: ColoredMultigraph, labels: np.ndarray, rng) -> np.ndarray:
+    """Seed vertices, one per component, in order of each component's first
+    half-edge in one uniform permutation of the white half-edges; the seed
+    owns that half-edge."""
+    owner = g.white_owner
+    perm = rng.permutation(owner.size)
+    first = np.full(labels.max() + 1, owner.size)
+    np.minimum.at(first, labels[owner[perm]], np.arange(owner.size))
+    return owner[perm[np.sort(first[first < owner.size])]]
 
-    def kill(h: int):
-        nonlocal alive_count
-        p = pos[h]
-        last = alive[alive_count - 1]
-        alive[p], alive[alive_count - 1] = last, h
-        pos[last], pos[h] = p, alive_count - 1
-        alive_count -= 1
-        is_alive[h] = False
 
-    discovered = np.zeros(n, dtype=bool)
-    eta = np.full(n, -1, dtype=np.int64)
-    next_he = indptr[:-1].copy()  # per-vertex cursor over its half-edges
-    queue: deque[int] = deque()
-    exploring = -1
-    order: list[int] = []
-
-    X = [0]
-    Y = [0]
-    N = [0]
-    tau: list[int] = []
-    t = 0
-
-    def discover(v: int, step: int):
-        discovered[v] = True
-        eta[v] = step
-        order.append(v)
-
-    while alive_count > 0:
-        if exploring < 0:
-            while queue:
-                v = queue.popleft()
-                if _has_active(v, next_he, indptr, is_alive):
-                    exploring = v
-                    break
-            if exploring < 0:
-                # new component: seed proportional to degree = owner of a
-                # uniform alive half-edge
-                h = alive[rng.integers(alive_count)]
-                v = int(owner[h])
-                t += 1
-                discover(v, t)
-                X.append(X[-1] + int(d_w[v]) - 2)
-                Y.append(Y[-1] + int(d_b[v]))
-                N.append(N[-1])
-                exploring = v
-                continue
-        v = exploring
-        e = _next_active(v, next_he, indptr, is_alive)
-        kill(e)
-        f = int(match[e])
-        if not is_alive[f]:
-            raise InvariantError("matched partner already killed")
-        kill(f)
-        u = int(owner[f])
-        t += 1
-        if not discovered[u]:
-            discover(u, t)
-            X.append(X[-1] + int(d_w[u]) - 2)
-            Y.append(Y[-1] + int(d_b[u]))
-            N.append(N[-1])
-            if _has_active(u, next_he, indptr, is_alive):
-                queue.append(u)  # appended as the largest active vertex
-        else:
-            X.append(X[-1] - 2)
-            Y.append(Y[-1])
-            N.append(N[-1] + 1)
-        if not _has_active(v, next_he, indptr, is_alive):
-            exploring = -1
-        if X[-1] == -2 * (len(tau) + 1):
-            tau.append(t)
-            if exploring >= 0 or any(_has_active(u, next_he, indptr, is_alive) for u in queue):
-                raise InvariantError("walk hit a new minimum mid-component")
-            queue.clear()
-
-    trace = ExplorationTrace(
-        X=np.array(X, dtype=np.int64),
-        Y=np.array(Y, dtype=np.int64),
-        N=np.array(N, dtype=np.int64),
-        eta=eta,
-        tau=np.array(tau, dtype=np.int64),
-        order=np.array(order, dtype=np.int64),
-    )
+def _walk(g: ColoredMultigraph, labels: np.ndarray, seeds: np.ndarray) -> ExplorationTrace:
+    """The walk of the exploration that starts its components at ``seeds``."""
+    seq = g.seq
+    order = _discovery_order(g, labels, seeds)
+    white = np.bincount(labels, weights=seq.white)[labels[seeds]].astype(np.int64)
+    tau = np.cumsum(1 + white // 2)
+    # steps that discover a vertex: each seed step, just before its
+    # component's edge steps, and the edge steps that reach a new vertex
+    discovery = np.ones(int(tau[-1]), dtype=bool)
+    edge = discovery.copy()
+    edge[tau - 1 - white // 2] = False
+    discovery[edge] = _discovery_edge_steps(g, order)
+    X = np.zeros(discovery.size + 1, dtype=np.int64)
+    X[1:] = -2
+    X[1:][discovery] += seq.white[order]
+    Y = np.zeros_like(X)
+    Y[1:][discovery] = seq.black[order]
+    N = np.zeros_like(X)
+    N[1:] = ~discovery
+    eta = np.full(seq.n, -1, dtype=np.int64)
+    eta[order] = np.flatnonzero(discovery) + 1
+    for walk in (X, Y, N):
+        np.cumsum(walk, out=walk)
+    trace = ExplorationTrace(X=X, Y=Y, N=N, eta=eta, tau=tau, order=order)
+    if np.any(np.minimum.accumulate(trace.X)[tau - 1] <= trace.X[tau]):
+        raise InvariantError("walk hit a new minimum mid-component")
     _assert_trace(trace, seq)
     return trace
 
 
-def _has_active(v: int, next_he, indptr, is_alive) -> bool:
-    c = next_he[v]
-    end = indptr[v + 1]
-    while c < end and not is_alive[c]:
-        c += 1
-    next_he[v] = c
-    return c < end
+def _discovery_order(g: ColoredMultigraph, labels: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Vertices in order of discovery: a breadth-first search from a virtual
+    root whose children are the seeds, grouped by component in seed order.
+
+    Row v of the search graph lists the owners of the partners of v's
+    half-edges in half-edge order, so children are found in the order the
+    exploration pairs half-edges.
+    """
+    n = g.n
+    adj = csr_adjacency(np.append(g.seq.white, seeds.size), np.concatenate((g.white_owner[g.white_match], seeds)))
+    found = breadth_first_order(adj, n, directed=True, return_predecessors=False)[1:]
+    rank = np.zeros(labels.max() + 1, dtype=np.int32)
+    rank[labels[seeds]] = np.arange(seeds.size, dtype=np.int32)
+    return found[np.argsort(rank[labels[found]], kind="stable")]
 
 
-def _next_active(v: int, next_he, indptr, is_alive) -> int:
-    if not _has_active(v, next_he, indptr, is_alive):
-        raise InvariantError("exploring vertex has no active half-edge")
-    return int(next_he[v])
+def _discovery_edge_steps(g: ColoredMultigraph, order: np.ndarray) -> np.ndarray:
+    """Which edge steps, in step order, discover a vertex.
+
+    Lay the half-edges out vertex block by vertex block in discovery order.
+    An edge is stepped from whichever of its half-edges comes first, so the
+    edge steps are the half-edges before their partners, in layout order. A
+    vertex is discovered by the earliest step into it from an earlier
+    block, which is the least partner position in its block unless that
+    lies in the block itself (a seed).
+    """
+    d = g.seq.white[order]
+    n_half = g.white_owner.size
+    starts = np.zeros(order.size, dtype=np.int64)
+    np.cumsum(d[:-1], out=starts[1:])
+    first_half_edge = np.cumsum(g.seq.white) - g.seq.white
+    layout = np.repeat(first_half_edge[order] - starts, d) + np.arange(n_half)
+    position = np.empty(n_half, dtype=np.int32)
+    position[layout] = np.arange(n_half, dtype=np.int32)
+    partner = position[g.white_match[layout]]
+    into = np.minimum.reduceat(partner, starts)
+    discovers = np.zeros(n_half, dtype=bool)
+    discovers[into[into < starts]] = True
+    return discovers[partner > np.arange(n_half)]
 
 
 def _assert_trace(tr: ExplorationTrace, seq):
@@ -292,10 +271,7 @@ def discovery_probability_check(seq, t_checks, replicates, rng_seed, hubs=None, 
 
 
 def write_trace_csv(tr: ExplorationTrace, path, stride: int = 1):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "X", "Y", "N"])
-        for t in range(0, tr.X.size, max(1, int(stride))):
-            writer.writerow([t, int(tr.X[t]), int(tr.Y[t]), int(tr.N[t])])
+    """Rows (t, X, Y, N) for every ``stride``-th step."""
+    every = slice(None, None, max(1, int(stride)))
+    t = np.arange(tr.X.size)[every]
+    write_rows(path, "{},{},{},{}\r\n", (t, tr.X[every], tr.Y[every], tr.N[every]), header="t,X,Y,N\r\n")

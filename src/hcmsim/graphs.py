@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _cc
 
-from .core import InvariantError, as_generator
+from .core import InvariantError, as_generator, write_rows
 from .degrees import DegreeSequence
 
 
@@ -165,18 +164,28 @@ def labels_from_edges(rows, cols, n: int) -> np.ndarray:
     """Component label per vertex of the undirected graph on ``n`` vertices
     with edges ``(rows[k], cols[k])``.
 
-    The CSR arrays are built here, so scipy neither converts nor sums
-    duplicates. Rows that arrive as a few sorted runs (white pairs, black
-    pairs, a batch's replicates) make the stable sort nearly linear.
+    Rows that arrive as a few sorted runs (white pairs, black pairs, a
+    batch's replicates) make the stable sort nearly linear.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    # scipy's own index width, and float data, so that scipy copies nothing
-    idx = np.int32 if max(n, rows.size) < 2**31 else np.int64
-    indptr = np.zeros(n + 1, dtype=idx)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    indices = np.asarray(cols, dtype=idx)[np.argsort(rows, kind="stable")]
-    adj = csr_matrix((np.ones(rows.size), indices, indptr), shape=(n, n))
+    adj = csr_adjacency(np.bincount(rows, minlength=n), np.asarray(cols)[np.argsort(rows, kind="stable")])
     return _cc(adj, directed=False)[1]
+
+
+def csr_adjacency(row_lengths, cols) -> csr_matrix:
+    """Square CSR matrix whose row v holds the next ``row_lengths[v]``
+    entries of ``cols``.
+
+    scipy's own index width and float64 data, so that scipy neither
+    converts, sorts nor sums duplicates: a traversal visits each row's
+    entries in exactly this order.
+    """
+    n = len(row_lengths)
+    idx = np.int32 if max(n, len(cols)) < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(row_lengths, out=indptr[1:])
+    indices = np.asarray(cols, dtype=idx)
+    return csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
 
 
 def component_table(g: ColoredMultigraph, extra_edges: np.ndarray | None = None):
@@ -224,10 +233,7 @@ def components(g: ColoredMultigraph, extra_edges: np.ndarray | None = None) -> l
 
 def write_edge_csv(g: ColoredMultigraph, path):
     """Edge list CSV with columns (half_edge_a, half_edge_b, color)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["half_edge_a", "half_edge_b", "color"])
-        for a, b in g.white_pairs():
-            writer.writerow([int(a), int(b), "white"])
-        for a, b in g.black_pairs():
-            writer.writerow([int(a), int(b), "black"])
+    white, black = g.white_pairs(), g.black_pairs()
+    pairs = np.concatenate((white, black))
+    color = np.repeat(["white", "black"], [len(white), len(black)])
+    write_rows(path, "{},{},{}\r\n", (pairs[:, 0], pairs[:, 1], color), header="half_edge_a,half_edge_b,color\r\n")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import InvariantError, as_generator
+from .core import InvariantError, as_generator, write_rows
 from .degrees import LimitParameters
 from .paths import CadlagPath
 
@@ -138,13 +138,7 @@ def exploration_limit_params(params: LimitParameters) -> LimitParameters:
 
 
 def write_limit_path_csv(real: ThinnedLevyRealization, path, grid_step: float, surplus: CadlagPath | None = None):
-    import csv
-
     t, xv = real.X_path.sample_grid(grid_step)
     yv = np.atleast_1d(real.Y_path.eval(t))
     nv = np.atleast_1d(surplus.eval(t)) if surplus is not None else np.zeros_like(t)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "X", "Y", "N"])
-        for row in zip(t, xv, yv, nv):
-            writer.writerow([f"{row[0]:.12g}", f"{row[1]:.12g}", f"{row[2]:.12g}", f"{row[3]:.12g}"])
+    write_rows(path, "{:.12g},{:.12g},{:.12g},{:.12g}\r\n", (t, xv, yv, nv), header="t,X,Y,N\r\n")

@@ -1,6 +1,9 @@
-import numpy as np
+import csv
 
-from hcmsim.core import as_generator, stream_gen
+import numpy as np
+import pytest
+
+from hcmsim.core import as_generator, stream_gen, write_rows
 
 
 def test_seed_stream_distinct_and_stable():
@@ -27,3 +30,111 @@ def test_as_generator_passthrough():
     g = stream_gen(1, 1)
     assert as_generator(g) is g
     assert isinstance(as_generator(17), np.random.Generator)
+
+
+# The writers that write_rows replaced, as byte oracles.
+def _savetxt_masses(masses, path):
+    np.savetxt(path, np.atleast_2d(masses), delimiter=",", fmt="%.12g")
+
+
+def _savetxt_events(log, path):
+    np.savetxt(path, log, fmt="%.12g,%d,%d", header="time,half_edge_a,half_edge_b", comments="", newline="\r\n")
+
+
+def _csv_writer_degrees(seq, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["white", "black"])
+        for wv, bv in zip(seq.white, seq.black):
+            writer.writerow([int(wv), int(bv)])
+
+
+def _awkward_floats(rng, size):
+    """Uniform and heavy-tailed floats plus values whose %g form is special."""
+    special = [0.0, -0.0, 1.0, 3.0, 1e12, 1e-5, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 123456789012.5]
+    wide = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    return np.concatenate((special, rng.random(size), wide))
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 3), (40_000, 3), (9, 250)])
+def test_masses_csv_bytes_equal_savetxt(tmp_path, shape):
+    from hcmsim.coalescent import write_masses_csv
+
+    values = _awkward_floats(np.random.default_rng(shape[0]), int(np.prod(shape)))
+    masses = values[: int(np.prod(shape))].reshape(shape)
+    write_masses_csv(masses, tmp_path / "new.csv")
+    _savetxt_masses(masses, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 40_000])
+def test_event_csv_bytes_equal_savetxt(tmp_path, rows):
+    from hcmsim.dynamics import PercolationState, _event_table, write_event_csv
+
+    rng = np.random.default_rng(rows)
+    times = np.abs(_awkward_floats(rng, rows))[:rows]
+    log = _event_table(times, rng.integers(0, 2**40, rows), rng.integers(0, 2**40, rows))
+    write_event_csv(PercolationState(None, rows, log), tmp_path / "new.csv")
+    _savetxt_events(log, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_degree_csv_bytes_equal_csv_writer(tmp_path):
+    from hcmsim.degrees import write_degree_csv
+    from hcmsim.stats import ExperimentConfig, build_critical_sequence
+
+    seq = build_critical_sequence(ExperimentConfig(master_seed=3), 40_000)
+    write_degree_csv(seq, tmp_path / "new.csv")
+    _csv_writer_degrees(seq, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_rows_without_rows_writes_header_only(tmp_path):
+    write_rows(tmp_path / "h.csv", "{},{}\n", (np.zeros(0), np.zeros(0)), header="a,b\n")
+    assert (tmp_path / "h.csv").read_bytes() == b"a,b\n"
+
+
+def _csv_writer_edges(g, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["half_edge_a", "half_edge_b", "color"])
+        for a, b in g.white_pairs():
+            writer.writerow([int(a), int(b), "white"])
+        for a, b in g.black_pairs():
+            writer.writerow([int(a), int(b), "black"])
+
+
+def _csv_writer_limit_path(real, path, grid_step, surplus):
+    t, xv = real.X_path.sample_grid(grid_step)
+    yv = np.atleast_1d(real.Y_path.eval(t))
+    nv = np.atleast_1d(surplus.eval(t)) if surplus is not None else np.zeros_like(t)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "X", "Y", "N"])
+        for row in zip(t, xv, yv, nv):
+            writer.writerow([f"{row[0]:.12g}", f"{row[1]:.12g}", f"{row[2]:.12g}", f"{row[3]:.12g}"])
+
+
+@pytest.mark.parametrize("black", ["none", "percolated"])
+def test_edge_csv_bytes_equal_csv_writer(tmp_path, black):
+    from hcmsim.graphs import percolate_black, sample_black_matching, sample_white_matching, write_edge_csv
+    from hcmsim.stats import ExperimentConfig, build_critical_sequence
+
+    g = sample_white_matching(build_critical_sequence(ExperimentConfig(master_seed=5), 20_000), 6)
+    if black == "percolated":
+        g = percolate_black(sample_black_matching(g, 7), 0.6, 8)
+    write_edge_csv(g, tmp_path / "new.csv")
+    _csv_writer_edges(g, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("with_surplus", [False, True])
+def test_limit_path_csv_bytes_equal_csv_writer(tmp_path, with_surplus):
+    from hcmsim.degrees import make_limit_parameters
+    from hcmsim.levy import sample_surplus_process, sample_thinned_levy, write_limit_path_csv
+
+    real = sample_thinned_levy(make_limit_parameters(3.5, 200), T=8.0, rng_seed=4)
+    surplus = sample_surplus_process(real.X_path, 5) if with_surplus else None
+    write_limit_path_csv(real, tmp_path / "new.csv", grid_step=8.0 / 30_000, surplus=surplus)
+    _csv_writer_limit_path(real, tmp_path / "old.csv", 8.0 / 30_000, surplus)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -1,5 +1,11 @@
+import csv
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from hcmsim.core import stream_gen
 from hcmsim.degrees import (
@@ -9,8 +15,16 @@ from hcmsim.degrees import (
     make_limit_parameters,
     make_scaling,
 )
-from hcmsim.exploration import ExplorationTrace, discovery_probability_check, explore, rescale_trace
-from hcmsim.graphs import component_table, sample_white_matching
+from hcmsim.exploration import (
+    ExplorationTrace,
+    _seed_order,
+    _walk,
+    discovery_probability_check,
+    explore,
+    rescale_trace,
+    write_trace_csv,
+)
+from hcmsim.graphs import ColoredMultigraph, component_table, labels_from_edges, sample_white_matching
 
 
 def _seq(white, black=None, n_scale=None):
@@ -19,6 +33,220 @@ def _seq(white, black=None, n_scale=None):
     sc = make_scaling(n_scale or white.size, 3.5)
     lim = make_limit_parameters(3.5, 2)
     return DegreeSequence(white, black, sc, lim, np.zeros(white.size, bool))
+
+
+def _matched(white, pairs, black=None):
+    """Graph with the white matching given as half-edge pairs."""
+    g = ColoredMultigraph.from_sequence(_seq(white, black))
+    match = np.full(g.white_owner.size, -1, dtype=np.int64)
+    for a, b in pairs:
+        match[a], match[b] = b, a
+    g.white_match = match
+    g.assert_matching(match, g.white_owner)
+    return g
+
+
+def _labels(g):
+    return labels_from_edges(g.white_owner, g.white_owner[g.white_match], g.n)
+
+
+def _loop_oracle(g, seeds) -> ExplorationTrace:
+    """The exploration as one step at a time, starting each new component
+    at the next of ``seeds``."""
+    seq = g.seq
+    n = seq.n
+    d_w = seq.white
+    d_b = seq.black
+    owner = g.white_owner
+    match = g.white_match
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(d_w, out=indptr[1:])
+    is_alive = np.ones(owner.size, dtype=bool)
+    alive_count = owner.size
+    discovered = np.zeros(n, dtype=bool)
+    eta = np.full(n, -1, dtype=np.int64)
+    next_he = indptr[:-1].copy()  # per-vertex cursor over its half-edges
+    queue: deque[int] = deque()
+    exploring = -1
+    order: list[int] = []
+    seeds = iter(seeds)
+    X, Y, N = [0], [0], [0]
+    tau: list[int] = []
+    t = 0
+
+    def has_active(v: int) -> bool:
+        c = next_he[v]
+        while c < indptr[v + 1] and not is_alive[c]:
+            c += 1
+        next_he[v] = c
+        return c < indptr[v + 1]
+
+    def discover(v: int, gain: int, black: int):
+        discovered[v] = True
+        eta[v] = t
+        order.append(v)
+        X.append(X[-1] + gain)
+        Y.append(Y[-1] + black)
+        N.append(N[-1])
+
+    while alive_count > 0:
+        if exploring < 0:
+            while queue:
+                v = queue.popleft()
+                if has_active(v):
+                    exploring = v
+                    break
+            if exploring < 0:
+                v = int(next(seeds))
+                assert not discovered[v]
+                t += 1
+                discover(v, int(d_w[v]) - 2, int(d_b[v]))
+                exploring = v
+                continue
+        v = exploring
+        assert has_active(v)
+        e = int(next_he[v])
+        f = int(match[e])
+        assert is_alive[f]
+        is_alive[e] = is_alive[f] = False
+        alive_count -= 2
+        u = int(owner[f])
+        t += 1
+        if not discovered[u]:
+            discover(u, int(d_w[u]) - 2, int(d_b[u]))
+            if has_active(u):
+                queue.append(u)
+        else:
+            X.append(X[-1] - 2)
+            Y.append(Y[-1])
+            N.append(N[-1] + 1)
+        if not has_active(v):
+            exploring = -1
+        if X[-1] == -2 * (len(tau) + 1):
+            tau.append(t)
+            assert exploring < 0 and not any(has_active(u) for u in queue)
+            queue.clear()
+    return ExplorationTrace(np.array(X), np.array(Y), np.array(N), eta, np.array(tau), np.array(order))
+
+
+def _assert_kernel_equals_oracle(g, seeds):
+    tr = _walk(g, _labels(g), seeds)
+    oracle = _loop_oracle(g, seeds)
+    for field in ("X", "Y", "N", "eta", "tau", "order"):
+        assert np.array_equal(getattr(tr, field), getattr(oracle, field)), field
+
+
+_SMALL_GRAPHS = {
+    "self_loop": ([2], [(0, 1)]),
+    "two_vertex": ([1, 1], [(0, 1)]),
+    "multi_edge": ([3, 3], [(0, 4), (1, 3), (2, 5)]),
+    "multi_edge_and_loops": ([2, 4, 2], [(0, 3), (1, 4), (2, 5), (6, 7)]),
+    "all_degree_one": ([1] * 8, [(0, 5), (1, 2), (3, 7), (4, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_GRAPHS))
+def test_kernel_equals_loop_oracle_small(name):
+    white, pairs = _SMALL_GRAPHS[name]
+    g = _matched(white, pairs, black=np.arange(len(white)) % 3)
+    labels = _labels(g)
+    for seed in range(10):
+        _assert_kernel_equals_oracle(g, _seed_order(g, labels, stream_gen(seed, 0)))
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+@pytest.mark.parametrize("seed", [1, 2, 9001])
+def test_kernel_equals_loop_oracle_critical(n, seed):
+    from hcmsim.stats import ExperimentConfig, build_critical_sequence
+
+    seq = build_critical_sequence(ExperimentConfig(master_seed=seed), n)
+    g = sample_white_matching(seq, stream_gen(seed, 2))
+    labels = _labels(g)
+    seeds = _seed_order(g, labels, stream_gen(seed, 3))
+    _assert_kernel_equals_oracle(g, seeds)
+    # any seed order works: components reversed, each started at its last vertex
+    last = np.zeros(labels.max() + 1, dtype=np.int64)
+    last[labels] = np.arange(g.n)
+    _assert_kernel_equals_oracle(g, last[labels[seeds]][::-1])
+    tr = explore(g, stream_gen(seed, 3))
+    assert np.array_equal(tr.X, _walk(g, labels, seeds).X)
+
+
+def _chi2_gate(counts, probs, alpha=1e-3) -> bool:
+    """Pearson goodness of fit of ``counts`` to ``probs`` at level alpha."""
+    counts = np.asarray(counts, dtype=float)
+    expected = counts.sum() * np.asarray(probs, dtype=float)
+    stat = np.sum((counts - expected) ** 2 / expected)
+    return stat <= chi2.ppf(1.0 - alpha, counts.size - 1)
+
+
+# three components: {0, 1} with 4 white half-edges, {2, 3} with 2, {4, 5, 6} with 8
+_LAW_GRAPH = ([3, 1, 1, 1, 4, 3, 1], [(0, 1), (2, 3), (4, 5), (6, 10), (7, 8), (9, 13), (11, 12)])
+
+
+def _component_order_law(white_per_component):
+    """Probability of each order of the components under size-biased sampling."""
+    from itertools import permutations
+
+    w = np.asarray(white_per_component, dtype=float)
+    orders = list(permutations(range(w.size)))
+    probs = []
+    for o in orders:
+        left, p = w.sum(), 1.0
+        for c in o:
+            p *= w[c] / left
+            left -= w[c]
+        probs.append(p)
+    return orders, np.array(probs)
+
+
+def _seed_gates(seed_draws, labels, white):
+    """(component-order gate, seed-within-component gate) over repeated
+    draws of the seed order, each a sequence of seed vertices."""
+    comps = labels.max() + 1
+    w_comp = np.bincount(labels, weights=white)
+    orders, probs = _component_order_law(w_comp)
+    index = {o: k for k, o in enumerate(orders)}
+    order_counts = np.zeros(len(orders))
+    seed_counts = np.zeros(labels.size)
+    for seeds in seed_draws:
+        order_counts[index[tuple(labels[seeds].tolist())]] += 1
+        seed_counts[seeds] += 1
+    order_ok = _chi2_gate(order_counts, probs)
+    # each component's seed follows its vertices' white degrees
+    expected = len(seed_draws) * white / w_comp[labels]
+    stat = np.sum((seed_counts - expected) ** 2 / expected)
+    seed_ok = stat <= chi2.ppf(1.0 - 1e-3, labels.size - comps)
+    return order_ok, seed_ok
+
+
+def test_seed_order_is_size_biased():
+    g = _matched(*_LAW_GRAPH)
+    labels = _labels(g)
+    white = g.seq.white.astype(float)
+    rng = stream_gen(2024, 0)
+    draws = [_seed_order(g, labels, rng) for _ in range(4000)]
+    assert all(sorted(labels[s].tolist()) == [0, 1, 2] for s in draws)
+    assert _seed_gates(draws, labels, white) == (True, True)
+
+
+def test_seed_order_gates_reject_wrong_laws():
+    g = _matched(*_LAW_GRAPH)
+    labels = _labels(g)
+    white = g.seq.white.astype(float)
+    rng = stream_gen(2024, 1)
+    members = [np.flatnonzero(labels == c) for c in range(3)]
+
+    def draw(component_order, vertex_law):
+        return np.array([rng.choice(members[c], p=vertex_law(members[c])) for c in component_order])
+
+    by_degree = lambda vs: white[vs] / white[vs].sum()  # noqa: E731
+    uniform = lambda vs: np.full(vs.size, 1.0 / vs.size)  # noqa: E731
+    uniform_components = [draw(rng.permutation(3), by_degree) for _ in range(4000)]
+    assert _seed_gates(uniform_components, labels, white) == (False, True)
+    kernel_orders = [labels[_seed_order(g, labels, rng)] for _ in range(4000)]
+    uniform_vertices = [draw(o, uniform) for o in kernel_orders]
+    assert _seed_gates(uniform_vertices, labels, white) == (True, False)
 
 
 def test_self_loop_trace():
@@ -177,3 +405,81 @@ def test_rescaled_walk_mean_matches_limit_oracle():
     for j, t in enumerate(ts):
         se = acc[:, j].std(ddof=1) / np.sqrt(reps)
         assert abs(acc[:, j].mean() - limit_mean(t)) <= 3 * se, (t, acc[:, j].mean(), limit_mean(t))
+
+
+@st.composite
+def _small_walks(draw):
+    """Explorations of white graphs on 1-10 vertices with even white totals."""
+    n = draw(st.integers(1, 10))
+    white = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    black = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    white[-1] += sum(white) % 2
+    g = sample_white_matching(_seq(white, black), draw(st.integers(0, 2**32 - 1)))
+    return g, explore(g, draw(st.integers(0, 2**32 - 1)))
+
+
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(_small_walks())
+def test_walk_euler_per_component(walk):
+    g, tr = walk
+    assert sorted(tr.order.tolist()) == list(range(g.n))
+    start = 0
+    for c in tr.components():
+        members = tr.order[start : start + c.size]
+        start += c.size
+        assert 2 * c.edge_count == g.seq.white[members].sum()
+        assert c.edge_count == c.size - 1 + c.surplus and c.surplus >= 0
+        assert c.black_half_edges == g.seq.black[members].sum()
+
+
+@_PROPERTY
+@given(_small_walks())
+def test_walk_first_hits_minus_2k_at_tau(walk):
+    _, tr = walk
+    for k, t in enumerate(tr.tau, start=1):
+        assert tr.X[t] == -2 * k
+        assert tr.X[:t].min() > -2 * k
+    assert tr.tau[-1] == tr.steps
+
+
+@_PROPERTY
+@given(_small_walks())
+def test_walk_multiset_equals_component_table(walk):
+    g, tr = walk
+    walk_rows = sorted((c.size, c.black_half_edges, c.surplus, c.edge_count) for c in tr.components())
+    sizes, blacks, white_edges, surplus, *_ = component_table(g)
+    assert walk_rows == sorted(zip(sizes.tolist(), blacks.tolist(), surplus.tolist(), white_edges.tolist()))
+
+
+@_PROPERTY
+@given(_small_walks())
+def test_eta_marks_exactly_the_discovery_steps(walk):
+    g, tr = walk
+    assert sorted(tr.eta.tolist()) == (np.flatnonzero(np.diff(tr.N) == 0) + 1).tolist()
+    assert np.array_equal(tr.eta[tr.order], np.sort(tr.eta))
+    assert np.array_equal(tr.X[tr.eta] - tr.X[tr.eta - 1], g.seq.white - 2)
+    assert np.array_equal(tr.Y[tr.eta] - tr.Y[tr.eta - 1], g.seq.black)
+
+
+def _csv_writer_trace(tr, path, stride):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "X", "Y", "N"])
+        for t in range(0, tr.X.size, stride):
+            writer.writerow([t, int(tr.X[t]), int(tr.Y[t]), int(tr.N[t])])
+
+
+@pytest.mark.parametrize("stride", [1, 3, 40_000])
+def test_trace_csv_bytes_equal_csv_writer(tmp_path, stride):
+    from hcmsim.stats import ExperimentConfig, build_critical_sequence
+
+    seq = build_critical_sequence(ExperimentConfig(master_seed=1), 20_000)
+    tr = explore(sample_white_matching(seq, 1), 2)
+    assert tr.X.size > 16384  # more than one chunk
+    write_trace_csv(tr, tmp_path / "new.csv", stride=stride)
+    _csv_writer_trace(tr, tmp_path / "old.csv", stride)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
