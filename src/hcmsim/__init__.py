@@ -56,11 +56,8 @@ from .coalescent import (
     BlockSystem,
     bipartite_bound_check,
     feller_probe,
-    mc1,
     mcmw_batch,
-    mcmw_coupled_pair,
     mcmw_graphical,
-    sample_clock_table,
     sample_xi_batch,
     scaling_transform,
     susceptibility,

@@ -180,8 +180,6 @@ def _run_validate(cfg: dict, out_dir: Path, dump_trace: int | None) -> list:
 def _run_mcmw(cfg: dict, out_dir: Path) -> list:
     x = np.asarray(cfg.get("masses", [1.0, 1.0]), dtype=float)
     y = np.asarray(cfg.get("weights", list(x)), dtype=float)
-    if x.size != y.size:
-        raise ValueError("masses and weights must have equal length")
     t = cfg.get("time", 1.0)
     reps = cfg.get("replicates", 1000)
     seed = cfg.get("master_seed", 0)
@@ -326,7 +324,8 @@ def main(argv=None) -> int:
         p.add_argument("--n-grid")
         p.add_argument("--reps", type=int)
         p.add_argument("--tau", type=float)
-        p.add_argument("--mu", type=float)
+        if name == "thm17":
+            p.add_argument("--mu", type=float)
 
     args = parser.parse_args(argv)
     cfg: dict = {}
@@ -376,11 +375,11 @@ def main(argv=None) -> int:
         else:
             if args.n_grid:
                 cfg["n_grid"] = [int(v) for v in args.n_grid.split(",")]
-            if args.reps:
+            if args.reps is not None:
                 cfg["replicates"] = args.reps
-            if args.tau:
+            if args.tau is not None:
                 cfg["tau"] = args.tau
-            if args.mu is not None and args.command == "thm17":
+            if args.command == "thm17" and args.mu is not None:
                 cfg["mu"] = args.mu
     if "experiment" not in cfg:
         print("config error: no experiment selected", file=sys.stderr)

@@ -2,14 +2,14 @@
 
 Fixed-time marginals come from the graphical construction: independent
 rate-1 exponentials xi_ij per unordered pair, edge {i,j} present iff
-xi_ij <= y_i y_j t, component masses read off in decreasing order. Shared
-clock tables give the xi-coupling across inputs; a per-pair Bernoulli
-shortcut is used when only one fixed time is needed.
+xi_ij <= y_i y_j t, component masses read off in decreasing order. Rows of
+shared clocks (``sample_xi_batch``) give the xi-coupling across inputs; a
+per-pair Bernoulli shortcut is used when only one fixed time is needed.
+One engine draws and labels every system: ``mcmw_batch`` runs many
+replicates at once and ``mcmw_graphical`` is its one-replicate case.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,121 +17,82 @@ from .core import InvariantError, as_generator, write_rows
 from .graphs import labels_from_edges
 
 
-@dataclass
+def _least_members(labels: np.ndarray) -> np.ndarray:
+    """Least vertex of each component, indexed by label."""
+    least = np.full(labels.max() + 1 if labels.size else 0, labels.size)
+    np.minimum.at(least, labels, np.arange(labels.size))
+    return least
+
+
 class BlockSystem:
-    """Disjoint blocks with accumulated (mass, weight)."""
+    """A finished partition of 0..n-1 into blocks with summed (mass, weight).
 
-    mass: np.ndarray
-    weight: np.ndarray
-    parent: np.ndarray = field(init=False)
+    ``labels`` numbers each index's block 0..k-1 (``None``: every index is
+    its own block). ``mass`` and ``weight`` hold each block's sums at the
+    block's least index and zero elsewhere.
+    """
 
-    def __post_init__(self):
-        self.mass = np.asarray(self.mass, dtype=float).copy()
-        self.weight = np.asarray(self.weight, dtype=float).copy()
-        if self.mass.shape != self.weight.shape:
-            raise ValueError("mass and weight must have equal length")
-        if np.any(self.mass < 0) or np.any(self.weight < 0):
-            raise ValueError("masses and weights must be non-negative")
-        self.parent = np.arange(self.mass.size)
-        self._total_mass = float(self.mass.sum())
-        self._total_weight = float(self.weight.sum())
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def merge(self, i: int, j: int) -> bool:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        if rj < ri:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.mass[ri] += self.mass[rj]
-        self.weight[ri] += self.weight[rj]
-        return True
-
-    def roots(self) -> np.ndarray:
-        return np.flatnonzero(self.parent == np.arange(self.parent.size))
-
-    def ordered_masses(self) -> np.ndarray:
-        r = self.roots()
-        return np.sort(self.mass[r])[::-1]
-
-    def ordered_weights(self) -> np.ndarray:
-        r = self.roots()
-        return np.sort(self.weight[r])[::-1]
-
-    def check_conservation(self, tol: float = 1e-12):
-        r = self.roots()
-        scale = max(1.0, abs(self._total_mass), abs(self._total_weight))
-        if abs(self.mass[r].sum() - self._total_mass) > tol * scale:
+    def __init__(self, mass, weight, labels=None):
+        mass = np.asarray(mass, dtype=float)
+        weight = np.asarray(weight, dtype=float)
+        labels = np.arange(mass.size) if labels is None else np.asarray(labels)
+        least = _least_members(labels)
+        self._roots = np.sort(least)
+        self.mass, self.weight = np.zeros(mass.size), np.zeros(mass.size)
+        self.mass[least] = np.bincount(labels, weights=mass)
+        self.weight[least] = np.bincount(labels, weights=weight)
+        scale = max(1.0, float(mass.sum()), float(weight.sum()))
+        if abs(self.mass.sum() - mass.sum()) > 1e-12 * scale:
             raise InvariantError("mass not conserved")
-        if abs(self.weight[r].sum() - self._total_weight) > tol * scale:
+        if abs(self.weight.sum() - weight.sum()) > 1e-12 * scale:
             raise InvariantError("weight not conserved")
 
+    def roots(self) -> np.ndarray:
+        """The least index of every block, increasing."""
+        return self._roots
 
-def sample_clock_table(n: int, rng) -> np.ndarray:
-    """Upper-triangular table of i.i.d. rate-1 exponentials xi_ij."""
-    xi = np.full((n, n), np.inf)
-    iu, ju = np.triu_indices(n, 1)
-    xi[iu, ju] = rng.exponential(size=iu.size)
-    return xi
-
-
-def _edges_from_clocks(xi: np.ndarray, y: np.ndarray, t: float):
-    iu, ju = np.triu_indices(y.size, 1)
-    keep = xi[iu, ju] <= y[iu] * y[ju] * t
-    return np.column_stack((iu[keep], ju[keep]))
+    def ordered_masses(self) -> np.ndarray:
+        return np.sort(self.mass[self._roots])[::-1]
 
 
-def mcmw_graphical(x, y, t: float, rng_seed, clock_table: np.ndarray | None = None):
-    """MC2(x, y, t): ordered component masses plus the block system.
+def _sample_labels(x, y, t: float, reps: int, rng_seed, xi_batch=None):
+    """Draw the edges of ``reps`` independent graphical constructions of
+    MC2(x, y, t) and label them as one block-diagonal graph: replicate r
+    owns vertices r*n .. r*n + n - 1.
 
-    Supplying ``clock_table`` re-uses shared clocks (the xi-coupling);
-    without one, edges are drawn as per-pair Bernoullis, which has the
-    same fixed-t law and avoids materialising the table.
+    Edges are per-pair Bernoullis ``rng.random((reps, pairs)) < p``, or
+    ``xi <= y_i y_j t`` on shared clock rows ``xi_batch`` (reps, pairs).
     """
-    if t < 0:
-        raise ValueError("time must be non-negative")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rng = as_generator(rng_seed)
-    if clock_table is not None:
-        edges = _edges_from_clocks(clock_table, y, t)
-    else:
-        iu, ju = np.triu_indices(x.size, 1)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("masses and weights must be 1-D and of equal length")
+    if not (np.all(x >= 0) and np.all(y >= 0) and t >= 0):
+        raise ValueError("masses, weights and time must be non-negative")
+    n = x.size
+    # the pairs i < j in np.triu_indices(n, 1) order; that call is slower at small n
+    iu, ju = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    if xi_batch is None:
         p = -np.expm1(-y[iu] * y[ju] * t)
-        keep = rng.random(iu.size) < p
-        edges = np.column_stack((iu[keep], ju[keep]))
-    blocks = BlockSystem(x, y)
-    for i, j in edges:
-        blocks.merge(int(i), int(j))
-    blocks.check_conservation()
+        E = as_generator(rng_seed).random((reps, iu.size)) < p
+    else:
+        if np.shape(xi_batch) != (reps, iu.size):
+            raise ValueError(f"xi_batch must have shape {(reps, iu.size)}")
+        E = xi_batch <= y[iu] * y[ju] * t
+    r, k = np.nonzero(E)
+    return x, y, labels_from_edges(r * n + iu[k], r * n + ju[k], reps * n)
+
+
+def mcmw_graphical(x, y, t: float, rng_seed, xi_batch: np.ndarray | None = None):
+    """MC2(x, y, t): ordered component masses plus the block system.
+
+    The one-replicate case of :func:`mcmw_batch`, drawing the same edges
+    from the same stream; ``xi_batch`` is then one clock row, shape
+    (1, n_pairs).
+    """
+    x, y, labels = _sample_labels(x, y, t, 1, rng_seed, xi_batch)
+    blocks = BlockSystem(x, y, labels)
     return blocks.ordered_masses(), blocks
-
-
-def mc1(x, t: float, rng_seed):
-    """Classical multiplicative coalescent: MC2(x, x, t)."""
-    masses, _ = mcmw_graphical(x, np.asarray(x, dtype=float), t, rng_seed)
-    return masses
-
-
-def mcmw_coupled_pair(x, y, x2, y2, t: float, shared_seed):
-    """Two systems built from one clock table (the xi-coupling)."""
-    x, y = np.asarray(x, float), np.asarray(y, float)
-    x2, y2 = np.asarray(x2, float), np.asarray(y2, float)
-    if not (x.size == y.size == x2.size == y2.size):
-        raise ValueError("coupled systems must share one index set")
-    rng = as_generator(shared_seed)
-    xi = sample_clock_table(x.size, rng)
-    m1, _ = mcmw_graphical(x, y, t, rng, clock_table=xi)
-    m2, _ = mcmw_graphical(x2, y2, t, rng, clock_table=xi)
-    return m1, m2
 
 
 def susceptibility(masses) -> float:
@@ -153,17 +114,15 @@ def scaling_transform(x, y, a: float, b: float, c: float):
     return (x, b * np.sqrt(c) * y), a
 
 
-# -- vectorised replicate engine ------------------------------------------
+# -- batches of replicates ----------------------------------------------
 
 
 def _root_masses(labels: np.ndarray, x: np.ndarray, reps: int) -> np.ndarray:
     """(reps, n): each component's mass at its least vertex, zero elsewhere,
     for ``reps`` disjoint copies of n vertices labelled as one graph."""
-    mass = np.bincount(labels, weights=np.tile(x, reps))
-    least = np.full(mass.size, labels.size)
-    np.minimum.at(least, labels, np.arange(labels.size))
+    least = _least_members(labels)
     out = np.zeros(labels.size)
-    out[least] = mass
+    out[least] = np.bincount(labels, weights=np.tile(x, reps))
     return out.reshape(reps, x.size)
 
 
@@ -171,24 +130,12 @@ def mcmw_batch(x, y, t: float, reps: int, rng_seed, xi_batch: np.ndarray | None 
     """(reps, n) ordered component masses of MC2(x, y, t), zero-padded.
 
     ``xi_batch`` (reps, n_pairs) reuses clocks across calls for coupled
-    comparisons; otherwise per-pair Bernoulli edges are drawn. Replicate r
-    owns vertices r*n .. r*n + n - 1 of one block-diagonal graph, which is
-    labelled in a single sparse pass.
+    comparisons; otherwise per-pair Bernoulli edges are drawn. All
+    replicates are labelled in a single sparse pass. MC1(x, t), the
+    classical multiplicative coalescent, is ``mcmw_batch(x, x, t, ...)``.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.size
-    rng = as_generator(rng_seed)
-    iu, ju = np.triu_indices(n, 1)
-    if xi_batch is None:
-        p = -np.expm1(-y[iu] * y[ju] * t)
-        E = rng.random((reps, iu.size)) < p
-    else:
-        if np.shape(xi_batch) != (reps, iu.size):
-            raise ValueError(f"xi_batch must have shape {(reps, iu.size)}")
-        E = xi_batch <= y[iu] * y[ju] * t
-    r, k = np.nonzero(E)
-    masses = _root_masses(labels_from_edges(r * n + iu[k], r * n + ju[k], reps * n), x, reps)
+    x, y, labels = _sample_labels(x, y, t, reps, rng_seed, xi_batch)
+    masses = _root_masses(labels, x, reps)
     masses.sort(axis=1)
     masses = masses[:, ::-1]
     if np.any(np.abs(masses.sum(axis=1) - x.sum()) > 1e-12 * np.abs(x).sum()):
@@ -198,8 +145,7 @@ def mcmw_batch(x, y, t: float, reps: int, rng_seed, xi_batch: np.ndarray | None 
 
 def sample_xi_batch(n: int, reps: int, rng_seed) -> np.ndarray:
     rng = as_generator(rng_seed)
-    iu, _ = np.triu_indices(n, 1)
-    return rng.exponential(size=(reps, iu.size))
+    return rng.exponential(size=(reps, n * (n - 1) // 2))
 
 
 # -- probe reports ----------------------------------------------------------

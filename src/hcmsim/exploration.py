@@ -78,14 +78,6 @@ class ExplorationTrace:
             prev = t
         return out
 
-    def walk_paths(self, linear: bool = False):
-        """(X, Y, N) as unit-step cadlag (or linearly interpolated) paths."""
-        make = CadlagPath.piecewise_linear if linear else CadlagPath.step_function
-        if linear:
-            t = np.arange(self.X.size, dtype=float)
-            return make(t, self.X), make(t, self.Y), make(t, self.N)
-        return make(self.X), make(self.Y), make(self.N)
-
     def vertex_time_walks(self, linear: bool = False):
         """Walks with surplus steps removed, plus the re-indexed hitting times.
 

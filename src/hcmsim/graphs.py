@@ -141,9 +141,9 @@ class ComponentSummary:
     surplus: int
 
 
-def component_labels(g: ColoredMultigraph, extra_edges: np.ndarray | None = None) -> np.ndarray:
-    """Component label per vertex under white edges, retained black edges,
-    and optional extra vertex pairs."""
+def _edge_list(g: ColoredMultigraph, extra_edges: np.ndarray | None = None):
+    """(rows, cols, n_white): vertex pairs of the white edges (first
+    ``n_white`` entries), retained black edges and optional extra pairs."""
     if g.white_match is None:
         raise ValueError("white matching not sampled")
     wp = g.white_pairs()
@@ -157,7 +157,14 @@ def component_labels(g: ColoredMultigraph, extra_edges: np.ndarray | None = None
         extra = np.asarray(extra_edges)
         rows.append(extra[:, 0])
         cols.append(extra[:, 1])
-    return labels_from_edges(np.concatenate(rows), np.concatenate(cols), g.n)
+    return np.concatenate(rows), np.concatenate(cols), len(wp)
+
+
+def component_labels(g: ColoredMultigraph, extra_edges: np.ndarray | None = None) -> np.ndarray:
+    """Component label per vertex under white edges, retained black edges,
+    and optional extra vertex pairs."""
+    rows, cols, _ = _edge_list(g, extra_edges)
+    return labels_from_edges(rows, cols, g.n)
 
 
 def labels_from_edges(rows, cols, n: int) -> np.ndarray:
@@ -191,20 +198,15 @@ def csr_adjacency(row_lengths, cols) -> csr_matrix:
 def component_table(g: ColoredMultigraph, extra_edges: np.ndarray | None = None):
     """Arrays (sizes, black_half_edges, white_edges, surplus, min_member),
     ordered by decreasing size with ties by smallest member vertex id."""
-    labels = component_labels(g, extra_edges)
+    rows, cols, n_white = _edge_list(g, extra_edges)
+    labels = labels_from_edges(rows, cols, g.n)
     ncomp = labels.max() + 1 if labels.size else 0
     sizes = np.bincount(labels, minlength=ncomp)
     blacks = np.bincount(labels, weights=g.seq.black.astype(float), minlength=ncomp).astype(np.int64)
-    wp = g.white_pairs()
-    white_edges = np.bincount(labels[g.white_owner[wp[:, 0]]], minlength=ncomp)
-    edges = white_edges.copy()
-    bp = g.black_pairs()
-    if bp.size:
-        edges += np.bincount(labels[g.black_owner[bp[:, 0]]], minlength=ncomp)
-    if extra_edges is not None and len(extra_edges):
-        extra = np.asarray(extra_edges)
-        edges += np.bincount(labels[extra[:, 0]], minlength=ncomp)
-    surplus = edges + 1 - sizes
+    # every edge lies inside one component, so its first end names it
+    first = labels[rows]
+    white_edges = np.bincount(first[:n_white], minlength=ncomp)
+    surplus = np.bincount(first, minlength=ncomp) + 1 - sizes
     min_member = np.full(ncomp, g.n, dtype=np.int64)
     np.minimum.at(min_member, labels, np.arange(g.n))
     order = np.lexsort((min_member, -sizes))

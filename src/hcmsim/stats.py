@@ -81,7 +81,6 @@ class ExperimentConfig:
     theta_scale: float = 0.4
     beta_scale: float = 0.5
     threads: int = 1
-    out_dir: str | None = None
 
     def __post_init__(self):
         self.n_grid = sorted(int(n) for n in self.n_grid)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 import scipy
 
 from hcmsim.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, config_hash, main, parse_config
@@ -134,7 +135,7 @@ def test_console_entry_point(tmp_path):
 
 
 def test_mcmw_xi_coupling_monotone_across_time(tmp_path):
-    # same seed and xi coupling: the clock table is shared, so masses at a
+    # same seed and xi coupling: the clock rows are shared, so masses at a
     # later time coarsen those at an earlier time row by row
     largest = {}
     for t in (0.2, 0.8):
@@ -193,3 +194,26 @@ def test_invalid_built_degrees_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_degree_sequence", odd_black_total)
     assert run_cli(["--out-dir", str(tmp_path), "validate-degrees", "--n", "200"]) == EXIT_INVARIANT
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_bad_mcmw_input_exits_2(tmp_path):
+    for args in (["--masses", "1,2,3", "--weights", "1,1,1", "--time", "-1"],
+                 ["--masses=-1,2,3", "--weights=-1,-1,1", "--time", "0.5"],
+                 ["--masses", "1,2,3", "--weights", "1,1", "--time", "0.5"]):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        assert run_cli(["--out-dir", str(out), "mcmw", *args, "--reps", "5"]) == EXIT_CONFIG
+        assert not (out / "mcmw_masses.csv").exists()
+
+
+def test_thm_zero_reps_or_tau_exits_2(tmp_path):
+    # zero is a value, not "unset": it must reach the validation
+    for which in ("thm16", "thm17"):
+        for flag in ("--reps", "--tau"):
+            out = tmp_path / f"{which}{flag}"
+            assert run_cli(["--out-dir", str(out), which, "--n-grid", "200", flag, "0"]) == EXIT_CONFIG
+
+
+def test_thm16_has_no_mu_flag():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["thm16", "--mu", "1.0"])
+    assert exc.value.code == 2

@@ -8,16 +8,14 @@ from hcmsim.coalescent import (
     BlockSystem,
     bipartite_bound_check,
     feller_probe,
-    mc1,
     mcmw_batch,
-    mcmw_coupled_pair,
     mcmw_graphical,
-    sample_clock_table,
     sample_xi_batch,
     scaling_transform,
     susceptibility,
 )
-from hcmsim.core import stream_gen
+from hcmsim.core import InvariantError, stream_gen
+from test_mc2_engine import union_find
 
 
 def test_time_zero_returns_sorted_input():
@@ -83,21 +81,29 @@ def test_graphical_batch_same_law():
 
 
 def test_coupled_pair_identical_inputs():
-    m1, m2 = mcmw_coupled_pair([1, 2], [1, 1], [1, 2], [1, 1], 0.9, 3)
+    # with shared clock rows the edges do not depend on the stream
+    xi = sample_xi_batch(2, 50, 3)
+    m1 = mcmw_batch([1, 2], [1, 1], 0.9, 50, 4, xi_batch=xi)
+    m2 = mcmw_batch([1, 2], [1, 1], 0.9, 50, 5, xi_batch=xi)
     assert np.array_equal(m1, m2)
+    assert 0 < np.count_nonzero(m1[:, 0] == 3.0) < 50
 
 
 def test_xi_coupling_edge_inclusion_monotone():
-    rng = stream_gen(23, 0)
     n = 6
+    x = np.linspace(1.0, 0.5, n)
     y = np.linspace(0.2, 1.0, n)
     y2 = y + 0.3
-    for _ in range(200):
-        xi = sample_clock_table(n, rng)
-        iu, ju = np.triu_indices(n, 1)
-        e1 = xi[iu, ju] <= y[iu] * y[ju] * 0.7
-        e2 = xi[iu, ju] <= y2[iu] * y2[ju] * 0.7
-        assert np.all(e2 | ~e1)
+    xi = sample_xi_batch(n, 200, stream_gen(23, 0))
+    iu, ju = np.triu_indices(n, 1)
+    e1 = xi <= y[iu] * y[ju] * 0.7
+    e2 = xi <= y2[iu] * y2[ju] * 0.7
+    assert np.all(e2 | ~e1)
+    assert np.any(e2 & ~e1)
+    # more edges only merge blocks: the susceptibility cannot drop
+    S1 = np.sum(mcmw_batch(x, y, 0.7, 200, 0, xi_batch=xi) ** 2, axis=1)
+    S2 = np.sum(mcmw_batch(x, y2, 0.7, 200, 0, xi_batch=xi) ** 2, axis=1)
+    assert np.all(S2 >= S1 - 1e-12) and np.any(S2 > S1)
 
 
 def test_norm_difference_inequality_coupled():
@@ -135,20 +141,20 @@ def test_mc1_speed_identity():
     lhs = mcmw_batch(x, c * x, t, reps, 37)[:, 0]
     rhs = mcmw_batch(x, x, c**2 * t, reps, 38)[:, 0]
     assert ks_2samp(lhs, rhs).pvalue > 1e-3
-    single = mc1(x, c**2 * t, 39)
-    assert 1 <= single.size <= 3
+    single = mcmw_batch(x, x, c**2 * t, 1, 39)[0]
+    assert 1 <= np.count_nonzero(single) <= 3
     assert single.sum() == pytest.approx(x.sum(), rel=1e-12)
 
 
 def test_susceptibility_values_and_merge_monotonicity():
     assert susceptibility([3.0]) == 9.0
     assert susceptibility([3.0, 1.0]) == 10.0
-    blocks = BlockSystem([1.0, 2.0], [1.0, 1.0])
-    pre = susceptibility(blocks.ordered_masses())
-    blocks.merge(0, 1)
-    post = susceptibility(blocks.ordered_masses())
+    pre = susceptibility(BlockSystem([1.0, 2.0], [1.0, 1.0]).ordered_masses())
+    merged = BlockSystem([1.0, 2.0], [1.0, 1.0], labels=np.array([0, 0]))
+    post = susceptibility(merged.ordered_masses())
     assert pre == 5.0 and post == 9.0 and post >= pre
-    blocks.check_conservation()
+    assert merged.roots().tolist() == [0]
+    assert merged.mass.tolist() == [3.0, 0.0] and merged.weight.tolist() == [2.0, 0.0]
 
 
 def test_scaling_transform_values():
@@ -174,23 +180,33 @@ def test_scaling_identity_distributional():
 
 
 def test_subgraph_coupling_induces_subgraph():
-    rng = stream_gen(53, 0)
-    n = 7
+    n, reps = 7, 50
+    x = np.linspace(1.0, 0.4, n)
     y = np.linspace(0.3, 1.2, n)
-    xi = sample_clock_table(n, rng)
+    xi = sample_xi_batch(n, reps, stream_gen(53, 0))
     sub = [1, 3, 4, 6]
     iu, ju = np.triu_indices(n, 1)
-    full_edges = {(int(i), int(j)) for i, j, k in zip(iu, ju, xi[iu, ju] <= y[iu] * y[ju] * 0.5) if k}
-    xi_sub = xi[np.ix_(sub, sub)]
-    ys = y[sub]
+    column = np.full((n, n), -1)
+    column[iu, ju] = np.arange(iu.size)
     iu2, ju2 = np.triu_indices(len(sub), 1)
-    sub_edges = {
-        (sub[int(i)], sub[int(j)])
-        for i, j, k in zip(iu2, ju2, xi_sub[iu2, ju2] <= ys[iu2] * ys[ju2] * 0.5)
-        if k
-    }
-    induced = {(i, j) for (i, j) in full_edges if i in sub and j in sub}
-    assert sub_edges == induced
+    # the clock row of the subsystem: the full row's columns of its pairs
+    xi_sub = xi[:, column[np.take(sub, iu2), np.take(sub, ju2)]]
+    ys = y[sub]
+    for r in range(reps):
+        full_edges = {(int(i), int(j)) for i, j, k in zip(iu, ju, xi[r] <= y[iu] * y[ju] * 0.5) if k}
+        sub_edges = {
+            (sub[int(i)], sub[int(j)]) for i, j, k in zip(iu2, ju2, xi_sub[r] <= ys[iu2] * ys[ju2] * 0.5) if k
+        }
+        induced = {(i, j) for (i, j) in full_edges if i in sub and j in sub}
+        assert sub_edges == induced
+    # MC2 of the subsystem = MC2 of the full system with the others' mass
+    # and weight set to zero (zero weight: no edges), zero-padded
+    outside = np.ones(n, dtype=bool)
+    outside[sub] = False
+    full = mcmw_batch(np.where(outside, 0.0, x), np.where(outside, 0.0, y), 0.5, reps, 0, xi_batch=xi)
+    part = mcmw_batch(x[sub], ys, 0.5, reps, 0, xi_batch=xi_sub)
+    assert np.array_equal(full[:, : len(sub)], part) and not full[:, len(sub) :].any()
+    assert 1 < np.count_nonzero(part, axis=1).max() and np.count_nonzero(part, axis=1).min() < len(sub)
 
 
 def test_feller_probe_zero_perturbation():
@@ -233,18 +249,31 @@ def test_block_system_conservation_exact():
     rng = stream_gen(81, 0)
     mass = rng.random(20)
     weight = rng.random(20)
-    blocks = BlockSystem(mass, weight)
-    for _ in range(30):
-        i, j = rng.integers(20, size=2)
-        blocks.merge(int(i), int(j))
-    blocks.check_conservation()
-    roots = blocks.roots()
-    assert blocks.mass[roots].sum() == pytest.approx(mass.sum(), rel=1e-12)
-    assert blocks.weight[roots].sum() == pytest.approx(weight.sum(), rel=1e-12)
+    edges = rng.integers(20, size=(30, 2))
+    sizes = []
+    for k in (10, 30):
+        root, uf_mass, uf_weight = union_find(mass, weight, edges[:k])
+        blocks = BlockSystem(mass, weight, labels=np.unique(root, return_inverse=True)[1])
+        roots = blocks.roots()
+        assert roots.tolist() == np.unique(root).tolist()
+        np.testing.assert_allclose(blocks.mass[roots], uf_mass[roots], rtol=1e-12)
+        np.testing.assert_allclose(blocks.weight[roots], uf_weight[roots], rtol=1e-12)
+        assert blocks.mass[roots].sum() == pytest.approx(mass.sum(), rel=1e-12)
+        assert blocks.weight[roots].sum() == pytest.approx(weight.sum(), rel=1e-12)
+        sizes.append(roots.size)
+    assert 1 < sizes[0] < 20
+
+
+def test_block_system_detects_lost_mass(monkeypatch):
+    # block sums that lose mass break conservation
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda labels, weights: 0.5 * bincount(labels, weights))
+    with pytest.raises(InvariantError):
+        BlockSystem([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], labels=np.array([0, 1, 1]))
 
 
 def test_susceptibility_monotone_in_time_under_shared_clocks():
-    # with one clock table, edges only accumulate as t grows, so the sum of
+    # with one set of clock rows, edges only accumulate as t grows, so the sum of
     # squared masses is non-decreasing along t pathwise
     x = np.array([1.0, 0.8, 0.5, 0.3, 0.2])
     y = np.array([0.6, 0.5, 0.7, 0.4, 0.3])

@@ -1,17 +1,44 @@
-"""The sparse batch engine against the dense transitive-closure oracle.
+"""The sparse MC2 engine against two oracles.
 
-The oracle is the former implementation of ``mcmw_batch`` and
+The dense oracle is the former implementation of ``mcmw_batch`` and
 ``bipartite_bound_check``: per replicate a dense (n, n) adjacency closed
 under repeated boolean matrix products, with each component's mass read at
-its least vertex. Given one seed both draw the same edge indicators, so
-they must agree up to the order of floating-point mass sums.
+its least vertex. The union-find oracle is the former ``BlockSystem``
+find/merge loop behind ``mcmw_graphical``. Given one seed the engine and
+the oracles draw the same edge indicators, so they must agree up to the
+order of floating-point mass sums.
 """
 
 import numpy as np
 import pytest
 
-from hcmsim.coalescent import BlockSystem, bipartite_bound_check, mcmw_batch, sample_xi_batch
+from hcmsim.coalescent import bipartite_bound_check, mcmw_batch, mcmw_graphical, sample_xi_batch
 from hcmsim.core import InvariantError, stream_gen
+
+
+def union_find(mass, weight, edges):
+    """Merge blocks along ``edges`` in order, the smaller root absorbing the
+    larger. Returns each index's root (the least index of its block) and
+    the (mass, weight) accumulated at the roots; other entries are stale."""
+    parent = list(range(len(mass)))
+    mass = [float(v) for v in mass]
+    weight = [float(v) for v in weight]
+
+    def find(i):
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    for i, j in edges:
+        ri, rj = sorted((find(int(i)), find(int(j))))
+        if ri != rj:
+            parent[rj] = ri
+            mass[ri] += mass[rj]
+            weight[ri] += weight[rj]
+    return np.array([find(i) for i in range(len(parent))], dtype=np.int64), np.array(mass), np.array(weight)
 
 
 def _reach(adj):
@@ -42,7 +69,9 @@ def _edge_indicators(y, t, reps, rng, xi_batch=None):
     return iu, ju, xi_batch <= y[iu] * y[ju] * t
 
 
-def dense_mcmw_batch(x, y, t, reps, rng_seed, xi_batch=None):
+def dense_blocks(x, y, t, reps, rng_seed, xi_batch=None):
+    """(root, mass, weight), each (reps, n): the mask of each block's least
+    vertex and the block's sums there, zero elsewhere."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.size
@@ -51,7 +80,12 @@ def dense_mcmw_batch(x, y, t, reps, rng_seed, xi_batch=None):
     adj[:, iu, ju] = E
     adj[:, ju, iu] = E
     R = _reach(adj)
-    masses = np.where(_roots(R), R @ x, 0.0)
+    root = _roots(R)
+    return root, np.where(root, R @ x, 0.0), np.where(root, R @ y, 0.0)
+
+
+def dense_mcmw_batch(x, y, t, reps, rng_seed, xi_batch=None):
+    _, masses, _ = dense_blocks(x, y, t, reps, rng_seed, xi_batch)
     masses.sort(axis=1)
     return masses[:, ::-1]
 
@@ -116,14 +150,54 @@ def test_batch_past_the_dense_size_limit_matches_union_find():
     iu, ju, E = _edge_indicators(y, t, reps, stream_gen(300, 2))
     assert got.shape == (reps, m)
     for r in range(reps):
-        blocks = BlockSystem(x, y)
-        for i, j in zip(iu[E[r]], ju[E[r]]):
-            blocks.merge(int(i), int(j))
+        root, mass, _ = union_find(x, y, zip(iu[E[r]], ju[E[r]]))
         want = np.zeros(m)
-        ordered = blocks.ordered_masses()
+        ordered = np.sort(mass[np.unique(root)])[::-1]
         want[: ordered.size] = ordered
         np.testing.assert_allclose(got[r], want, rtol=1e-12, atol=1e-12 * x.sum())
         assert 1 < ordered.size < m
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 20])
+@pytest.mark.parametrize("coupled", [False, True])
+def test_graphical_equals_dense_oracle(m, coupled):
+    # mcmw_graphical is mcmw_batch's one-replicate case: same stream, same
+    # edges, same blocks as the closure, with sums at each block's least index
+    x, y = _inputs(m, 400 + m)
+    t = 1.5 / max(1.0, float(np.sum(y**2)))
+    block_counts = []
+    for s in range(40 if m <= 3 else 10):
+        xi = sample_xi_batch(m, 1, stream_gen(m, 10 + s)) if coupled else None
+        masses, blocks = mcmw_graphical(x, y, t, stream_gen(m, 100 + s), xi_batch=xi)
+        root, mass, weight = dense_blocks(x, y, t, 1, (m, 100 + s), xi_batch=xi)
+        np.testing.assert_array_equal(blocks.roots(), np.flatnonzero(root[0]))
+        np.testing.assert_allclose(blocks.mass, mass[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(blocks.weight, weight[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(masses, np.sort(mass[0][root[0]])[::-1], rtol=1e-12, atol=0)
+        block_counts.append(masses.size)
+    assert m == 1 or (min(block_counts) < m and max(block_counts) > 1)
+
+
+def test_graphical_empty_input():
+    masses, blocks = mcmw_graphical([], [], 1.0, 0)
+    assert masses.shape == blocks.mass.shape == blocks.weight.shape == blocks.roots().shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "x, y, t",
+    [
+        ([1.0, 2.0], [1.0, 1.0], -1.0),
+        ([1.0, 2.0], [1.0, 1.0], float("nan")),
+        ([1.0, 2.0, 3.0], [1.0, 1.0], 0.5),
+        ([-1.0, 2.0, 3.0], [1.0, 1.0, 1.0], 0.5),
+        ([1.0, 2.0, 3.0], [-1.0, -1.0, 1.0], 0.5),
+    ],
+)
+def test_engine_rejects_bad_input(x, y, t):
+    with pytest.raises(ValueError):
+        mcmw_batch(x, y, t, 3, 0)
+    with pytest.raises(ValueError):
+        mcmw_graphical(x, y, t, 0)
 
 
 def test_batch_detects_a_labelling_that_leaks_across_replicates(monkeypatch):
