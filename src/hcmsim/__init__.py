@@ -20,11 +20,7 @@ from .degrees import (
 )
 from .graphs import (
     ColoredMultigraph,
-    ComponentSummary,
-    components,
     component_table,
-    percolate_black,
-    sample_black_matching,
     sample_white_matching,
 )
 from .exploration import (

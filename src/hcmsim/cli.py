@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     p_perc.add_argument("--mu", type=float, help="sets s = mu gamma_n / c_n")
     p_perc.add_argument("--n", type=int, default=1000)
     p_perc.add_argument("--tau", type=float, default=3.5)
-    p_perc.add_argument("--dump-graph", action="store_true")
+    p_perc.add_argument("--dump-graph", action="store_true", help="also write G_n(0)'s white edges to graph.csv")
 
     p_levy = sub.add_parser("levy", help="sample the limit pair and surplus process")
     p_levy.add_argument("--tau", type=float, default=3.5)

@@ -17,13 +17,13 @@ import numpy as np
 
 from .core import InvariantError, as_generator, write_rows
 from .coalescent import BlockSystem
-from .graphs import ColoredMultigraph, component_table
+from .graphs import ColoredMultigraph, component_table, merged_sizes
 
 
-def _black_half_edge_count(g: ColoredMultigraph) -> int:
-    if g.black_match is not None:
-        raise ValueError("percolation processes pair the black half-edges themselves; "
-                         "pass the white-only graph G_n(0)")
+def _black_half_edges(g: ColoredMultigraph, s_max: float) -> int:
+    """Number of black half-edges, once the horizon and their parity are checked."""
+    if not 0.0 <= s_max < np.inf:
+        raise ValueError(f"percolation time must be finite and >= 0, got {s_max}")
     n_he = g.black_owner.size
     if n_he % 2:
         raise ValueError("black parity violated")
@@ -65,8 +65,8 @@ class PercolationState:
         return np.column_stack((owner[self.event_log["a"]], owner[self.event_log["b"]]))
 
     def component_sizes(self) -> np.ndarray:
-        sizes, *_ = component_table(self.graph, self.event_vertex_pairs())
-        return sizes
+        """Component sizes, largest first, of G_n(0) plus the event edges."""
+        return merged_sizes(self.graph, *self.event_vertex_pairs().T)
 
 
 def run_dynamic(g: ColoredMultigraph, s_max: float, rng_seed) -> PercolationState:
@@ -78,7 +78,7 @@ def run_dynamic(g: ColoredMultigraph, s_max: float, rng_seed) -> PercolationStat
     n_he - 1, ...) and the swaps are replayed on the moved positions only.
     """
     rng = as_generator(rng_seed)
-    n_he = _black_half_edge_count(g)
+    n_he = _black_half_edges(g, s_max)
     q0 = n_he // 2
     times = _death_times(q0, s_max, rng)
     swaps = rng.integers(0, np.arange(n_he, n_he - 2 * times.size, -1))
@@ -95,7 +95,7 @@ def run_dynamic(g: ColoredMultigraph, s_max: float, rng_seed) -> PercolationStat
 def run_modified(g: ColoredMultigraph, s_max: float, rng_seed) -> PercolationState:
     """Constant rate Q(0); the chosen half-edges remain available."""
     rng = as_generator(rng_seed)
-    n_he = _black_half_edge_count(g)
+    n_he = _black_half_edges(g, s_max)
     q0 = n_he // 2
     n_events = rng.poisson(q0 * s_max)
     times = np.sort(rng.random(n_events) * s_max)

@@ -35,7 +35,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from .core import InvariantError, as_generator, write_rows
 from .degrees import ScalingConstants
-from .graphs import ColoredMultigraph, csr_adjacency, labels_from_edges
+from .graphs import ColoredMultigraph, csr_adjacency
 from .paths import CadlagPath
 
 
@@ -98,35 +98,31 @@ class ExplorationTrace:
 
 def explore(g: ColoredMultigraph, rng_seed) -> ExplorationTrace:
     """Run the exploration, following the sampled white matching."""
-    if g.white_match is None:
-        raise ValueError("exploration needs a sampled white matching")
-    owner = g.white_owner
-    labels = labels_from_edges(owner, owner[g.white_match], g.n)
-    return _walk(g, labels, _seed_order(g, labels, as_generator(rng_seed)))
+    return _walk(g, _seed_order(g, as_generator(rng_seed)))
 
 
-def _seed_order(g: ColoredMultigraph, labels: np.ndarray, rng) -> np.ndarray:
+def _seed_order(g: ColoredMultigraph, rng) -> np.ndarray:
     """Seed vertices, one per component, in order of each component's first
     half-edge in one uniform permutation of the white half-edges; the seed
     owns that half-edge."""
     owner = g.white_owner
     perm = rng.permutation(owner.size)
-    first = np.full(labels.max() + 1, owner.size)
-    np.minimum.at(first, labels[owner[perm]], np.arange(owner.size))
+    first = np.full(g.blocks.size.size, owner.size)
+    np.minimum.at(first, g.blocks.label[owner[perm]], np.arange(owner.size))
     return owner[perm[np.sort(first[first < owner.size])]]
 
 
-def _walk(g: ColoredMultigraph, labels: np.ndarray, seeds: np.ndarray) -> ExplorationTrace:
+def _walk(g: ColoredMultigraph, seeds: np.ndarray) -> ExplorationTrace:
     """The walk of the exploration that starts its components at ``seeds``."""
     seq = g.seq
-    order = _discovery_order(g, labels, seeds)
-    white = np.bincount(labels, weights=seq.white)[labels[seeds]].astype(np.int64)
-    tau = np.cumsum(1 + white // 2)
+    order = _discovery_order(g, seeds)
+    edges = g.blocks.edges[g.blocks.label[seeds]]
+    tau = np.cumsum(1 + edges)
     # steps that discover a vertex: each seed step, just before its
     # component's edge steps, and the edge steps that reach a new vertex
     discovery = np.ones(int(tau[-1]), dtype=bool)
     edge = discovery.copy()
-    edge[tau - 1 - white // 2] = False
+    edge[tau - 1 - edges] = False
     discovery[edge] = _discovery_edge_steps(g, order)
     X = np.zeros(discovery.size + 1, dtype=np.int64)
     X[1:] = -2
@@ -146,7 +142,7 @@ def _walk(g: ColoredMultigraph, labels: np.ndarray, seeds: np.ndarray) -> Explor
     return trace
 
 
-def _discovery_order(g: ColoredMultigraph, labels: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+def _discovery_order(g: ColoredMultigraph, seeds: np.ndarray) -> np.ndarray:
     """Vertices in order of discovery: a breadth-first search from a virtual
     root whose children are the seeds, grouped by component in seed order.
 
@@ -157,7 +153,8 @@ def _discovery_order(g: ColoredMultigraph, labels: np.ndarray, seeds: np.ndarray
     n = g.n
     adj = csr_adjacency(np.append(g.seq.white, seeds.size), np.concatenate((g.white_owner[g.white_match], seeds)))
     found = breadth_first_order(adj, n, directed=True, return_predecessors=False)[1:]
-    rank = np.zeros(labels.max() + 1, dtype=np.int32)
+    labels = g.blocks.label
+    rank = np.zeros(g.blocks.size.size, dtype=np.int32)
     rank[labels[seeds]] = np.arange(seeds.size, dtype=np.int32)
     return found[np.argsort(rank[labels[found]], kind="stable")]
 

@@ -29,15 +29,11 @@ from hcmsim.degrees import (
 )
 from hcmsim.dynamics import q_trajectory_check, run_dynamic, run_modified, modified_block_view
 from hcmsim.exploration import explore
-from hcmsim.graphs import (
-    component_table,
-    percolate_black,
-    sample_black_matching,
-    sample_white_matching,
-)
+from hcmsim.graphs import component_table, sample_white_matching
 from hcmsim.levy import sample_surplus_process, sample_thinned_levy
 from hcmsim.paths import CadlagPath
 from hcmsim.stats import ExperimentConfig, theorem_1_6_experiment, theorem_1_7_experiment
+from test_graphs import percolate_black, relabel_table, sample_black_matching
 
 
 def _report(num, text):
@@ -270,7 +266,7 @@ def test_c09_dynamic_vs_static_law():
         for r in range(reps):
             dyn[r] = run_dynamic(g, s, rng).component_sizes()[0]
             gp = percolate_black(sample_black_matching(g, rng), p_keep, rng)
-            sizes, *_ = component_table(gp)
+            sizes, *_ = relabel_table(g, gp.vertex_pairs())
             stat[r] = sizes[0]
         p = ks_2samp(dyn, stat).pvalue
         pvals.append(p)

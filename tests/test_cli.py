@@ -217,3 +217,28 @@ def test_thm16_has_no_mu_flag():
     with pytest.raises(SystemExit) as exc:
         run_cli(["thm16", "--mu", "1.0"])
     assert exc.value.code == 2
+
+
+def test_bad_percolation_time_exits_2(tmp_path):
+    for mode in ("dynamic", "modified", "coupled"):
+        for flag, value in (("--time", "-1"), ("--time", "nan"), ("--mu", "-1")):
+            out = tmp_path / f"{mode}{flag}{value}"
+            args = ["--out-dir", str(out), "percolate", "--mode", mode, "--n", "80", flag, value]
+            assert run_cli(args) == EXIT_CONFIG, (mode, flag, value)
+            assert not (out / "events.csv").exists()
+
+
+def test_broken_block_table_exits_3(tmp_path, monkeypatch):
+    import hcmsim.graphs as graphs
+
+    table = graphs.component_table
+
+    def off_by_one(g):
+        sizes, *rest = table(g)
+        sizes = sizes.copy()
+        sizes[0] += 1
+        return (sizes, *rest)
+
+    monkeypatch.setattr(graphs, "component_table", off_by_one)
+    assert run_cli(["--out-dir", str(tmp_path), "--seed", "2", "percolate", "--n", "80", "--mu", "0.5"]) == EXIT_INVARIANT
+    assert not (tmp_path / "manifest.json").exists()

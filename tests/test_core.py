@@ -100,8 +100,6 @@ def _csv_writer_edges(g, path):
         writer.writerow(["half_edge_a", "half_edge_b", "color"])
         for a, b in g.white_pairs():
             writer.writerow([int(a), int(b), "white"])
-        for a, b in g.black_pairs():
-            writer.writerow([int(a), int(b), "black"])
 
 
 def _csv_writer_limit_path(real, path, grid_step, surplus):
@@ -117,12 +115,14 @@ def _csv_writer_limit_path(real, path, grid_step, surplus):
 
 @pytest.mark.parametrize("black", ["none", "percolated"])
 def test_edge_csv_bytes_equal_csv_writer(tmp_path, black):
-    from hcmsim.graphs import percolate_black, sample_black_matching, sample_white_matching, write_edge_csv
+    # graph.csv holds G_n(0)'s white edges, also when written after percolation
+    from hcmsim.dynamics import run_dynamic
+    from hcmsim.graphs import sample_white_matching, write_edge_csv
     from hcmsim.stats import ExperimentConfig, build_critical_sequence
 
     g = sample_white_matching(build_critical_sequence(ExperimentConfig(master_seed=5), 20_000), 6)
     if black == "percolated":
-        g = percolate_black(sample_black_matching(g, 7), 0.6, 8)
+        assert run_dynamic(g, 0.6, 8).component_sizes().sum() == g.n
     write_edge_csv(g, tmp_path / "new.csv")
     _csv_writer_edges(g, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

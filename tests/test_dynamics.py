@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from hcmsim.coalescent import mcmw_batch
-from hcmsim.core import as_generator, stream_gen
+from hcmsim.core import InvariantError, as_generator, stream_gen
 from hcmsim.degrees import DegreeSequence, make_limit_parameters, make_scaling
 from hcmsim.dynamics import (
     _death_times,
@@ -16,22 +16,19 @@ from hcmsim.dynamics import (
     run_dynamic,
     run_modified,
 )
-from hcmsim.graphs import (
-    component_labels,
-    component_table,
-    percolate_black,
-    sample_black_matching,
-    sample_white_matching,
-)
+from hcmsim.exploration import explore
+from hcmsim.graphs import ColoredMultigraph, component_table, merged_sizes, sample_white_matching
+from test_graphs import component_labels, percolate_black, relabel_table, sample_black_matching
 
 
-def _graph(white, black, seed=0):
+def _graph(white, black, seed=0, match=None):
+    """Graph on the degrees with its white matching sampled, or ``match``."""
     white = np.asarray(white, dtype=np.int64)
     black = np.asarray(black, dtype=np.int64)
     sc = make_scaling(white.size, 3.5)
     lim = make_limit_parameters(3.5, 2)
     seq = DegreeSequence(white, black, sc, lim, np.zeros(white.size, bool))
-    return sample_white_matching(seq, seed)
+    return sample_white_matching(seq, seed) if match is None else ColoredMultigraph(seq, np.array(match))
 
 
 def test_zero_horizon_no_events():
@@ -93,7 +90,7 @@ def test_dynamic_marginal_equals_static_percolation():
         dyn[r] = run_dynamic(g, s, rng).component_sizes()[0]
         gb = sample_black_matching(g, rng)
         gp = percolate_black(gb, 1 - np.exp(-s), rng)
-        sizes, *_ = component_table(gp)
+        sizes, *_ = relabel_table(g, gp.vertex_pairs())
         stat[r] = sizes[0]
     assert ks_2samp(dyn, stat).pvalue > 1e-3
 
@@ -101,8 +98,7 @@ def test_dynamic_marginal_equals_static_percolation():
 def test_modified_two_block_merge_probability():
     # two white components with black half-edge counts (2, 2): merge by s
     # with probability 1 - exp(-y1 y2 s / (2 Q0 - 1))
-    g = _graph([1, 1, 1, 1], [2, 0, 0, 2], seed=1)
-    g.white_match = np.array([1, 0, 3, 2])  # components {0,1}, {2,3}
+    g = _graph([1, 1, 1, 1], [2, 0, 0, 2], match=[1, 0, 3, 2])  # components {0,1}, {2,3}
     rng = stream_gen(15, 0)
     reps = 60_000
     s = 1.5
@@ -209,8 +205,7 @@ def test_q_trajectory_check_equals_loop_oracle(n, T, t_mean):
 
 
 def test_edge_probability_zero_time():
-    g = _graph([1, 1, 1, 1], [1, 1, 1, 1], seed=8)
-    g.white_match = np.array([1, 0, 3, 2])
+    g = _graph([1, 1, 1, 1], [1, 1, 1, 1], match=[1, 0, 3, 2])
     p = edge_probability_estimate(g, [0, 1], [2, 3], 0.0, 200, 5)
     assert p == 0.0
 
@@ -224,8 +219,7 @@ def test_edge_probability_two_singletons_closed_form():
     sc = make_scaling(3, 3.5)
     lim = make_limit_parameters(3.5, 2)
     seq = DegreeSequence(white, black, sc, lim, np.zeros(3, bool))
-    g = sample_white_matching(seq, 0)
-    g.white_match = np.array([1, 0, 3, 2, 5, 4])  # three self-loop singletons
+    g = ColoredMultigraph(seq, np.array([1, 0, 3, 2, 5, 4]))  # three self-loop singletons
     # horizon: edge_probability_estimate works at s * gamma_n / c_n; invert so
     # the effective horizon is exactly 0.7
     horizon = 0.7
@@ -262,7 +256,7 @@ def test_edge_probability_tracks_limit_formula_at_scale():
     cfg = ExperimentConfig(n_grid=[n], master_seed=3)
     seq = build_critical_sequence(cfg, n)
     g = sample_white_matching(seq, stream_gen(3, 1))
-    sizes, blacks, _, _, _, labels, order = component_table(g)
+    sizes, blacks, _, _, labels, order = component_table(g)
     comp_i = np.flatnonzero(labels == order[0])
     comp_j = np.flatnonzero(labels == order[1])
     b_n = seq.scaling.b_n
@@ -410,3 +404,83 @@ def test_coupled_subset_and_refinement_property(g, s, seed):
     lab_mod = component_labels(g, pair.modified.event_vertex_pairs())
     assert refines(lab_dyn, lab_mod)
     assert (dyn.tolist(), mod.tolist()) == _coupled_oracle(g, s, seed)
+
+
+def _assert_merge_equals_relabel(state):
+    want = relabel_table(state.graph, state.event_vertex_pairs())[0]
+    assert np.array_equal(state.component_sizes(), want)
+
+
+def _assert_merges_equal_relabel(g, s, seed):
+    pair = run_coupled(g, s, stream_gen(seed, 2))
+    for state in (run_dynamic(g, s, stream_gen(seed, 0)), run_modified(g, s, stream_gen(seed, 1)),
+                  pair.dynamic, pair.modified):
+        _assert_merge_equals_relabel(state)
+
+
+@_PROPERTY
+@given(_small_graphs(), st.floats(0.0, 5.0), st.integers(0, 2**32 - 1))
+def test_block_merge_equals_full_relabel_property(g, s, seed):
+    _assert_merges_equal_relabel(g, s, seed)
+    static = percolate_black(sample_black_matching(g, seed), 1 - np.exp(-s), seed + 1)
+    pairs = static.vertex_pairs()
+    assert np.array_equal(merged_sizes(g, pairs[:, 0], pairs[:, 1]), relabel_table(g, pairs)[0])
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_block_merge_equals_full_relabel_critical(n):
+    from hcmsim.stats import ExperimentConfig, build_critical_sequence
+
+    for seed in (1, 2, 9001):
+        seq = build_critical_sequence(ExperimentConfig(n_grid=[n], master_seed=seed), n)
+        g = sample_white_matching(seq, stream_gen(seed, 2))
+        for mu in (0.5, 1.0, 4.0):
+            _assert_merges_equal_relabel(g, mu * (g.black_owner.size / n) / seq.scaling.c_n, seed)
+
+
+@pytest.mark.parametrize("field", ["size", "black"])
+def test_component_sizes_rejects_a_broken_block_table(field, monkeypatch):
+    g = _graph([1, 1, 2, 2], [2, 2, 1, 1], seed=0)
+    state = run_dynamic(g, 1.0, 3)
+    broken = getattr(g.blocks, field).copy()
+    broken[0] += 1
+    monkeypatch.setitem(g.__dict__, "blocks", g.blocks._replace(**{field: broken}))
+    with pytest.raises(InvariantError):
+        state.component_sizes()
+
+
+def test_block_table_is_read_only():
+    g = _graph([1, 1, 2, 2], [2, 2, 1, 1], seed=0)
+    for column in g.blocks:
+        with pytest.raises(ValueError):
+            column[0] += 1
+
+
+def test_white_graph_labelled_once_per_graph(monkeypatch):
+    import hcmsim.graphs as graphs
+
+    calls = []
+    label = graphs.labels_from_edges
+
+    def counting(rows, cols, n):
+        calls.append(n)
+        return label(rows, cols, n)
+
+    monkeypatch.setattr(graphs, "labels_from_edges", counting)
+    g = _graph([1, 1, 1, 1, 2], [1, 1, 1, 1, 2], seed=0)
+    state = run_dynamic(g, 1.0, 3)
+    first = state.component_sizes()
+    assert np.array_equal(state.component_sizes(), first)
+    explore(g, 4)
+    modified_block_view(g)
+    ncomp = g.blocks.size.size
+    assert ncomp < g.n
+    assert calls == [g.n, ncomp, ncomp]  # the white graph once, then one merge per call
+
+
+@pytest.mark.parametrize("s", [-1.0, np.nan, np.inf])
+def test_bad_horizon_rejected(s):
+    g = _graph([1, 1, 2, 2], [2, 2, 1, 1])
+    for runner in (run_dynamic, run_modified, run_coupled):
+        with pytest.raises(ValueError):
+            runner(g, s, 0)

@@ -25,6 +25,7 @@ from hcmsim.exploration import (
     write_trace_csv,
 )
 from hcmsim.graphs import ColoredMultigraph, component_table, labels_from_edges, sample_white_matching
+from test_graphs import relabel_table
 
 
 def _seq(white, black=None, n_scale=None):
@@ -37,13 +38,10 @@ def _seq(white, black=None, n_scale=None):
 
 def _matched(white, pairs, black=None):
     """Graph with the white matching given as half-edge pairs."""
-    g = ColoredMultigraph.from_sequence(_seq(white, black))
-    match = np.full(g.white_owner.size, -1, dtype=np.int64)
+    match = np.full(sum(white), -1, dtype=np.int64)
     for a, b in pairs:
         match[a], match[b] = b, a
-    g.white_match = match
-    g.assert_matching(match, g.white_owner)
-    return g
+    return ColoredMultigraph(_seq(white, black), match)
 
 
 def _labels(g):
@@ -130,7 +128,7 @@ def _loop_oracle(g, seeds) -> ExplorationTrace:
 
 
 def _assert_kernel_equals_oracle(g, seeds):
-    tr = _walk(g, _labels(g), seeds)
+    tr = _walk(g, seeds)
     oracle = _loop_oracle(g, seeds)
     for field in ("X", "Y", "N", "eta", "tau", "order"):
         assert np.array_equal(getattr(tr, field), getattr(oracle, field)), field
@@ -149,9 +147,8 @@ _SMALL_GRAPHS = {
 def test_kernel_equals_loop_oracle_small(name):
     white, pairs = _SMALL_GRAPHS[name]
     g = _matched(white, pairs, black=np.arange(len(white)) % 3)
-    labels = _labels(g)
     for seed in range(10):
-        _assert_kernel_equals_oracle(g, _seed_order(g, labels, stream_gen(seed, 0)))
+        _assert_kernel_equals_oracle(g, _seed_order(g, stream_gen(seed, 0)))
 
 
 @pytest.mark.parametrize("n", [1000, 10_000])
@@ -162,14 +159,14 @@ def test_kernel_equals_loop_oracle_critical(n, seed):
     seq = build_critical_sequence(ExperimentConfig(master_seed=seed), n)
     g = sample_white_matching(seq, stream_gen(seed, 2))
     labels = _labels(g)
-    seeds = _seed_order(g, labels, stream_gen(seed, 3))
+    seeds = _seed_order(g, stream_gen(seed, 3))
     _assert_kernel_equals_oracle(g, seeds)
     # any seed order works: components reversed, each started at its last vertex
     last = np.zeros(labels.max() + 1, dtype=np.int64)
     last[labels] = np.arange(g.n)
     _assert_kernel_equals_oracle(g, last[labels[seeds]][::-1])
     tr = explore(g, stream_gen(seed, 3))
-    assert np.array_equal(tr.X, _walk(g, labels, seeds).X)
+    assert np.array_equal(tr.X, _walk(g, seeds).X)
 
 
 def _chi2_gate(counts, probs, alpha=1e-3) -> bool:
@@ -225,7 +222,7 @@ def test_seed_order_is_size_biased():
     labels = _labels(g)
     white = g.seq.white.astype(float)
     rng = stream_gen(2024, 0)
-    draws = [_seed_order(g, labels, rng) for _ in range(4000)]
+    draws = [_seed_order(g, rng) for _ in range(4000)]
     assert all(sorted(labels[s].tolist()) == [0, 1, 2] for s in draws)
     assert _seed_gates(draws, labels, white) == (True, True)
 
@@ -244,7 +241,7 @@ def test_seed_order_gates_reject_wrong_laws():
     uniform = lambda vs: np.full(vs.size, 1.0 / vs.size)  # noqa: E731
     uniform_components = [draw(rng.permutation(3), by_degree) for _ in range(4000)]
     assert _seed_gates(uniform_components, labels, white) == (False, True)
-    kernel_orders = [labels[_seed_order(g, labels, rng)] for _ in range(4000)]
+    kernel_orders = [labels[_seed_order(g, rng)] for _ in range(4000)]
     uniform_vertices = [draw(o, uniform) for o in kernel_orders]
     assert _seed_gates(uniform_vertices, labels, white) == (True, False)
 
@@ -279,7 +276,7 @@ def test_trace_matches_union_find_oracle():
             g = sample_white_matching(seq, rng)
             tr = explore(g, rng)
             walk = sorted((c.size, c.black_half_edges, c.surplus, c.edge_count) for c in tr.components())
-            sizes, blacks, white_edges, surplus, *_ = component_table(g)
+            sizes, blacks, white_edges, surplus, *_ = relabel_table(g)
             oracle = sorted(zip(sizes.tolist(), blacks.tolist(), surplus.tolist(), white_edges.tolist()))
             assert walk == oracle
 

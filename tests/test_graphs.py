@@ -1,18 +1,92 @@
+import threading
 from collections import Counter
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 import pytest
 
-from hcmsim.core import InvariantError, stream_gen
+import hcmsim.graphs as graphs
+from hcmsim.core import InvariantError, as_generator, stream_gen
 from hcmsim.degrees import DegreeSequence, make_limit_parameters, make_scaling
 from hcmsim.graphs import (
-    components,
+    ColoredMultigraph,
+    _uniform_matching,
     component_table,
-    percolate_black,
-    sample_black_matching,
+    labels_from_edges,
     sample_white_matching,
     write_edge_csv,
 )
+
+
+# Reference code, imported by the other test modules: the full relabel of
+# all n vertices that block merging replaced, and the static black model
+# (a uniform black matching with each edge kept independently) whose law
+# the dynamic process must reproduce.
+
+
+def _vertex_pairs(g, extra_edges=None) -> np.ndarray:
+    """Vertex pairs of the white edges, followed by the extra pairs."""
+    pairs = g.white_owner[g.white_pairs()]
+    if extra_edges is None or not len(extra_edges):
+        return pairs
+    return np.concatenate((pairs, np.asarray(extra_edges)))
+
+
+def component_labels(g, extra_edges=None) -> np.ndarray:
+    """Component label per vertex under the white edges plus extra vertex pairs."""
+    pairs = _vertex_pairs(g, extra_edges)
+    return labels_from_edges(pairs[:, 0], pairs[:, 1], g.n)
+
+
+def relabel_table(g, extra_edges=None):
+    """(sizes, black_half_edges, white_edges, surplus, labels, order) of the
+    graph with the extra vertex pairs, relabelled over all n vertices;
+    largest first, ties by least member vertex."""
+    pairs = _vertex_pairs(g, extra_edges)
+    labels = labels_from_edges(pairs[:, 0], pairs[:, 1], g.n)
+    ncomp = labels.max() + 1
+    sizes = np.bincount(labels, minlength=ncomp)
+    blacks = np.bincount(labels, weights=g.seq.black.astype(float), minlength=ncomp).astype(np.int64)
+    first = labels[pairs[:, 0]]  # every edge lies inside one component
+    white_edges = np.bincount(first[: g.white_pairs().shape[0]], minlength=ncomp)
+    surplus = np.bincount(first, minlength=ncomp) + 1 - sizes
+    min_member = np.full(ncomp, g.n, dtype=np.int64)
+    np.minimum.at(min_member, labels, np.arange(g.n))
+    order = np.lexsort((min_member, -sizes))
+    return sizes[order], blacks[order], white_edges[order], surplus[order], labels, order
+
+
+@dataclass(frozen=True)
+class StaticPercolation:
+    """G_n(0) with its black half-edges matched, and which black edges are kept."""
+
+    graph: ColoredMultigraph
+    black_match: np.ndarray
+    black_keep: np.ndarray  # per black edge, in order of its smaller half-edge
+
+    def black_pairs(self) -> np.ndarray:
+        """Retained black edges as half-edge pairs, first id smaller."""
+        a = np.flatnonzero(self.black_match > np.arange(self.black_match.size))
+        return np.column_stack((a, self.black_match[a]))[self.black_keep]
+
+    def vertex_pairs(self) -> np.ndarray:
+        return self.graph.black_owner[self.black_pairs()]
+
+
+def sample_black_matching(g, rng_seed) -> StaticPercolation:
+    """The black half-edges uniformly paired, all edges retained."""
+    if g.seq.total_black % 2:
+        raise ValueError("black parity violated")
+    match = _uniform_matching(g.seq.total_black, as_generator(rng_seed))
+    return StaticPercolation(g, match, np.ones(match.size // 2, dtype=bool))
+
+
+def percolate_black(sp: StaticPercolation, keep_probability: float, rng_seed) -> StaticPercolation:
+    """Retain each black edge independently with probability ``keep_probability``."""
+    if not 0.0 <= keep_probability <= 1.0:
+        raise ValueError("keep probability must lie in [0, 1]")
+    keep = as_generator(rng_seed).random(sp.black_match.size // 2) < keep_probability
+    return StaticPercolation(sp.graph, sp.black_match, keep)
 
 
 def _seq(white, black=None, n_scale=None):
@@ -26,19 +100,18 @@ def _seq(white, black=None, n_scale=None):
 def test_single_vertex_self_loop():
     seq = _seq([2])
     g = sample_white_matching(seq, 0)
-    comps = components(g)
-    assert len(comps) == 1
-    assert comps[0].size == 1
-    assert comps[0].white_edges == 1
-    assert comps[0].surplus == 1  # Euler: 1 = 1 + 1 - 1
+    sizes, _, white_edges, surplus, *_ = component_table(g)
+    assert sizes.tolist() == [1]
+    assert white_edges.tolist() == [1]
+    assert surplus.tolist() == [1]  # Euler: 1 = 1 + 1 - 1
 
 
 def test_two_degree_one_vertices_single_edge():
     seq = _seq([1, 1])
     g = sample_white_matching(seq, 0)
     assert g.white_owner[g.white_match[0]] == 1
-    comps = components(g)
-    assert len(comps) == 1 and comps[0].size == 2 and comps[0].surplus == 0
+    sizes, _, _, surplus, *_ = component_table(g)
+    assert sizes.tolist() == [2] and surplus.tolist() == [0]
 
 
 def test_odd_parity_rejected():
@@ -83,53 +156,46 @@ def test_component_partition_and_ordering():
     rng = stream_gen(3, 1)
     for _ in range(50):
         g = sample_white_matching(seq, rng)
-        comps = components(g)
-        sizes = [c.size for c in comps]
+        sizes, _, white_edges, surplus, labels, order = component_table(g)
         assert sum(sizes) == 3
-        assert sizes == sorted(sizes, reverse=True)
-        for c in comps:
-            assert c.size == c.white_edges + 1 - c.surplus
+        assert sizes.tolist() == sorted(sizes, reverse=True)
+        assert np.array_equal(np.bincount(labels)[order], sizes)
+        assert np.array_equal(sizes, white_edges + 1 - surplus)
 
 
 def test_path_graph_component():
     # degrees (1,2,1), forced matching 0-1, 2-3 up to the sampled permutation:
     # construct a matching by hand to pin the structure
     seq = _seq([1, 2, 1])
-    g = sample_white_matching(seq, 0)
-    g.white_match = np.array([1, 0, 3, 2])
-    comps = components(g)
-    assert len(comps) == 1
-    assert comps[0].size == 3 and comps[0].white_edges == 2 and comps[0].surplus == 0
+    g = ColoredMultigraph(seq, np.array([1, 0, 3, 2]))
+    sizes, _, white_edges, surplus, *_ = component_table(g)
+    assert sizes.tolist() == [3] and white_edges.tolist() == [2] and surplus.tolist() == [0]
 
 
 def test_double_edge_euler_relation():
     seq = _seq([2, 2])
-    g = sample_white_matching(seq, 0)
-    g.white_match = np.array([2, 3, 0, 1])  # two parallel edges between the vertices
-    comps = components(g)
-    assert len(comps) == 1
-    c = comps[0]
-    assert c.size == 2 and c.white_edges == 2 and c.surplus == 1
+    g = ColoredMultigraph(seq, np.array([2, 3, 0, 1]))  # two parallel edges between the vertices
+    sizes, _, white_edges, surplus, *_ = component_table(g)
+    assert sizes.tolist() == [2] and white_edges.tolist() == [2] and surplus.tolist() == [1]
 
 
 def test_black_half_edge_counts():
     seq = _seq([1, 1, 2], black=[3, 1, 2])
     g = sample_white_matching(seq, 1)
-    sizes, blacks, *_ = component_table(g)
+    sizes, blacks, _, _, labels, order = component_table(g)
     assert blacks.sum() == 6
-    comps = components(g)
-    for c in comps:
-        assert c.black_half_edges == int(seq.black[c.member_vertices].sum())
+    for k, black in enumerate(blacks):
+        assert black == seq.black[labels == order[k]].sum()
 
 
 def test_percolate_black_extremes():
     seq = _seq([1, 1, 1, 1], black=[2, 2, 2, 2])
     g = sample_white_matching(seq, 5)
-    g = sample_black_matching(g, 6)
-    g0 = percolate_black(g, 0.0, 7)
-    g1 = percolate_black(g, 1.0, 8)
-    base = [c.size for c in components(sample_white_matching(seq, 5))]
-    assert [c.size for c in components(g0)] == base
+    gb = sample_black_matching(g, 6)
+    g0 = percolate_black(gb, 0.0, 7)
+    g1 = percolate_black(gb, 1.0, 8)
+    base = component_table(sample_white_matching(seq, 5))[0]
+    assert np.array_equal(relabel_table(g, g0.vertex_pairs())[0], base)
     assert not g0.black_keep.any()
     assert g1.black_keep.all()
 
@@ -140,12 +206,11 @@ def test_percolate_merge_frequency_half():
     rng = stream_gen(9, 2)
     reps = 100_000
     merged = 0
-    g = sample_white_matching(seq, rng)
-    g.white_match = np.array([1, 0, 3, 2])  # components {0,1} and {2,3}
-    g = sample_black_matching(g, rng)  # single black pair, forced
+    g = ColoredMultigraph(seq, np.array([1, 0, 3, 2]))  # components {0,1} and {2,3}
+    gb = sample_black_matching(g, rng)  # single black pair, forced
     for _ in range(reps):
-        gp = percolate_black(g, 0.5, rng)
-        merged += len(components(gp)) == 1
+        gp = percolate_black(gb, 0.5, rng)
+        merged += component_labels(g, gp.vertex_pairs()).max() == 0
     se = np.sqrt(0.25 / reps)
     assert abs(merged / reps - 0.5) <= 3 * se
 
@@ -153,19 +218,93 @@ def test_percolate_merge_frequency_half():
 def test_invariants_assert_after_sampling():
     seq = _seq([3, 2, 2, 1], black=[1, 1, 0, 0])
     g = sample_white_matching(seq, 11)
-    g.assert_matching(g.white_match, g.white_owner)
+    g.assert_matching(g.white_match)
+    bad = g.white_match.copy()
+    bad[0] = 0
     with pytest.raises(InvariantError):
-        bad = g.white_match.copy()
-        bad[0] = 0
-        g.assert_matching(bad, g.white_owner)
+        g.assert_matching(bad)
+    with pytest.raises(InvariantError):
+        ColoredMultigraph(seq, bad)
+    with pytest.raises(InvariantError):
+        ColoredMultigraph(seq, g.white_match[:-2])  # leaves two half-edges out
+    unpaired = g.white_match.copy()
+    unpaired[[0, unpaired[0]]] = -1
+    with pytest.raises(InvariantError):
+        ColoredMultigraph(seq, unpaired)
 
 
 def test_edge_csv(tmp_path):
     seq = _seq([1, 1], black=[1, 1])
     g = sample_white_matching(seq, 0)
-    g = sample_black_matching(g, 1)
     path = tmp_path / "g.csv"
     write_edge_csv(g, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "half_edge_a,half_edge_b,color"
-    assert len(lines) == 3
+    assert lines[1:] == ["0,1,white"]  # G_n(0) has no black edges
+
+
+def _critical_graph(n, seed):
+    from hcmsim.stats import ExperimentConfig, build_critical_sequence
+
+    return sample_white_matching(build_critical_sequence(ExperimentConfig(master_seed=seed), n), stream_gen(seed, 2))
+
+
+@pytest.mark.parametrize("n", [1000, 100_000])
+def test_labels_number_components_by_least_member(n):
+    # component_table orders ties in size by a stable sort on these labels
+    g = _critical_graph(n, 3)
+    labels = component_labels(g)
+    first = np.unique(labels, return_index=True)[1]
+    assert np.all(np.diff(first) > 0)
+
+
+@pytest.mark.parametrize("n,seeds", [(1000, range(10)), (100_000, (1, 2))])
+def test_component_table_equals_full_relabel(n, seeds):
+    for seed in seeds:
+        g = _critical_graph(n, seed)
+        for got, want in zip(component_table(g), relabel_table(g)):
+            assert np.array_equal(got, want)
+
+
+def test_component_table_equals_full_relabel_small():
+    rng = stream_gen(4, 0)
+    for white in ([2], [1, 1], [2, 2, 2], [1, 2, 1, 3, 1], [1] * 8, [3, 1, 2, 2, 1, 1]):
+        seq = _seq(white, black=np.arange(len(white)) % 3)
+        for _ in range(20):
+            g = sample_white_matching(seq, rng)
+            for got, want in zip(component_table(g), relabel_table(g)):
+                assert np.array_equal(got, want)
+
+
+def test_graph_is_frozen():
+    g = sample_white_matching(_seq([1, 1, 2]), 0)
+    with pytest.raises(FrozenInstanceError):
+        g.white_match = np.array([1, 0, 3, 2])
+
+
+def test_block_tables_of_two_graphs_build_concurrently(monkeypatch):
+    # thm17 builds one graph's table per worker thread: a cache lock shared
+    # by all graphs would make each worker wait for the others
+    label = graphs.labels_from_edges
+    entered, release = threading.Event(), threading.Event()
+
+    def held_in_first(rows, cols, n):
+        if threading.current_thread().name == "first":
+            entered.set()
+            release.wait(5)
+        return label(rows, cols, n)
+
+    monkeypatch.setattr(graphs, "labels_from_edges", held_in_first)
+    seq = _seq([1, 1, 2, 2])
+    first, second = sample_white_matching(seq, 0), sample_white_matching(seq, 1)
+    t1 = threading.Thread(target=lambda: first.blocks, name="first")
+    t1.start()
+    assert entered.wait(5)
+    t2 = threading.Thread(target=lambda: second.blocks)
+    t2.start()
+    t2.join(5)
+    second_done = not t2.is_alive()
+    release.set()
+    t1.join(5)
+    assert second_done and not t1.is_alive()
+    assert "blocks" in first.__dict__ and "blocks" in second.__dict__
