@@ -202,7 +202,7 @@ def _run_percolate(cfg: dict, out_dir: Path, dump_graph: bool) -> list:
         s = cfg["time"]
     else:
         mu = cfg.get("mu", 1.0)
-        gamma_n = g.black_owner.size / g.n
+        gamma_n = seq.total_black / g.n
         s = mu * gamma_n / seq.scaling.c_n
     outputs = []
     if mode == "dynamic":

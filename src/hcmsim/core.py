@@ -1,4 +1,4 @@
-"""Seeding, reproducible RNG streams, shared error types, and the CSV row writer."""
+"""Seeding, RNG streams, shared error types, a lock-free cache, and the CSV row writer."""
 
 from __future__ import annotations
 
@@ -7,6 +7,21 @@ import numpy as np
 
 class InvariantError(RuntimeError):
     """A runtime invariant that should hold by construction was violated."""
+
+
+class cached_property:
+    """functools.cached_property without its lock, which before Python 3.12
+    is shared by all instances and so serialises threads; two threads that
+    race on one instance compute the same value."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 def as_generator(seed) -> np.random.Generator:

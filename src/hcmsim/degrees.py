@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvariantError, as_generator, write_rows
+from .core import InvariantError, as_generator, cached_property, write_rows
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,11 @@ def make_limit_parameters(
     return LimitParameters(theta=theta, beta=beta, alpha=alpha, lam=lam, kappa=kappa, gamma=gamma)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegreeSequence:
+    """Degrees per vertex; half-edges of each colour are numbered by vertex.
+    Frozen, since the owner arrays are cached and shared by its graphs."""
+
     white: np.ndarray
     black: np.ndarray
     scaling: ScalingConstants
@@ -188,6 +191,14 @@ class DegreeSequence:
     @property
     def total_black(self) -> int:
         return int(self.black.sum())
+
+    @cached_property
+    def white_owner(self) -> np.ndarray:  # vertex of each white half-edge
+        return _owners(self.white)
+
+    @cached_property
+    def black_owner(self) -> np.ndarray:
+        return _owners(self.black)
 
     def arrangement_key(self) -> np.ndarray:
         return self.white / self.scaling.a_n + self.black / self.scaling.b_n
@@ -207,6 +218,12 @@ class DegreeSequence:
         return DegreeSequence(
             self.white[order], self.black[order], self.scaling, self.limits, self.hub_mask[order]
         )
+
+
+def _owners(degrees: np.ndarray) -> np.ndarray:
+    owner = np.repeat(np.arange(degrees.size), degrees)
+    owner.flags.writeable = False  # shared by every graph on the sequence
+    return owner
 
 
 def build_degree_sequence(

@@ -3,6 +3,7 @@
 The dynamic process pairs two distinct unpaired black half-edges at rate
 Q(t) (the number of pairs still to form), so that the graph at time s has
 each black edge of a uniform matching retained with probability 1-e^{-s}.
+Its events up to s are drawn directly, in O(events).
 The modified process keeps its half-edges: events arrive at the constant
 rate Q(0) and each inserts an extra edge between the owners of a uniform
 half-edge pair, which makes the ordered component sizes a multiplicative
@@ -24,19 +25,10 @@ def _black_half_edges(g: ColoredMultigraph, s_max: float) -> int:
     """Number of black half-edges, once the horizon and their parity are checked."""
     if not 0.0 <= s_max < np.inf:
         raise ValueError(f"percolation time must be finite and >= 0, got {s_max}")
-    n_he = g.black_owner.size
+    n_he = g.seq.total_black
     if n_he % 2:
         raise ValueError("black parity violated")
     return n_he
-
-
-def _death_times(q0: int, horizon: float, rng) -> np.ndarray:
-    """Event times of the pure-death pairing clock: rate Q, Q-1, ... within horizon."""
-    if q0 <= 0:
-        return np.zeros(0)
-    rates = np.arange(q0, 0, -1, dtype=float)
-    times = np.cumsum(rng.exponential(1.0 / rates))
-    return times[times <= horizon]
 
 
 EVENT_DTYPE = np.dtype([("time", np.float64), ("a", np.int64), ("b", np.int64)])
@@ -49,8 +41,8 @@ def _event_table(times, a, b) -> np.ndarray:
 
 
 def _check_partial_matching(log: np.ndarray):
-    he = np.concatenate((log["a"], log["b"]))
-    if np.unique(he).size != he.size:
+    he = np.sort(np.concatenate((log["a"], log["b"])))
+    if np.any(he[1:] == he[:-1]):
         raise InvariantError("a black half-edge was paired twice")
 
 
@@ -61,7 +53,7 @@ class PercolationState:
     event_log: np.ndarray  # EVENT_DTYPE rows (time, half-edge a, half-edge b) in time order
 
     def event_vertex_pairs(self) -> np.ndarray:
-        owner = self.graph.black_owner
+        owner = self.graph.seq.black_owner
         return np.column_stack((owner[self.event_log["a"]], owner[self.event_log["b"]]))
 
     def component_sizes(self) -> np.ndarray:
@@ -73,20 +65,18 @@ def run_dynamic(g: ColoredMultigraph, s_max: float, rng_seed) -> PercolationStat
     """Algorithm: at each event of a rate-Q(t) clock, pair two distinct
     uniformly chosen unpaired black half-edges.
 
-    The pairs are the consecutive picks of a partial Fisher-Yates shuffle of
-    the half-edges: all swap indices are drawn at once (bounds n_he,
-    n_he - 1, ...) and the swaps are replayed on the moved positions only.
+    The clock is the order statistics of Q(0) i.i.d. Exp(1) lifetimes, so
+    the count is K ~ Binomial(Q(0), 1-e^{-s_max}); given K, the times are
+    sorted Exp(1) draws truncated to [0, s_max]; independent of both, the
+    picks are a uniform ordered sample of 2K half-edges without
+    replacement, paired consecutively.
     """
     rng = as_generator(rng_seed)
     n_he = _black_half_edges(g, s_max)
     q0 = n_he // 2
-    times = _death_times(q0, s_max, rng)
-    swaps = rng.integers(0, np.arange(n_he, n_he - 2 * times.size, -1))
-    moved: dict[int, int] = {}  # position -> half-edge swapped into it
-    picked = []
-    for last, i in zip(range(n_he - 1, -1, -1), swaps.tolist()):
-        picked.append(moved.get(i, i))
-        moved[i] = moved.get(last, last)
+    k = rng.binomial(q0, -np.expm1(-s_max))
+    times = np.sort(-np.log1p(rng.random(k) * np.expm1(-s_max)))
+    picked = rng.choice(n_he, 2 * k, replace=False)  # shuffled: the pair order matters
     log = _event_table(times, picked[0::2], picked[1::2])
     _check_partial_matching(log)
     return PercolationState(g, q0, log)
@@ -153,13 +143,13 @@ def q_trajectory_check(
         raise ValueError("trajectory check needs at least 1e2 replicates")
     rng = as_generator(rng_seed)
     n = g.n
-    q0 = g.black_owner.size // 2
+    q0 = g.seq.total_black // 2
     c_n = g.seq.scaling.c_n
-    gamma = g.black_owner.size / n
+    gamma = g.seq.total_black / n
     horizon_sup = T / c_n
     delta_n = n ** (-delta_exponent)
-    # one row of pairing-clock event times per replicate: the draws of
-    # _death_times, replicate after replicate, without its horizon cut
+    # one row of pairing-clock event times per replicate, drawn as the
+    # successive waiting times of the pure-death chain (rates Q0, Q0-1, ...)
     rates = np.arange(q0, 0, -1, dtype=float)
     times = np.cumsum(rng.exponential(1.0 / rates, size=(replicates, q0)), axis=1)
     # Q/n is constant between events and the ODE curve is monotone, so the
@@ -207,7 +197,7 @@ def edge_probability_estimate(
     if np.any(in_i & in_j):
         raise ValueError("components must be disjoint")
     rng = as_generator(rng_seed)
-    gamma_n = g.black_owner.size / g.n
+    gamma_n = g.seq.total_black / g.n
     horizon = s * gamma_n / g.seq.scaling.c_n
     hits = 0
     for _ in range(replicates):

@@ -105,7 +105,7 @@ def _seed_order(g: ColoredMultigraph, rng) -> np.ndarray:
     """Seed vertices, one per component, in order of each component's first
     half-edge in one uniform permutation of the white half-edges; the seed
     owns that half-edge."""
-    owner = g.white_owner
+    owner = g.seq.white_owner
     perm = rng.permutation(owner.size)
     first = np.full(g.blocks.size.size, owner.size)
     np.minimum.at(first, g.blocks.label[owner[perm]], np.arange(owner.size))
@@ -151,7 +151,7 @@ def _discovery_order(g: ColoredMultigraph, seeds: np.ndarray) -> np.ndarray:
     exploration pairs half-edges.
     """
     n = g.n
-    adj = csr_adjacency(np.append(g.seq.white, seeds.size), np.concatenate((g.white_owner[g.white_match], seeds)))
+    adj = csr_adjacency(np.append(g.seq.white, seeds.size), np.concatenate((g.seq.white_owner[g.white_match], seeds)))
     found = breadth_first_order(adj, n, directed=True, return_predecessors=False)[1:]
     labels = g.blocks.label
     rank = np.zeros(g.blocks.size.size, dtype=np.int32)
@@ -170,7 +170,7 @@ def _discovery_edge_steps(g: ColoredMultigraph, order: np.ndarray) -> np.ndarray
     lies in the block itself (a seed).
     """
     d = g.seq.white[order]
-    n_half = g.white_owner.size
+    n_half = g.seq.white_owner.size
     starts = np.zeros(order.size, dtype=np.int64)
     np.cumsum(d[:-1], out=starts[1:])
     first_half_edge = np.cumsum(g.seq.white) - g.seq.white

@@ -9,23 +9,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _cc
 
-from .core import InvariantError, as_generator, write_rows
+from .core import InvariantError, as_generator, cached_property, write_rows
 from .degrees import DegreeSequence
-
-
-class _cached_property:
-    """functools.cached_property without its lock, which before Python 3.12
-    is shared by all instances and so makes threads wait for each other's
-    graphs; two threads that race on one graph compute the same value."""
-
-    def __init__(self, fn):
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 class Blocks(NamedTuple):
@@ -58,14 +43,6 @@ class ColoredMultigraph:
     def n(self) -> int:
         return self.seq.n
 
-    @_cached_property
-    def white_owner(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n), self.seq.white)
-
-    @_cached_property
-    def black_owner(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n), self.seq.black)
-
     def assert_matching(self, match: np.ndarray):
         # the exploration follows every white half-edge to its partner
         if match.size != self.seq.total_white or np.any((match < 0) | (match >= match.size)):
@@ -81,10 +58,10 @@ class ColoredMultigraph:
         a = np.flatnonzero(self.white_match > np.arange(self.white_match.size))
         return np.column_stack((a, self.white_match[a]))
 
-    @_cached_property
+    @cached_property
     def blocks(self) -> Blocks:
         """The components of G_n(0), labelled once per graph."""
-        pairs, owner = self.white_pairs(), self.white_owner
+        pairs, owner = self.white_pairs(), self.seq.white_owner
         first = owner[pairs[:, 0]]
         label = labels_from_edges(first, owner[pairs[:, 1]], self.n)
         size = np.bincount(label)

@@ -245,14 +245,11 @@ def theorem_1_7_experiment(config: ExperimentConfig) -> dict:
     for n in config.n_grid:
         seq = build_critical_sequence(config, n)
         b_n = seq.scaling.b_n
-        c_n = seq.scaling.c_n
+        s = config.mu * (seq.total_black / n) / seq.scaling.c_n  # mu gamma_n / c_n
 
         def one(r):
             rng = stream_gen(config.master_seed, _sidx(3, n, r))
-            g = sample_white_matching(seq, rng)
-            gamma_n = g.black_owner.size / n
-            s = config.mu * gamma_n / c_n
-            state = run_dynamic(g, s, rng)
+            state = run_dynamic(sample_white_matching(seq, rng), s, rng)
             sizes = state.component_sizes()
             tail = float(np.sum((sizes[config.top_j :] / b_n) ** 2))
             return sizes[0] / b_n, sizes[0] / n, tail

@@ -307,7 +307,7 @@ def test_c11_modified_process_equals_mcmw():
         seq = DegreeSequence(white, black, sc, lim, np.zeros(white.size, bool))
         g = sample_white_matching(seq, 1100 + k)
         blocks = modified_block_view(g)
-        q0 = g.black_owner.size // 2
+        q0 = g.seq.total_black // 2
         rng = stream_gen(1101, k)
         mod = np.array([run_modified(g, s, rng).component_sizes()[0] for _ in range(reps)])
         ref = mcmw_batch(blocks.mass, blocks.weight, s / (2 * q0 - 1), reps, rng)[:, 0]

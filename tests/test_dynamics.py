@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+from scipy.stats import binom, chi2_contingency, chisquare, ks_2samp, kstest
 
 from hcmsim.coalescent import mcmw_batch
 from hcmsim.core import InvariantError, as_generator, stream_gen
 from hcmsim.degrees import DegreeSequence, make_limit_parameters, make_scaling
 from hcmsim.dynamics import (
-    _death_times,
+    EVENT_DTYPE,
+    PercolationState,
     edge_probability_estimate,
     modified_block_view,
     q_trajectory_check,
@@ -59,6 +60,94 @@ def test_q_decreases_by_one_per_event():
     times = state.event_log["time"].tolist()
     assert times == sorted(times)
     assert len(set(times)) == len(times)
+
+
+# Law gates of run_dynamic's direct draws. Each fails under a wrong law:
+# a Poisson(Q0 s) count, untruncated Exp(1) times, unshuffled or
+# with-replacement picks.
+
+
+def test_dynamic_event_count_binomial():
+    g = _graph([1, 1, 2, 2], [2, 2, 2, 2], seed=2)  # Q0 = 4
+    rng = stream_gen(41, 0)
+    reps, s = 20_000, 0.7
+    counts = np.bincount([len(run_dynamic(g, s, rng).event_log) for _ in range(reps)], minlength=5)
+    assert counts.size == 5
+    expected = reps * binom.pmf(np.arange(5), 4, -np.expm1(-s))
+    assert chisquare(counts, expected).pvalue > 1e-3
+
+
+def test_dynamic_event_times_truncated_exponential():
+    # given the count, the times are i.i.d. Exp(1) truncated to [0, s]
+    g = _graph([1, 1, 2, 2], [2, 2, 2, 2], seed=2)
+    rng = stream_gen(43, 0)
+    s = 0.7
+    logs = [run_dynamic(g, s, rng).event_log for _ in range(6000)]
+    cdf = lambda t: np.minimum(np.expm1(-t) / np.expm1(-s), 1.0)  # noqa: E731
+    for k in range(1, 5):
+        times = np.concatenate([log["time"] for log in logs if len(log) == k])
+        assert times.size > 1000
+        assert kstest(times, cdf).pvalue > 1e-3, k
+        assert np.all(times <= s)
+
+
+def test_dynamic_first_pair_uniform():
+    # the first event pairs an ordered pair uniform over the n_he (n_he - 1)
+    # ordered pairs of distinct half-edges; at s = 2 all Q0 pairs form in
+    # 65% of the runs
+    g = _graph([1, 1, 2, 2], [2, 2, 1, 1])  # n_he = 6
+    n_he = 6
+    rng = stream_gen(47, 0)
+    logs = [run_dynamic(g, 2.0, rng).event_log for _ in range(30_000)]
+    a, b = np.array([(log["a"][0], log["b"][0]) for log in logs if len(log)]).T
+    assert np.all(a != b)
+    code = a * (n_he - 1) + b - (b > a)  # index among the ordered pairs a != b
+    counts = np.bincount(code, minlength=n_he * (n_he - 1))
+    assert chisquare(counts).pvalue > 1e-3
+
+
+def test_dynamic_first_pick_uniform_on_a_sparse_sample():
+    # with more than 1e4 half-edges and 2K at most a fiftieth of them, numpy
+    # draws the picks by Floyd's method, whose raw order is not exchangeable;
+    # the first pick must still be uniform over the half-edges
+    n_he = 10_050
+    g = _graph([1, 1], [n_he // 2, n_he // 2], match=[1, 0])
+    s = -np.log1p(-70 / (n_he // 2))  # 70 events on average
+    rng = stream_gen(53, 0)
+    first = np.array([run_dynamic(g, s, rng).event_log["a"][0] for _ in range(10_000)])
+    counts = np.bincount(first // (n_he // 50), minlength=50)  # 50 bins of 201
+    assert chisquare(counts).pvalue > 1e-3
+
+
+class _RepeatingPicks:
+    """Generator stand-in whose half-edge picks repeat one half-edge."""
+
+    def __init__(self, picks):
+        self.picks = np.asarray(picks)
+        self.rng = np.random.default_rng(0)
+
+    def binomial(self, n, p):
+        return self.picks.size // 2
+
+    def random(self, size):
+        return self.rng.random(size)
+
+    def choice(self, n, size, replace=True):
+        return self.picks
+
+
+@pytest.mark.parametrize("picks", [[0, 1, 2, 0], [3, 3], [1, 2, 0, 5, 4, 2]])
+def test_repeated_half_edge_raises_invariant_error(picks, monkeypatch):
+    import hcmsim.dynamics as dynamics
+
+    g = _graph([1, 1, 2, 2], [2, 2, 1, 1])
+    monkeypatch.setattr(dynamics, "as_generator", lambda seed: _RepeatingPicks(picks))
+    with pytest.raises(InvariantError):
+        dynamics.run_dynamic(g, 1.0, 0)
+    log = np.zeros(len(picks) // 2, dtype=EVENT_DTYPE)
+    log["a"], log["b"] = picks[0::2], picks[1::2]
+    with pytest.raises(InvariantError):
+        dynamics._check_partial_matching(log)
 
 
 def test_modified_event_count_poisson():
@@ -117,7 +206,7 @@ def test_modified_matches_mcmw_at_matched_time():
     blocks = modified_block_view(g)
     x = blocks.mass.copy()
     y = blocks.weight.copy()
-    q0 = g.black_owner.size // 2
+    q0 = g.seq.total_black // 2
     s = 1.0
     reps = 5000
     mod = np.array([run_modified(g, s, rng).component_sizes()[0] for _ in range(reps)])
@@ -169,7 +258,7 @@ def _q_trajectory_oracle(g, T, replicates, rng_seed, delta_exponent=0.4, t_mean_
     """The per-replicate loop q_trajectory_check replaced; returns (sups, q_at_t)."""
     rng = as_generator(rng_seed)
     n = g.n
-    q0 = g.black_owner.size // 2
+    q0 = g.seq.total_black // 2
     horizon_sup = T / g.seq.scaling.c_n
     horizon = max(horizon_sup, t_mean_check)
     sups = np.empty(replicates)
@@ -223,7 +312,7 @@ def test_edge_probability_two_singletons_closed_form():
     # horizon: edge_probability_estimate works at s * gamma_n / c_n; invert so
     # the effective horizon is exactly 0.7
     horizon = 0.7
-    gamma_n = g.black_owner.size / g.n
+    gamma_n = g.seq.total_black / g.n
     s = horizon * sc.c_n / gamma_n
     reps = 40_000
     p_hat = edge_probability_estimate(g, [0], [1], s, reps, 11)
@@ -277,12 +366,23 @@ def refines(fine_labels: np.ndarray, coarse_labels: np.ndarray) -> bool:
 
 
 # Reference loops: the per-event implementations the array kernels replaced,
-# one scalar draw per pick. The kernels must reproduce them exactly.
+# one scalar draw per pick. run_modified and run_coupled must reproduce
+# theirs exactly; run_dynamic draws its events directly and must agree with
+# its oracle in law.
+
+
+def _death_times(q0: int, horizon: float, rng) -> np.ndarray:
+    """Event times of the pure-death pairing clock: rate Q, Q-1, ... within horizon."""
+    if q0 <= 0:
+        return np.zeros(0)
+    rates = np.arange(q0, 0, -1, dtype=float)
+    times = np.cumsum(rng.exponential(1.0 / rates))
+    return times[times <= horizon]
 
 
 def _dynamic_oracle(g, s_max, rng_seed) -> list:
     rng = as_generator(rng_seed)
-    n_he = g.black_owner.size
+    n_he = g.seq.total_black
     times = _death_times(n_he // 2, s_max, rng)
     pool = np.arange(n_he, dtype=np.int64)  # swap-pop pool of unpaired half-edges
     m = n_he
@@ -302,7 +402,7 @@ def _dynamic_oracle(g, s_max, rng_seed) -> list:
 
 def _modified_oracle(g, s_max, rng_seed) -> list:
     rng = as_generator(rng_seed)
-    n_he = g.black_owner.size
+    n_he = g.seq.total_black
     n_events = rng.poisson(n_he // 2 * s_max)
     times = np.sort(rng.random(n_events) * s_max)
     log = []
@@ -317,7 +417,7 @@ def _modified_oracle(g, s_max, rng_seed) -> list:
 
 def _coupled_oracle(g, s_max, rng_seed) -> tuple[list, list]:
     mod_log = _modified_oracle(g, s_max, rng_seed)
-    paired = np.zeros(g.black_owner.size, dtype=bool)
+    paired = np.zeros(g.seq.total_black, dtype=bool)
     dyn_log = []
     for t, a, b in mod_log:
         if not paired[a] and not paired[b]:
@@ -327,12 +427,56 @@ def _coupled_oracle(g, s_max, rng_seed) -> tuple[list, list]:
 
 
 def _assert_kernels_match_oracles(g, s, seed):
-    assert run_dynamic(g, s, stream_gen(seed, 0)).event_log.tolist() == _dynamic_oracle(g, s, stream_gen(seed, 0))
     assert run_modified(g, s, stream_gen(seed, 1)).event_log.tolist() == _modified_oracle(g, s, stream_gen(seed, 1))
     pair = run_coupled(g, s, stream_gen(seed, 2))
     dyn, mod = _coupled_oracle(g, s, stream_gen(seed, 2))
     assert pair.dynamic.event_log.tolist() == dyn
     assert pair.modified.event_log.tolist() == mod
+
+
+def _assert_partial_matching(state, s):
+    log, n_he = state.event_log, state.graph.seq.total_black
+    he = np.concatenate((log["a"], log["b"]))
+    assert np.unique(he).size == he.size
+    assert np.all((0 <= he) & (he < n_he))
+    assert len(log) <= state.q0 == n_he // 2
+    assert np.all(np.diff(log["time"]) > 0) and np.all(log["time"] <= s)
+
+
+def _dynamic_logs(g, s, reps, rng, kernel: bool) -> list:
+    """``reps`` event logs of run_dynamic, or of its loop oracle, as (time, a, b) arrays."""
+    if kernel:
+        return [run_dynamic(g, s, rng).event_log for _ in range(reps)]
+    return [np.array(_dynamic_oracle(g, s, rng), dtype=EVENT_DTYPE) for _ in range(reps)]
+
+
+def _same_categories(x, y) -> float:
+    """p-value of the chi-square test that two samples of category codes
+    share one law; 1.0 when both hold the same single category."""
+    cats, codes = np.unique(np.concatenate((x, y)), return_inverse=True)
+    if cats.size == 1:
+        return 1.0
+    table = np.stack((np.bincount(codes[: len(x)], minlength=cats.size), np.bincount(codes[len(x) :], minlength=cats.size)))
+    return chi2_contingency(table).pvalue
+
+
+def _assert_dynamic_laws_agree(g, s, reps, seed, alpha=1e-4):
+    """run_dynamic and its loop oracle agree in law: the event count, the
+    pooled event times and the first ordered pair (chi-square or KS).
+
+    Each test calling this makes about a dozen comparisons, so each is held
+    to 1e-4 for a false alarm rate near 1e-3 per test."""
+    n_he = g.seq.total_black
+    sides = [_dynamic_logs(g, s, reps, stream_gen(seed, k), kernel) for k, kernel in ((0, True), (1, False))]
+    counts = [np.array([len(log) for log in logs]) for logs in sides]
+    assert _same_categories(*counts) > alpha, ("count", s)
+    times = [np.concatenate([log["time"] for log in logs]) for logs in sides]
+    if times[0].size and times[1].size:
+        assert ks_2samp(*times).pvalue > alpha, ("times", s)
+    first = [np.array([log["a"][0] * n_he + log["b"][0] for log in logs if len(log)]) for logs in sides]
+    if first[0].size and first[1].size:
+        assert _same_categories(*first) > alpha, ("first pair", s)
+    return sides
 
 
 SMALL_GRAPHS = [
@@ -351,8 +495,9 @@ def test_event_kernels_equal_loop_oracles_small(white, black, graph_seed):
     for s in (0.0, 0.3, 1.0, 50.0):  # zero horizon up to every pair consumed
         for seed in range(20):
             _assert_kernels_match_oracles(g, s, seed)
-    if g.black_owner.size:
-        assert len(run_dynamic(g, 50.0, 0).event_log) == g.black_owner.size // 2
+        _assert_dynamic_laws_agree(g, s, 1500, 31)
+    if g.seq.total_black:
+        assert len(run_dynamic(g, 50.0, 0).event_log) == g.seq.total_black // 2
 
 
 @pytest.mark.parametrize("n", [1000, 10_000])
@@ -362,8 +507,15 @@ def test_event_kernels_equal_loop_oracles_critical(n):
     for seed in (1, 2, 9001):
         seq = build_critical_sequence(ExperimentConfig(n_grid=[n], master_seed=seed), n)
         g = sample_white_matching(seq, stream_gen(seed, 2))
-        s = (g.black_owner.size / n) / seq.scaling.c_n  # mu = 1
+        s = (g.seq.total_black / n) / seq.scaling.c_n  # mu = 1
         _assert_kernels_match_oracles(g, s, seed)
+        sides = _assert_dynamic_laws_agree(g, s, 150, seed)
+        kernel, oracle = ([PercolationState(g, seq.total_black // 2, log) for log in logs] for logs in sides)
+        for state in kernel:
+            _assert_partial_matching(state, s)
+        # the percolated graph's largest component, the statistic thm17 reads
+        largest = [[state.component_sizes()[0] for state in side] for side in (kernel, oracle)]
+        assert ks_2samp(*largest).pvalue > 1e-4
 
 
 @st.composite
@@ -383,13 +535,14 @@ _PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database
 @_PROPERTY
 @given(_small_graphs(), st.floats(0.0, 5.0), st.integers(0, 2**32 - 1))
 def test_dynamic_events_partial_matching_property(g, s, seed):
-    state = run_dynamic(g, s, seed)
-    log = state.event_log
-    he = np.concatenate((log["a"], log["b"]))
-    assert np.unique(he).size == he.size
-    assert len(log) <= state.q0 == g.black_owner.size // 2
-    assert np.all(np.diff(log["time"]) > 0) and np.all(log["time"] <= s)
-    assert log.tolist() == _dynamic_oracle(g, s, seed)
+    rng = as_generator(seed)
+    states = [run_dynamic(g, s, rng) for _ in range(200)]
+    for state in states:
+        _assert_partial_matching(state, s)
+    # law: the event count is Binomial(Q0, 1 - e^{-s}), mean within 5 SE
+    q0, p = states[0].q0, -np.expm1(-s)
+    mean = np.mean([len(state.event_log) for state in states])
+    assert abs(mean - q0 * p) <= 5 * np.sqrt(q0 * p * (1 - p) / len(states)) + 1e-12
 
 
 @_PROPERTY
@@ -435,7 +588,7 @@ def test_block_merge_equals_full_relabel_critical(n):
         seq = build_critical_sequence(ExperimentConfig(n_grid=[n], master_seed=seed), n)
         g = sample_white_matching(seq, stream_gen(seed, 2))
         for mu in (0.5, 1.0, 4.0):
-            _assert_merges_equal_relabel(g, mu * (g.black_owner.size / n) / seq.scaling.c_n, seed)
+            _assert_merges_equal_relabel(g, mu * (g.seq.total_black / n) / seq.scaling.c_n, seed)
 
 
 @pytest.mark.parametrize("field", ["size", "black"])

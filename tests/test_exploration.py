@@ -45,7 +45,7 @@ def _matched(white, pairs, black=None):
 
 
 def _labels(g):
-    return labels_from_edges(g.white_owner, g.white_owner[g.white_match], g.n)
+    return labels_from_edges(g.seq.white_owner, g.seq.white_owner[g.white_match], g.n)
 
 
 def _loop_oracle(g, seeds) -> ExplorationTrace:
@@ -55,7 +55,7 @@ def _loop_oracle(g, seeds) -> ExplorationTrace:
     n = seq.n
     d_w = seq.white
     d_b = seq.black
-    owner = g.white_owner
+    owner = g.seq.white_owner
     match = g.white_match
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(d_w, out=indptr[1:])

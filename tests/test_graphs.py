@@ -26,7 +26,7 @@ from hcmsim.graphs import (
 
 def _vertex_pairs(g, extra_edges=None) -> np.ndarray:
     """Vertex pairs of the white edges, followed by the extra pairs."""
-    pairs = g.white_owner[g.white_pairs()]
+    pairs = g.seq.white_owner[g.white_pairs()]
     if extra_edges is None or not len(extra_edges):
         return pairs
     return np.concatenate((pairs, np.asarray(extra_edges)))
@@ -70,7 +70,7 @@ class StaticPercolation:
         return np.column_stack((a, self.black_match[a]))[self.black_keep]
 
     def vertex_pairs(self) -> np.ndarray:
-        return self.graph.black_owner[self.black_pairs()]
+        return self.graph.seq.black_owner[self.black_pairs()]
 
 
 def sample_black_matching(g, rng_seed) -> StaticPercolation:
@@ -109,7 +109,7 @@ def test_single_vertex_self_loop():
 def test_two_degree_one_vertices_single_edge():
     seq = _seq([1, 1])
     g = sample_white_matching(seq, 0)
-    assert g.white_owner[g.white_match[0]] == 1
+    assert g.seq.white_owner[g.white_match[0]] == 1
     sizes, _, _, surplus, *_ = component_table(g)
     assert sizes.tolist() == [2] and surplus.tolist() == [0]
 
@@ -280,6 +280,48 @@ def test_graph_is_frozen():
     g = sample_white_matching(_seq([1, 1, 2]), 0)
     with pytest.raises(FrozenInstanceError):
         g.white_match = np.array([1, 0, 3, 2])
+
+
+def test_owners_built_once_per_sequence():
+    seq = _seq([1, 3, 2], [2, 0, 1])
+    first, second = sample_white_matching(seq, 0), sample_white_matching(seq, 1)
+    assert first.blocks.label.size == second.blocks.label.size == 3  # both read the owners
+    assert seq.white_owner.tolist() == [0, 1, 1, 1, 2, 2]
+    assert seq.black_owner.tolist() == [0, 0, 2]
+    assert seq.white_owner is seq.white_owner and seq.black_owner is seq.black_owner
+    for owner in (seq.white_owner, seq.black_owner):  # shared by every graph
+        with pytest.raises(ValueError):
+            owner[0] = 1
+    with pytest.raises(FrozenInstanceError):
+        seq.black = np.array([0, 0, 0])
+
+
+def test_owners_race_to_one_value():
+    # thm17's worker threads share one sequence; a lost or torn cache write
+    # would give some thread owners that differ from the degrees
+    import sys
+
+    white = np.arange(1, 2001) % 5 + 1
+    want = np.repeat(np.arange(white.size), white)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            seq = _seq(white, white)
+            got = [None] * 8
+
+            def read(i):
+                got[i] = (seq.white_owner, seq.black_owner)
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(5)
+            assert not any(t.is_alive() for t in threads)
+            assert all(np.array_equal(w, want) and np.array_equal(b, want) for w, b in got)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_block_tables_of_two_graphs_build_concurrently(monkeypatch):
