@@ -14,6 +14,7 @@ import json
 import platform
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,31 +22,41 @@ import scipy
 
 from . import __version__
 from .core import InvariantError, stream_gen
-from .degrees import (
-    DEFAULT_BULK_BLACK,
-    DEFAULT_BULK_WHITE,
-    build_degree_sequence,
-    make_limit_parameters,
-    make_scaling,
-    tune_to_criticality,
-    validate_assumptions,
-    write_degree_csv,
-)
+from .degrees import make_limit_parameters, validate_assumptions, write_degree_csv
 from .dynamics import run_coupled, run_dynamic, run_modified, write_event_csv
 from .exploration import explore, write_trace_csv
 from .graphs import sample_white_matching, write_edge_csv
 from .levy import sample_surplus_process, sample_thinned_levy, write_limit_path_csv
 from .coalescent import mcmw_batch, sample_xi_batch, write_masses_csv
-from .stats import ExperimentConfig, theorem_1_6_experiment, theorem_1_7_experiment, write_report_csv, write_report_json
+from .stats import (
+    ExperimentConfig,
+    build_critical_sequence,
+    theorem_1_6_experiment,
+    theorem_1_7_experiment,
+    write_report_csv,
+    write_report_json,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 
+
+def int_list(text: str) -> list:
+    """Comma-separated integers, as in ``n_grid = 1000,10000``."""
+    return [int(v) for v in text.split(",")]
+
+
+def float_list(text: str) -> list:
+    """Comma-separated floats, as in ``masses = 1,2,1``."""
+    return [float(v) for v in text.split(",")]
+
+
+# Every setting's name and parser, shared by config files and subcommand flags.
 _CONFIG_KEYS = {
     "experiment": str,
     "n": int,
-    "n_grid": lambda s: [int(v) for v in s.split(",")],
+    "n_grid": int_list,
     "tau": float,
     "L": float,
     "lambda": float,
@@ -60,12 +71,14 @@ _CONFIG_KEYS = {
     "grid_step": float,
     "threads": int,
     "out_dir": str,
-    "masses": lambda s: [float(v) for v in s.split(",")],
-    "weights": lambda s: [float(v) for v in s.split(",")],
+    "masses": float_list,
+    "weights": float_list,
     "coupling": str,
     "mode": str,
-    "hub_count": int,
 }
+
+_COUPLINGS = ("none", "xi")
+_EXPERIMENT_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def parse_config(path: str) -> dict:
@@ -92,10 +105,10 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _write_manifest(out_dir: Path, cfg: dict, outputs: list, started: float):
+def _write_manifest(out_dir: Path, cfg: dict, seed: int, outputs: list, started: float):
     manifest = {
         "config_hash": config_hash(cfg),
-        "master_seed": cfg.get("master_seed", 0),
+        "master_seed": seed,
         "module_version": __version__,
         "versions": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__},
         "started": started,
@@ -108,29 +121,12 @@ def _write_manifest(out_dir: Path, cfg: dict, outputs: list, started: float):
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
-    kwargs = {}
-    mapping = {
-        "n_grid": "n_grid",
-        "tau": "tau",
-        "L": "L",
-        "lambda": "lam",
-        "mu": "mu",
-        "replicates": "replicates",
-        "limit_replicates": "limit_replicates",
-        "master_seed": "master_seed",
-        "K_max": "K_max",
-        "top_j": "top_j",
-        "levy_horizon": "levy_horizon",
-        "threads": "threads",
-    }
-    for key, attr in mapping.items():
-        if key in cfg:
-            kwargs[attr] = cfg[key]
-    return ExperimentConfig(**kwargs)
+    """The ExperimentConfig of the keys in ``cfg``; the key ``lambda`` is its field ``lam``."""
+    kwargs = {("lam" if key == "lambda" else key): value for key, value in cfg.items()}
+    return ExperimentConfig(**{k: v for k, v in kwargs.items() if k in _EXPERIMENT_FIELDS})
 
 
-def _run_thm(cfg: dict, out_dir: Path, which: str) -> list:
-    config = _experiment_config(cfg)
+def _run_thm(config: ExperimentConfig, out_dir: Path, which: str) -> list:
     result = theorem_1_6_experiment(config) if which == "thm16" else theorem_1_7_experiment(config)
     json_path = out_dir / f"{which}_report.json"
     csv_path = out_dir / f"{which}_report.csv"
@@ -139,26 +135,11 @@ def _run_thm(cfg: dict, out_dir: Path, which: str) -> list:
     return [json_path, csv_path]
 
 
-def _build_sequence(cfg: dict):
-    n = cfg.get("n", 1000)
-    tau = cfg.get("tau", 3.5)
-    scaling = make_scaling(n, tau, cfg.get("L", 1.0))
-    limits = make_limit_parameters(tau, cfg.get("K_max", 15), lam=cfg.get("lambda", 0.0))
-    seq = build_degree_sequence(
-        scaling,
-        limits,
-        hub_count=cfg.get("hub_count", cfg.get("K_max", 15)),
-        bulk_law=DEFAULT_BULK_WHITE,
-        rng_seed=stream_gen(cfg.get("master_seed", 0), 1),
-        bulk_black_law=DEFAULT_BULK_BLACK,
-    )
-    return tune_to_criticality(seq, cfg.get("lambda", 0.0))
-
-
-def _run_validate(cfg: dict, out_dir: Path, dump_trace: int | None) -> list:
-    seq = _build_sequence(cfg)
+def _run_validate(cfg: dict, out_dir: Path, seed: int, dump_trace: int | None) -> list:
+    config = _experiment_config(cfg)
+    seq = build_critical_sequence(config, cfg.get("n", 1000), stream_gen(seed, 1))
     report = validate_assumptions(seq)
-    report["criticality_target"] = 1.0 + cfg.get("lambda", 0.0) / seq.scaling.c_n
+    report["criticality_target"] = 1.0 + config.lam / seq.scaling.c_n
     outputs = []
     path = out_dir / "degree_validation.json"
     with open(path, "w") as fh:
@@ -169,21 +150,23 @@ def _run_validate(cfg: dict, out_dir: Path, dump_trace: int | None) -> list:
     write_degree_csv(seq, csv_path)
     outputs.append(csv_path)
     if dump_trace is not None:
-        g = sample_white_matching(seq, stream_gen(cfg.get("master_seed", 0), 2))
-        tr = explore(g, stream_gen(cfg.get("master_seed", 0), 3))
+        g = sample_white_matching(seq, stream_gen(seed, 2))
+        tr = explore(g, stream_gen(seed, 3))
         trace_path = out_dir / "trace.csv"
         write_trace_csv(tr, trace_path, stride=max(1, dump_trace))
         outputs.append(trace_path)
     return outputs
 
 
-def _run_mcmw(cfg: dict, out_dir: Path) -> list:
+def _run_mcmw(cfg: dict, out_dir: Path, seed: int) -> list:
     x = np.asarray(cfg.get("masses", [1.0, 1.0]), dtype=float)
     y = np.asarray(cfg.get("weights", list(x)), dtype=float)
     t = cfg.get("time", 1.0)
     reps = cfg.get("replicates", 1000)
-    seed = cfg.get("master_seed", 0)
-    if cfg.get("coupling", "none") == "xi":
+    coupling = cfg.get("coupling", "none")
+    if coupling not in _COUPLINGS:
+        raise ValueError(f"unknown coupling {coupling!r}")
+    if coupling == "xi":
         xi = sample_xi_batch(x.size, reps, stream_gen(seed, 11))
         masses = mcmw_batch(x, y, t, reps, stream_gen(seed, 12), xi_batch=xi)
     else:
@@ -193,17 +176,16 @@ def _run_mcmw(cfg: dict, out_dir: Path) -> list:
     return [path]
 
 
-def _run_percolate(cfg: dict, out_dir: Path, dump_graph: bool) -> list:
-    seq = _build_sequence(cfg)
-    seed = cfg.get("master_seed", 0)
+def _run_percolate(cfg: dict, out_dir: Path, seed: int, dump_graph: bool) -> list:
+    config = _experiment_config(cfg)
+    seq = build_critical_sequence(config, cfg.get("n", 1000), stream_gen(seed, 1))
     g = sample_white_matching(seq, stream_gen(seed, 2))
     mode = cfg.get("mode", "dynamic")
     if "time" in cfg:
         s = cfg["time"]
     else:
-        mu = cfg.get("mu", 1.0)
         gamma_n = seq.total_black / g.n
-        s = mu * gamma_n / seq.scaling.c_n
+        s = config.mu * gamma_n / seq.scaling.c_n
     outputs = []
     if mode == "dynamic":
         state = run_dynamic(g, s, stream_gen(seed, 3))
@@ -231,31 +213,20 @@ def _run_percolate(cfg: dict, out_dir: Path, dump_graph: bool) -> list:
     return outputs
 
 
-def _run_levy(cfg: dict, out_dir: Path) -> list:
+def _run_levy(cfg: dict, out_dir: Path, seed: int) -> list:
     tau = cfg.get("tau", 3.5)
     limits = make_limit_parameters(tau, cfg.get("K_max", 1000), lam=cfg.get("lambda", 0.0))
     T = cfg.get("levy_horizon", 10.0)
-    real = sample_thinned_levy(limits, T=T, rng_seed=stream_gen(cfg.get("master_seed", 0), 7))
-    surplus = sample_surplus_process(real.X_path, stream_gen(cfg.get("master_seed", 0), 8))
+    real = sample_thinned_levy(limits, T=T, rng_seed=stream_gen(seed, 7))
+    surplus = sample_surplus_process(real.X_path, stream_gen(seed, 8))
     path = out_dir / "limit_path.csv"
     write_limit_path_csv(real, path, grid_step=cfg.get("grid_step", T / 512.0), surplus=surplus)
     return [path]
 
 
-def run(config_path: str, overrides: dict | None = None) -> int:
-    """Execute the experiment named in the config; exit code semantics:
-    0 success, 2 config error, 3 invariant violation during the run."""
-    try:
-        cfg = parse_config(config_path)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if overrides:
-        cfg.update({k: v for k, v in overrides.items() if v is not None})
-    return _dispatch(cfg)
-
-
 def _dispatch(cfg: dict, dump_graph=False, dump_trace=None) -> int:
+    """Run the experiment named in ``cfg``; exit code semantics:
+    0 success, 2 config error, 3 invariant violation during the run."""
     experiment = cfg.get("experiment")
     if experiment not in {"thm16", "thm17", "mcmw", "percolate", "levy", "validate-degrees"}:
         print(f"config error: unknown experiment {experiment!r}", file=sys.stderr)
@@ -265,122 +236,95 @@ def _dispatch(cfg: dict, dump_graph=False, dump_trace=None) -> int:
     started = time.time()
     try:
         if experiment in ("thm16", "thm17"):
-            outputs = _run_thm(cfg, out_dir, experiment)
-        elif experiment == "mcmw":
-            outputs = _run_mcmw(cfg, out_dir)
-        elif experiment == "percolate":
-            outputs = _run_percolate(cfg, out_dir, dump_graph)
-        elif experiment == "levy":
-            outputs = _run_levy(cfg, out_dir)
+            config = _experiment_config(cfg)
+            seed = config.master_seed
+            outputs = _run_thm(config, out_dir, experiment)
         else:
-            outputs = _run_validate(cfg, out_dir, dump_trace)
+            seed = cfg.get("master_seed", 0)
+            if experiment == "mcmw":
+                outputs = _run_mcmw(cfg, out_dir, seed)
+            elif experiment == "percolate":
+                outputs = _run_percolate(cfg, out_dir, seed, dump_graph)
+            elif experiment == "levy":
+                outputs = _run_levy(cfg, out_dir, seed)
+            else:
+                outputs = _run_validate(cfg, out_dir, seed, dump_trace)
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (ValueError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _write_manifest(out_dir, cfg, outputs, started)
+    _write_manifest(out_dir, cfg, seed, outputs, started)
     return EXIT_OK
 
 
+def _flag(parser, flag: str, key: str, **kwargs):
+    """A flag that sets config ``key``, parsed as the config file parses it."""
+    parser.add_argument(flag, dest=key, type=_CONFIG_KEYS[key], **kwargs)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="hcmsim", description=__doc__)
+    # Unset flags stay out of the namespace, so a flag beats the config
+    # file, which beats the defaults of the run functions.
+    parser = argparse.ArgumentParser(prog="hcmsim", description=__doc__, argument_default=argparse.SUPPRESS)
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--seed", type=int, help="override master seed")
-    parser.add_argument("--threads", type=int, help="worker threads")
-    parser.add_argument("--out-dir", help="output directory")
-    sub = parser.add_subparsers(dest="command")
+    _flag(parser, "--seed", "master_seed", help="override master seed")
+    _flag(parser, "--threads", "threads", help="worker threads")
+    _flag(parser, "--out-dir", "out_dir", help="output directory")
+    sub = parser.add_subparsers(dest="experiment")
 
-    p_mcmw = sub.add_parser("mcmw", help="ordered masses of MC2(x, y, t) per replicate")
-    p_mcmw.add_argument("--masses", required=True)
-    p_mcmw.add_argument("--weights", required=True)
-    p_mcmw.add_argument("--time", type=float, required=True)
-    p_mcmw.add_argument("--reps", type=int, default=1000)
-    p_mcmw.add_argument("--coupling", choices=["xi", "none"], default="none")
+    def command(name, help):
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
 
-    p_perc = sub.add_parser("percolate", help="event-driven black percolation")
-    p_perc.add_argument("--mode", choices=["dynamic", "modified", "coupled"], default="dynamic")
-    p_perc.add_argument("--time", type=float)
-    p_perc.add_argument("--mu", type=float, help="sets s = mu gamma_n / c_n")
-    p_perc.add_argument("--n", type=int, default=1000)
-    p_perc.add_argument("--tau", type=float, default=3.5)
+    p_mcmw = command("mcmw", "ordered masses of MC2(x, y, t) per replicate")
+    _flag(p_mcmw, "--masses", "masses", required=True)
+    _flag(p_mcmw, "--weights", "weights", required=True)
+    _flag(p_mcmw, "--time", "time", required=True)
+    _flag(p_mcmw, "--reps", "replicates")
+    _flag(p_mcmw, "--coupling", "coupling", choices=_COUPLINGS)
+
+    p_perc = command("percolate", "event-driven black percolation")
+    _flag(p_perc, "--mode", "mode", choices=["dynamic", "modified", "coupled"])
+    _flag(p_perc, "--time", "time")
+    _flag(p_perc, "--mu", "mu", help="sets s = mu gamma_n / c_n")
+    _flag(p_perc, "--n", "n")
+    _flag(p_perc, "--tau", "tau")
     p_perc.add_argument("--dump-graph", action="store_true", help="also write G_n(0)'s white edges to graph.csv")
 
-    p_levy = sub.add_parser("levy", help="sample the limit pair and surplus process")
-    p_levy.add_argument("--tau", type=float, default=3.5)
-    p_levy.add_argument("--k-max", type=int, default=1000)
-    p_levy.add_argument("--horizon", type=float, default=10.0)
-    p_levy.add_argument("--grid-step", type=float)
+    p_levy = command("levy", "sample the limit pair and surplus process")
+    _flag(p_levy, "--tau", "tau")
+    _flag(p_levy, "--k-max", "K_max")
+    _flag(p_levy, "--horizon", "levy_horizon")
+    _flag(p_levy, "--grid-step", "grid_step")
 
-    p_val = sub.add_parser("validate-degrees", help="build, tune, and validate a degree sequence")
-    p_val.add_argument("--n", type=int, default=1000)
-    p_val.add_argument("--tau", type=float, default=3.5)
-    p_val.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p_val = command("validate-degrees", "build, tune, and validate a degree sequence")
+    _flag(p_val, "--n", "n")
+    _flag(p_val, "--tau", "tau")
+    _flag(p_val, "--lambda", "lambda")
     p_val.add_argument("--dump-trace", type=int, metavar="STRIDE", help="also explore once and dump the walk")
 
     for name in ("thm16", "thm17"):
-        p = sub.add_parser(name, help=f"desk-scale convergence experiment {name}")
-        p.add_argument("--n-grid")
-        p.add_argument("--reps", type=int)
-        p.add_argument("--tau", type=float)
+        p = command(name, f"desk-scale convergence experiment {name}")
+        _flag(p, "--n-grid", "n_grid")
+        _flag(p, "--reps", "replicates")
+        _flag(p, "--tau", "tau")
         if name == "thm17":
-            p.add_argument("--mu", type=float)
+            _flag(p, "--mu", "mu")
 
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
+    if args["experiment"] is None:  # no subcommand: the config file names it
+        del args["experiment"]
+    dump_graph = args.pop("dump_graph", False)
+    dump_trace = args.pop("dump_trace", None)
     cfg: dict = {}
-    if args.config:
+    if "config" in args:
         try:
-            cfg = parse_config(args.config)
+            cfg = parse_config(args.pop("config"))
         except (FileNotFoundError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    if args.seed is not None:
-        cfg["master_seed"] = args.seed
-    if args.threads is not None:
-        cfg["threads"] = args.threads
-    if args.out_dir is not None:
-        cfg["out_dir"] = args.out_dir
-
-    dump_graph = False
-    dump_trace = None
-    if args.command:
-        cfg["experiment"] = args.command
-        if args.command == "mcmw":
-            cfg["masses"] = [float(v) for v in args.masses.split(",")]
-            cfg["weights"] = [float(v) for v in args.weights.split(",")]
-            cfg["time"] = args.time
-            cfg["replicates"] = args.reps
-            cfg["coupling"] = args.coupling
-        elif args.command == "percolate":
-            cfg["mode"] = args.mode
-            if args.time is not None:
-                cfg["time"] = args.time
-            if args.mu is not None:
-                cfg["mu"] = args.mu
-            cfg["n"] = args.n
-            cfg["tau"] = args.tau
-            dump_graph = args.dump_graph
-        elif args.command == "levy":
-            cfg["tau"] = args.tau
-            cfg["K_max"] = args.k_max
-            cfg["levy_horizon"] = args.horizon
-            if args.grid_step:
-                cfg["grid_step"] = args.grid_step
-        elif args.command == "validate-degrees":
-            cfg["n"] = args.n
-            cfg["tau"] = args.tau
-            cfg["lambda"] = args.lam
-            dump_trace = args.dump_trace
-        else:
-            if args.n_grid:
-                cfg["n_grid"] = [int(v) for v in args.n_grid.split(",")]
-            if args.reps is not None:
-                cfg["replicates"] = args.reps
-            if args.tau is not None:
-                cfg["tau"] = args.tau
-            if args.command == "thm17" and args.mu is not None:
-                cfg["mu"] = args.mu
+    cfg.update(args)
     if "experiment" not in cfg:
         print("config error: no experiment selected", file=sys.stderr)
         return EXIT_CONFIG

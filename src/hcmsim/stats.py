@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import ks_2samp
 
-from .core import stream_gen
+from .core import stream_gen, write_rows
 from .degrees import (
     DEFAULT_BULK_BLACK,
     DEFAULT_BULK_WHITE,
@@ -78,14 +78,14 @@ class ExperimentConfig:
     K_max: int = 15
     top_j: int = 20
     levy_horizon: float = 24.0
-    theta_scale: float = 0.4
-    beta_scale: float = 0.5
     threads: int = 1
 
     def __post_init__(self):
         self.n_grid = sorted(int(n) for n in self.n_grid)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         # every (n, replicate) pair must map to its own RNG stream (_sidx)
@@ -117,21 +117,19 @@ def _sidx(code: int, n: int, r: int = 0) -> int:
     return (code * _STREAM_FIELD + n) * _STREAM_FIELD + r
 
 
-def build_critical_sequence(config: ExperimentConfig, n: int):
+def build_critical_sequence(config: ExperimentConfig, n: int, rng_seed=None):
+    """The tuned critical degree sequence of size n; ``rng_seed`` defaults
+    to the theorem experiments' stream for n."""
+    if rng_seed is None:
+        rng_seed = stream_gen(config.master_seed, _sidx(1, n))
     scaling = make_scaling(n, config.tau, config.L)
-    limits = make_limit_parameters(
-        config.tau,
-        config.K_max,
-        lam=config.lam,
-        theta_scale=config.theta_scale,
-        beta_scale=config.beta_scale,
-    )
+    limits = make_limit_parameters(config.tau, config.K_max, lam=config.lam)
     seq = build_degree_sequence(
         scaling,
         limits,
         hub_count=config.K_max,
         bulk_law=DEFAULT_BULK_WHITE,
-        rng_seed=stream_gen(config.master_seed, _sidx(1, n)),
+        rng_seed=rng_seed,
         bulk_black_law=DEFAULT_BULK_BLACK,
     )
     return tune_to_criticality(seq, config.lam)
@@ -139,13 +137,7 @@ def build_critical_sequence(config: ExperimentConfig, n: int):
 
 def sample_limit_pairs(config: ExperimentConfig, reps: int, seed_offset: int = 4):
     """Replicates of the ordered limit vector Gamma(X, Y), top_j rows each."""
-    limits = make_limit_parameters(
-        config.tau,
-        config.K_max,
-        lam=config.lam,
-        theta_scale=config.theta_scale,
-        beta_scale=config.beta_scale,
-    )
+    limits = make_limit_parameters(config.tau, config.K_max, lam=config.lam)
     walk_params = exploration_limit_params(limits)
 
     def one(r):
@@ -297,11 +289,6 @@ def write_report_json(report: dict, path):
 
 
 def write_report_csv(records: list, path):
-    import csv
-
     cols = ["experiment", "n", "statistic", "p_value", "tail_mass", "seed"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for rec in records:
-            writer.writerow([rec.get(c) for c in cols])
+    columns = [np.array([rec[c] for rec in records], dtype=object) for c in cols]
+    write_rows(path, ",".join(["{}"] * len(cols)) + "\r\n", columns, header=",".join(cols) + "\r\n")

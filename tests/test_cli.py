@@ -182,16 +182,16 @@ def test_corrupted_matching_exits_3(tmp_path, monkeypatch):
 
 
 def test_invalid_built_degrees_exits_3(tmp_path, monkeypatch):
-    import hcmsim.cli as cli
+    import hcmsim.stats as stats
 
-    build = cli.build_degree_sequence
+    build = stats.build_degree_sequence
 
     def odd_black_total(*args, **kwargs):
         seq = build(*args, **kwargs)
         seq.black[-1] += 1  # breaks the parity the build guarantees
         return seq
 
-    monkeypatch.setattr(cli, "build_degree_sequence", odd_black_total)
+    monkeypatch.setattr(stats, "build_degree_sequence", odd_black_total)
     assert run_cli(["--out-dir", str(tmp_path), "validate-degrees", "--n", "200"]) == EXIT_INVARIANT
     assert not (tmp_path / "manifest.json").exists()
 
@@ -242,3 +242,63 @@ def test_broken_block_table_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr(graphs, "component_table", off_by_one)
     assert run_cli(["--out-dir", str(tmp_path), "--seed", "2", "percolate", "--n", "80", "--mu", "0.5"]) == EXIT_INVARIANT
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_malformed_list_flags_exit_2():
+    for args in (["mcmw", "--masses", "1,x", "--weights", "1,1", "--time", "0.5"],
+                 ["mcmw", "--masses", "1,1", "--weights", "1,x", "--time", "0.5"],
+                 ["thm16", "--n-grid", "100,abc"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == EXIT_CONFIG, args
+
+
+def test_zero_threads_exits_2(tmp_path):
+    assert run_cli(["--out-dir", str(tmp_path), "--threads", "0", "thm16", "--n-grid", "200"]) == EXIT_CONFIG
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_unknown_coupling_in_config_exits_2(tmp_path):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(f"experiment=mcmw\nmasses=1,1\ncoupling=bogus\nout_dir={tmp_path / 'out'}\n")
+    assert run_cli(["--config", str(cfg)]) == EXIT_CONFIG
+    assert not (tmp_path / "out" / "mcmw_masses.csv").exists()
+
+
+def test_levy_zero_grid_step_exits_2(tmp_path):
+    assert run_cli(["--out-dir", str(tmp_path), "levy", "--k-max", "50", "--grid-step", "0"]) == EXIT_CONFIG
+    assert not (tmp_path / "limit_path.csv").exists()
+
+
+def test_manifest_records_the_seed_of_the_run(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "experiment=thm16\nn_grid=200\nreplicates=12\nlimit_replicates=12\n"
+        f"K_max=5\nout_dir={tmp_path / 'out'}\n"
+    )
+    assert run_cli(["--config", str(cfg)]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "thm16_report.json").read_text())
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert {rec["seed"] for rec in report["records"]} == {manifest["master_seed"]} == {2024}
+
+
+def test_config_value_survives_subcommand_without_its_flag(tmp_path):
+    val = tmp_path / "v.cfg"
+    val.write_text("n = 300\n")
+    assert run_cli(["--config", str(val), "--out-dir", str(tmp_path / "v"), "validate-degrees"]) == EXIT_OK
+    assert len((tmp_path / "v" / "degrees.csv").read_text().splitlines()) == 1 + 300
+    mc = tmp_path / "m.cfg"
+    mc.write_text("replicates = 7\n")
+    assert run_cli(["--config", str(mc), "--out-dir", str(tmp_path / "m"), "mcmw",
+                    "--masses", "1,2", "--weights", "1,1", "--time", "0.5"]) == EXIT_OK
+    assert len((tmp_path / "m" / "mcmw_masses.csv").read_text().splitlines()) == 7
+
+
+def test_flag_beats_config_file(tmp_path):
+    # --n overrides the file's n; the file's lambda, which no flag names, still holds
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("n = 300\nlambda = 0.5\n")
+    assert run_cli(["--config", str(cfg), "--out-dir", str(tmp_path), "validate-degrees", "--n", "200"]) == EXIT_OK
+    assert len((tmp_path / "degrees.csv").read_text().splitlines()) == 1 + 200
+    report = json.loads((tmp_path / "degree_validation.json").read_text())
+    assert report["criticality_target"] > 1.0
