@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .core import InvariantError, stream_gen
+from .core import InvariantError, stream_gen, write_json
 from .degrees import make_limit_parameters, validate_assumptions, write_degree_csv
 from .dynamics import run_coupled, run_dynamic, run_modified, write_event_csv
 from .exploration import explore, write_trace_csv
@@ -34,7 +34,6 @@ from .stats import (
     theorem_1_6_experiment,
     theorem_1_7_experiment,
     write_report_csv,
-    write_report_json,
 )
 
 EXIT_OK = 0
@@ -115,9 +114,7 @@ def _write_manifest(out_dir: Path, cfg: dict, seed: int, outputs: list, started:
         "finished": time.time(),
         "outputs": sorted(str(o) for o in outputs),
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, out_dir / "manifest.json")
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
@@ -130,7 +127,7 @@ def _run_thm(config: ExperimentConfig, out_dir: Path, which: str) -> list:
     result = theorem_1_6_experiment(config) if which == "thm16" else theorem_1_7_experiment(config)
     json_path = out_dir / f"{which}_report.json"
     csv_path = out_dir / f"{which}_report.csv"
-    write_report_json(result, json_path)
+    write_json(result, json_path)
     write_report_csv(result["records"], csv_path)
     return [json_path, csv_path]
 
@@ -142,9 +139,7 @@ def _run_validate(cfg: dict, out_dir: Path, seed: int, dump_trace: int | None) -
     report["criticality_target"] = 1.0 + config.lam / seq.scaling.c_n
     outputs = []
     path = out_dir / "degree_validation.json"
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+    write_json(report, path)
     outputs.append(path)
     csv_path = out_dir / "degrees.csv"
     write_degree_csv(seq, csv_path)
@@ -235,6 +230,8 @@ def _dispatch(cfg: dict, dump_graph=False, dump_trace=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     try:
+        if cfg.get("threads", 1) < 1:
+            raise ValueError("threads must be >= 1")
         if experiment in ("thm16", "thm17"):
             config = _experiment_config(cfg)
             seed = config.master_seed
@@ -259,6 +256,20 @@ def _dispatch(cfg: dict, dump_graph=False, dump_trace=None) -> int:
     return EXIT_OK
 
 
+def _merge(file_cfg: dict, flags: dict) -> dict:
+    """The config file's keys overridden by the flags'. ``percolate``'s
+    ``time`` and ``mu`` both set its percolation time s, so each source
+    may give only one of them, and a flag for either replaces both of the
+    file's."""
+    s_keys = {"time", "mu"}
+    if flags.get("experiment", file_cfg.get("experiment")) == "percolate":
+        if s_keys <= file_cfg.keys() or s_keys <= flags.keys():
+            raise ValueError("percolate takes time or mu, not both")
+        if s_keys & flags.keys():
+            file_cfg = {k: v for k, v in file_cfg.items() if k not in s_keys}
+    return {**file_cfg, **flags}
+
+
 def _flag(parser, flag: str, key: str, **kwargs):
     """A flag that sets config ``key``, parsed as the config file parses it."""
     parser.add_argument(flag, dest=key, type=_CONFIG_KEYS[key], **kwargs)
@@ -278,9 +289,9 @@ def main(argv=None) -> int:
         return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
 
     p_mcmw = command("mcmw", "ordered masses of MC2(x, y, t) per replicate")
-    _flag(p_mcmw, "--masses", "masses", required=True)
-    _flag(p_mcmw, "--weights", "weights", required=True)
-    _flag(p_mcmw, "--time", "time", required=True)
+    _flag(p_mcmw, "--masses", "masses")
+    _flag(p_mcmw, "--weights", "weights")
+    _flag(p_mcmw, "--time", "time")
     _flag(p_mcmw, "--reps", "replicates")
     _flag(p_mcmw, "--coupling", "coupling", choices=_COUPLINGS)
 
@@ -317,14 +328,11 @@ def main(argv=None) -> int:
         del args["experiment"]
     dump_graph = args.pop("dump_graph", False)
     dump_trace = args.pop("dump_trace", None)
-    cfg: dict = {}
-    if "config" in args:
-        try:
-            cfg = parse_config(args.pop("config"))
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    cfg.update(args)
+    try:
+        cfg = _merge(parse_config(args.pop("config")) if "config" in args else {}, args)
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if "experiment" not in cfg:
         print("config error: no experiment selected", file=sys.stderr)
         return EXIT_CONFIG

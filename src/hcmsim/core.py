@@ -1,6 +1,8 @@
-"""Seeding, RNG streams, shared error types, a lock-free cache, and the CSV row writer."""
+"""Seeding, RNG streams, shared error types, a lock-free cache, and the CSV and JSON writers."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -66,3 +68,11 @@ def write_rows(path, line: str, columns, header: str = ""):
         fh.write(header)
         for s in range(0, len(columns[0]), _ROWS_PER_WRITE):
             fh.write("".join(map(line.format, *(c[s : s + _ROWS_PER_WRITE].tolist() for c in columns))))
+
+
+def write_json(obj, path):
+    """Write ``obj`` as indented JSON with sorted keys and a final newline;
+    NumPy scalars are written as floats."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")

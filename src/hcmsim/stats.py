@@ -10,7 +10,6 @@ Monte Carlo noise.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -101,13 +100,6 @@ class ExperimentConfig:
         return self.replicates
 
 
-def _parallel_map(fn, indices, threads):
-    if threads <= 1:
-        return [fn(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, indices))
-
-
 def _sidx(code: int, n: int, r: int = 0) -> int:
     """Stable stream index: results depend only on (code, n, r), never on
     worker scheduling or interpreter hash salts. Distinct triples give
@@ -115,6 +107,22 @@ def _sidx(code: int, n: int, r: int = 0) -> int:
     if not (0 <= n < _STREAM_FIELD and 0 <= r < _STREAM_FIELD):
         raise ValueError(f"stream index fields n={n}, r={r} must lie in [0, {_STREAM_FIELD})")
     return (code * _STREAM_FIELD + n) * _STREAM_FIELD + r
+
+
+# Stream codes of _sidx(code, n, r): 1 the degree sequence of n (r = 0),
+# 2/3 the finite replicates of thm16/thm17, 4/5 their limit replicates
+# (n = 0), 6 thm17's MC2 run on limit replicate r (n = 0).
+def _replicates(config: ExperimentConfig, code: int, n: int, count: int, fn) -> list:
+    """``[fn(r, rng) for r in range(count)]`` with ``rng`` the stream
+    (code, n, r), mapped over ``config.threads`` worker threads."""
+
+    def one(r):
+        return fn(r, stream_gen(config.master_seed, _sidx(code, n, r)))
+
+    if config.threads <= 1:
+        return [one(r) for r in range(count)]
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        return list(pool.map(one, range(count)))
 
 
 def build_critical_sequence(config: ExperimentConfig, n: int, rng_seed=None):
@@ -135,18 +143,17 @@ def build_critical_sequence(config: ExperimentConfig, n: int, rng_seed=None):
     return tune_to_criticality(seq, config.lam)
 
 
-def sample_limit_pairs(config: ExperimentConfig, reps: int, seed_offset: int = 4):
-    """Replicates of the ordered limit vector Gamma(X, Y), top_j rows each."""
+def sample_limit_pairs(config: ExperimentConfig, code: int = 4):
+    """``config.limit_replicates`` replicates of the ordered limit vector
+    Gamma(X, Y), top_j rows each, on the streams of ``code``."""
     limits = make_limit_parameters(config.tau, config.K_max, lam=config.lam)
     walk_params = exploration_limit_params(limits)
 
-    def one(r):
-        rng = stream_gen(config.master_seed, _sidx(seed_offset, 0, r))
+    def one(r, rng):
         real = sample_thinned_levy(walk_params, T=config.levy_horizon, rng_seed=rng)
-        pairs = gamma_down(real.X_path, real.Y_path)
-        return _pad_pairs(pairs, config.top_j)
+        return _pad_pairs(gamma_down(real.X_path, real.Y_path), config.top_j)
 
-    return np.array(_parallel_map(one, range(reps), config.threads))
+    return np.array(_replicates(config, code, 0, config.limit_replicates, one))
 
 
 def _pad_pairs(pairs: np.ndarray, top_j: int):
@@ -156,12 +163,6 @@ def _pad_pairs(pairs: np.ndarray, top_j: int):
     tail = pairs[k:]
     tail_mass = float(np.sum(tail**2)) if tail.size else 0.0
     return np.concatenate((out.ravel(), [tail_mass]))
-
-
-def _finite_pairs(g, b_n, top_j):
-    sizes, blacks, *_ = component_table(g)
-    pairs = np.column_stack((sizes / b_n, blacks / b_n))
-    return _pad_pairs(pairs, top_j)
 
 
 def trend_non_increasing(stats_by_n: dict) -> dict:
@@ -181,111 +182,82 @@ def trend_non_increasing(stats_by_n: dict) -> dict:
     return {"comparisons": comparisons, "passed": passed, "required": 2, "ok": passed >= 2}
 
 
-def theorem_1_6_experiment(config: ExperimentConfig) -> dict:
-    """Rescaled (size, black half-edge) pairs of G_n(0) against Gamma(X, Y)."""
-    limit = sample_limit_pairs(config, config.limit_replicates)
-    limit_top_size = limit[:, 0]
-    limit_top_black = limit[:, 1]
+def _grid_report(config: ExperimentConfig, experiment: str, code: int, replicate, record) -> dict:
+    """Run ``replicate(seq, rng)`` on the streams of ``code`` for every n of
+    the grid; ``record`` turns the array of its rows into the fields of the
+    record of n, whose ``statistic`` enters the trend."""
     records = []
-    size_stats = {}
     for n in config.n_grid:
         seq = build_critical_sequence(config, n)
+        rows = np.array(_replicates(config, code, n, config.reps_for(n), lambda r, rng: replicate(seq, rng)))
+        records.append({"experiment": experiment, "n": n, **record(rows), "seed": config.master_seed})
+    size_stats = {rec["n"]: rec["statistic"] for rec in records}
+    return {"records": records, "trend": trend_non_increasing(size_stats), "size_stats": size_stats}
+
+
+def theorem_1_6_experiment(config: ExperimentConfig) -> dict:
+    """Rescaled (size, black half-edge) pairs of G_n(0) against Gamma(X, Y)."""
+    limit = sample_limit_pairs(config)
+
+    def replicate(seq, rng):
+        sizes, blacks, *_ = component_table(sample_white_matching(seq, rng))
         b_n = seq.scaling.b_n
+        return _pad_pairs(np.column_stack((sizes / b_n, blacks / b_n)), config.top_j)
 
-        def one(r):
-            rng = stream_gen(config.master_seed, _sidx(2, n, r))
-            g = sample_white_matching(seq, rng)
-            return _finite_pairs(g, b_n, config.top_j)
+    def record(data):
+        ks_size, p_size = ks_two_sample(data[:, 0], limit[:, 0])
+        ks_black, p_black = ks_two_sample(data[:, 1], limit[:, 1])
+        return {
+            "statistic": ks_size,
+            "p_value": p_size,
+            "statistic_black": ks_black,
+            "p_value_black": p_black,
+            "tail_mass": float(np.mean(data[:, -1])),
+            "limit_tail_mass": float(np.mean(limit[:, -1])),
+        }
 
-        data = np.array(_parallel_map(one, range(config.reps_for(n)), config.threads))
-        ks_size, p_size = ks_two_sample(data[:, 0], limit_top_size)
-        ks_black, p_black = ks_two_sample(data[:, 1], limit_top_black)
-        size_stats[n] = ks_size
-        records.append(
-            {
-                "experiment": "thm16",
-                "n": n,
-                "statistic": ks_size,
-                "p_value": p_size,
-                "statistic_black": ks_black,
-                "p_value_black": p_black,
-                "tail_mass": float(np.mean(data[:, -1])),
-                "limit_tail_mass": float(np.mean(limit[:, -1])),
-                "seed": config.master_seed,
-            }
-        )
-    trend = trend_non_increasing(size_stats)
-    return {"records": records, "trend": trend, "size_stats": size_stats}
+    return _grid_report(config, "thm16", 2, replicate, record)
 
 
 def theorem_1_7_experiment(config: ExperimentConfig) -> dict:
     """Percolated component sizes at s = mu gamma_n / c_n against MC2(Gamma(X,Y), mu)."""
-    limit = sample_limit_pairs(config, config.limit_replicates, seed_offset=5)
+    limit = sample_limit_pairs(config, 5)
 
-    def limit_one(r):
+    def limit_largest(r, rng):
         pairs = limit[r][:-1].reshape(-1, 2)
         keep = pairs[:, 0] > 0
-        x, y = pairs[keep, 0], pairs[keep, 1]
-        if x.size == 0:
+        if not keep.any():
             return 0.0
-        masses, _ = mcmw_graphical(x, y, config.mu, stream_gen(config.master_seed, _sidx(6, 0, r)))
+        masses, _ = mcmw_graphical(pairs[keep, 0], pairs[keep, 1], config.mu, rng)
         return float(masses[0])
 
-    limit_top = np.array(_parallel_map(limit_one, range(limit.shape[0]), config.threads))
-    records = []
-    size_stats = {}
-    for n in config.n_grid:
-        seq = build_critical_sequence(config, n)
+    limit_top = np.array(_replicates(config, 6, 0, limit.shape[0], limit_largest))
+
+    def replicate(seq, rng):
+        s = config.mu * (seq.total_black / seq.n) / seq.scaling.c_n  # mu gamma_n / c_n
+        sizes = run_dynamic(sample_white_matching(seq, rng), s, rng).component_sizes()
         b_n = seq.scaling.b_n
-        s = config.mu * (seq.total_black / n) / seq.scaling.c_n  # mu gamma_n / c_n
+        return sizes[0] / b_n, sizes[0] / seq.n, float(np.sum((sizes[config.top_j :] / b_n) ** 2))
 
-        def one(r):
-            rng = stream_gen(config.master_seed, _sidx(3, n, r))
-            state = run_dynamic(sample_white_matching(seq, rng), s, rng)
-            sizes = state.component_sizes()
-            tail = float(np.sum((sizes[config.top_j :] / b_n) ** 2))
-            return sizes[0] / b_n, sizes[0] / n, tail
+    def record(rows):
+        ks, p = ks_two_sample(rows[:, 0], limit_top)
+        return {
+            "statistic": ks,
+            "p_value": p,
+            "tail_mass": float(np.mean(rows[:, 2])),
+            "largest_over_bn_mean": float(np.mean(rows[:, 0])),
+            "giant_fraction": float(np.mean(rows[:, 1])),
+            "limit_largest_mean": float(np.mean(limit_top)),
+        }
 
-        rows = _parallel_map(one, range(config.reps_for(n)), config.threads)
-        data = np.array([r[0] for r in rows])
-        giant_fraction = float(np.mean([r[1] for r in rows]))
-        tail_mass = float(np.mean([r[2] for r in rows]))
-        ks, p = ks_two_sample(data, limit_top)
-        size_stats[n] = ks
-        records.append(
-            {
-                "experiment": "thm17",
-                "n": n,
-                "statistic": ks,
-                "p_value": p,
-                "tail_mass": tail_mass,
-                "largest_over_bn_mean": float(np.mean(data)),
-                "giant_fraction": giant_fraction,
-                "limit_largest_mean": float(np.mean(limit_top)),
-                "seed": config.master_seed,
-            }
-        )
-    trend = trend_non_increasing(size_stats)
+    report = _grid_report(config, "thm17", 3, replicate, record)
     # at desk scale the percolated system sits beyond its own scaling window
     # (contamination decays like 1/c_n), so the KS statistic can saturate at 1;
     # the giant fraction is the informative convergence diagnostic there.
-    saturated = all(s >= 0.999 for s in size_stats.values())
-    fractions = [rec["giant_fraction"] for rec in records]
-    return {
-        "records": records,
-        "trend": trend,
-        "size_stats": size_stats,
-        "ks_saturated": saturated,
-        "giant_fraction_decreasing": bool(
-            all(b < a for a, b in zip(fractions, fractions[1:]))
-        ),
-    }
-
-
-def write_report_json(report: dict, path):
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fractions = [rec["giant_fraction"] for rec in report["records"]]
+    report["ks_saturated"] = all(s >= 0.999 for s in report["size_stats"].values())
+    report["giant_fraction_decreasing"] = bool(all(b < a for a, b in zip(fractions, fractions[1:])))
+    return report
 
 
 def write_report_csv(records: list, path):

@@ -254,8 +254,15 @@ def test_malformed_list_flags_exit_2():
 
 
 def test_zero_threads_exits_2(tmp_path):
-    assert run_cli(["--out-dir", str(tmp_path), "--threads", "0", "thm16", "--n-grid", "200"]) == EXIT_CONFIG
-    assert not (tmp_path / "manifest.json").exists()
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("threads = 0\n")
+    for name, args in (("thm16", ["--threads", "0", "thm16", "--n-grid", "200"]),
+                       ("mcmw", ["--threads", "0", "mcmw", "--masses", "1,1", "--weights", "1,1", "--time", "1"]),
+                       ("levy", ["--threads", "0", "levy", "--k-max", "50"]),
+                       ("levy_file", ["--config", str(cfg), "levy", "--k-max", "50"])):
+        out = tmp_path / name
+        assert run_cli(["--out-dir", str(out), *args]) == EXIT_CONFIG, name
+        assert not (out / "manifest.json").exists()
 
 
 def test_unknown_coupling_in_config_exits_2(tmp_path):
@@ -302,3 +309,58 @@ def test_flag_beats_config_file(tmp_path):
     assert len((tmp_path / "degrees.csv").read_text().splitlines()) == 1 + 200
     report = json.loads((tmp_path / "degree_validation.json").read_text())
     assert report["criticality_target"] > 1.0
+
+
+def test_thm17_determinism_across_thread_counts(tmp_path):
+    outs = {}
+    for threads in (1, 4):
+        out_dir = tmp_path / f"t{threads}"
+        cfg = tmp_path / f"run{threads}.cfg"
+        cfg.write_text(
+            "experiment=thm17\nn_grid=200,300\nreplicates=24\nlimit_replicates=30\nmu=0.5\n"
+            f"master_seed=5\nK_max=5\nthreads={threads}\nout_dir={out_dir}\n"
+        )
+        assert run_cli(["--config", str(cfg)]) == EXIT_OK
+        outs[threads] = {
+            p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.name != "manifest.json"
+        }
+    assert sorted(outs[1]) == ["thm17_report.csv", "thm17_report.json"]
+    assert outs[1] == outs[4]
+
+
+def _percolate(out, config_text=None, *flags):
+    """Exit code of ``percolate --n 300`` at seed 2, with ``config_text`` as its config file."""
+    args = ["--out-dir", str(out), "--seed", "2"]
+    if config_text is not None:
+        out.mkdir(parents=True)
+        (out / "p.cfg").write_text(config_text)
+        args += ["--config", str(out / "p.cfg")]
+    return run_cli([*args, "percolate", "--n", "300", *flags])
+
+
+def test_percolation_time_flag_replaces_both_file_keys(tmp_path):
+    # time and mu set the one percolation time s: a flag for either one
+    # replaces the file's value of either
+    for text, flags in (("time = 0.01\n", ("--mu", "5")), ("mu = 5\n", ("--time", "0.01"))):
+        alone, with_file = tmp_path / f"alone{flags[0]}", tmp_path / f"file{flags[0]}"
+        assert _percolate(alone, None, *flags) == EXIT_OK
+        assert _percolate(with_file, text, *flags) == EXIT_OK
+        assert (with_file / "events.csv").read_bytes() == (alone / "events.csv").read_bytes(), text
+
+
+def test_percolation_time_and_mu_from_one_source_exit_2(tmp_path):
+    assert _percolate(tmp_path / "file", "time = 0.01\nmu = 5\n") == EXIT_CONFIG
+    assert _percolate(tmp_path / "flags", None, "--time", "0.01", "--mu", "5") == EXIT_CONFIG
+    assert not (tmp_path / "file" / "events.csv").exists()
+    assert not (tmp_path / "flags" / "events.csv").exists()
+
+
+def test_mcmw_takes_its_keys_from_config_file(tmp_path):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("masses = 1,2,1\nweights = 1,0.5,1\ntime = 0.5\nreplicates = 7\n")
+    assert run_cli(["--config", str(cfg), "--out-dir", str(tmp_path / "file"), "mcmw"]) == EXIT_OK
+    assert run_cli(["--out-dir", str(tmp_path / "flags"), "mcmw", "--masses", "1,2,1", "--weights", "1,0.5,1",
+                    "--time", "0.5", "--reps", "7"]) == EXIT_OK
+    rows = (tmp_path / "file" / "mcmw_masses.csv").read_text().strip().splitlines()
+    assert len(rows) == 7
+    assert (tmp_path / "file" / "mcmw_masses.csv").read_bytes() == (tmp_path / "flags" / "mcmw_masses.csv").read_bytes()

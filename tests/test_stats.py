@@ -98,7 +98,7 @@ def test_stream_index_fields_cannot_overflow():
 
 def test_limit_pairs_shape_and_padding():
     cfg = ExperimentConfig(n_grid=[200, 400], replicates=5, limit_replicates=40, top_j=6, master_seed=1)
-    pairs = sample_limit_pairs(cfg, 40)
+    pairs = sample_limit_pairs(cfg)
     assert pairs.shape == (40, 13)  # top_j * 2 + tail mass
     assert np.all(pairs[:, -1] >= 0)
 
