@@ -9,6 +9,7 @@ randomness comes from counter-based streams indexed by replicate number.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import platform
@@ -275,7 +276,9 @@ def _flag(parser, flag: str, key: str, **kwargs):
     parser.add_argument(flag, dest=key, type=_CONFIG_KEYS[key], **kwargs)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     # Unset flags stay out of the namespace, so a flag beats the config
     # file, which beats the defaults of the run functions.
     parser = argparse.ArgumentParser(prog="hcmsim", description=__doc__, argument_default=argparse.SUPPRESS)
@@ -323,7 +326,11 @@ def main(argv=None) -> int:
         if name == "thm17":
             _flag(p, "--mu", "mu")
 
-    args = vars(parser.parse_args(argv))
+    return parser
+
+
+def main(argv=None) -> int:
+    args = vars(_parser().parse_args(argv))
     if args["experiment"] is None:  # no subcommand: the config file names it
         del args["experiment"]
     dump_graph = args.pop("dump_graph", False)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import InvariantError, as_generator, write_rows
+from .core import _ROWS_PER_WRITE, InvariantError, as_generator
 from .graphs import labels_from_edges
 
 
@@ -247,6 +247,15 @@ def bipartite_bound_check(x, y, m_split: int, t: float, epsilon: float, replicat
 
 
 def write_masses_csv(masses: np.ndarray, path):
-    """One replicate per row, ordered masses, zero-padded columns."""
-    masses = np.atleast_2d(masses)
-    write_rows(path, ",".join(["{:.12g}"] * masses.shape[1]) + "\n", masses.T)
+    """One replicate per row, ordered masses, zero-padded columns.
+
+    Masses repeat a lot (the zero padding above all), so each distinct
+    value is formatted once, keyed by its bits so that -0.0 keeps its sign.
+    """
+    masses = np.ascontiguousarray(np.atleast_2d(masses), dtype=float)
+    bits, inverse = np.unique(masses.view(np.uint64), return_inverse=True)
+    text = np.array([format(v, ".12g") for v in bits.view(float).tolist()], dtype=object)
+    inverse = inverse.reshape(masses.shape)
+    with open(path, "w", newline="") as fh:
+        for s in range(0, len(masses), _ROWS_PER_WRITE):
+            fh.write("\n".join(map(",".join, text[inverse[s : s + _ROWS_PER_WRITE]].tolist())) + "\n")

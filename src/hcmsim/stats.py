@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .core import stream_gen, write_rows
 from .degrees import (
@@ -52,6 +51,10 @@ def l22_norm(pairs) -> float:
 
 def ks_two_sample(a, b):
     """Two-sample KS statistic and asymptotic p-value."""
+    # imported here, as only the theorem experiments run a KS test: scipy.stats
+    # adds about half a second and 40 MB to every process that imports it
+    from scipy.stats import ks_2samp
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size < 10 or b.size < 10:

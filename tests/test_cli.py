@@ -364,3 +364,61 @@ def test_mcmw_takes_its_keys_from_config_file(tmp_path):
     rows = (tmp_path / "file" / "mcmw_masses.csv").read_text().strip().splitlines()
     assert len(rows) == 7
     assert (tmp_path / "file" / "mcmw_masses.csv").read_bytes() == (tmp_path / "flags" / "mcmw_masses.csv").read_bytes()
+
+
+_IMPORT_PROBE = """
+import json, sys
+from hcmsim.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    print("scipy.stats" in sys.modules)
+"""
+
+
+def _scipy_stats_loaded(commands):
+    """For each command line, run in turn in one fresh interpreter: whether
+    ``scipy.stats`` is loaded after it."""
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, check=True)
+    return [line == "True" for line in proc.stdout.splitlines()]
+
+
+def test_only_the_theorem_experiments_import_scipy_stats(tmp_path):
+    def command(name, *args, config=None):
+        return [*(["--config", str(config)] if config else []), "--out-dir", str(tmp_path / name), name, *args]
+
+    loaded = _scipy_stats_loaded([
+        command("validate-degrees", "--n", "1000", "--dump-trace", "1"),
+        command("mcmw", "--masses", "1,2,1", "--weights", "1,1,1", "--time", "0.5", "--reps", "20"),
+        command("percolate", "--n", "300", "--mu", "0.5", "--dump-graph"),
+        command("levy", "--k-max", "50", "--horizon", "4.0"),
+    ])
+    assert loaded == [False] * 4
+    # the guard can fail: a KS test loads the module
+    cfg = tmp_path / "t16.cfg"
+    cfg.write_text("n_grid=200,300\nreplicates=25\nlimit_replicates=30\nmaster_seed=3\nK_max=5\n")
+    assert _scipy_stats_loaded([command("thm16", config=cfg)]) == [True]
+
+
+def _outputs(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.name != "manifest.json"}
+
+
+def test_parser_reuse_leaks_nothing_between_calls(tmp_path):
+    # one process parses every command line with the same cached parser; each
+    # output must equal a fresh interpreter's run of that command alone
+    cfg = tmp_path / "t16.cfg"
+    cfg.write_text("experiment=thm16\nn_grid=200,300\nreplicates=25\nlimit_replicates=30\nmaster_seed=3\nK_max=5\n")
+    commands = {
+        "perc_graph": ["--seed", "2", "percolate", "--n", "300", "--tau", "3.3", "--mu", "0.5", "--dump-graph"],
+        "perc": ["percolate", "--mode", "coupled"],
+        "val": ["validate-degrees", "--dump-trace", "1"],
+        "thm16": ["--config", str(cfg)],
+    }
+    for name, argv in commands.items():
+        assert run_cli(["--out-dir", str(tmp_path / "shared" / name), *argv]) == EXIT_OK
+    for name, argv in commands.items():
+        alone = tmp_path / "alone" / name
+        subprocess.run([sys.executable, "-m", "hcmsim.cli", "--out-dir", str(alone), *argv], check=True)
+        assert _outputs(tmp_path / "shared" / name) == _outputs(alone), name
+    assert "graph.csv" not in _outputs(tmp_path / "shared" / "perc")

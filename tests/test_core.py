@@ -2,6 +2,9 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hcmsim.core import as_generator, stream_gen, write_rows
 
@@ -64,6 +67,51 @@ def test_masses_csv_bytes_equal_savetxt(tmp_path, shape):
     masses = values[: int(np.prod(shape))].reshape(shape)
     write_masses_csv(masses, tmp_path / "new.csv")
     _savetxt_masses(masses, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _format_masses(masses, path):
+    """The masses writer before it formatted each distinct value once: one
+    ``str.format`` per row."""
+    masses = np.atleast_2d(masses)
+    line = ",".join(["{:.12g}"] * masses.shape[1]) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.writelines(line.format(*row) for row in masses.tolist())
+
+
+# few distinct values, so most cells repeat one, as the zero padding does
+_MASS_POOL = [0.0, -0.0, 1.0, 2.0, 3.0, 1e12, 1e-300, 1e300, 0.1 + 0.2, 123456789012.5]
+_MASSES = hnp.arrays(
+    float,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+    elements=st.one_of(st.sampled_from(_MASS_POOL), st.floats(width=64)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_MASSES)
+@example(np.zeros((5, 4)))
+@example(np.zeros((1, 1)))
+@example(np.array([[1e-300, 1e300, 7.0, 7.0, 0.0]]))
+@example(np.array([[1e300], [1e-300], [1e300], [4.0], [0.0]]))
+def test_masses_csv_bytes_equal_per_row_format(tmp_path_factory, masses):
+    from hcmsim.coalescent import write_masses_csv
+
+    d = tmp_path_factory.mktemp("masses", numbered=True)
+    write_masses_csv(masses, d / "new.csv")
+    _format_masses(masses, d / "old.csv")
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("m, reps", [(3, 30_000), (100, 20), (250, 8)])
+def test_masses_csv_of_mcmw_batch_bytes_equal_per_row_format(tmp_path, m, reps):
+    from hcmsim.coalescent import mcmw_batch, write_masses_csv
+
+    rng = np.random.default_rng(m)
+    x = np.sort(rng.pareto(2.0, m) + 0.05)[::-1]
+    masses = mcmw_batch(x, x * rng.random(m), 1.0, reps, stream_gen(1, 12))
+    write_masses_csv(masses, tmp_path / "new.csv")
+    _format_masses(masses, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
