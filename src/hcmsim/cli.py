@@ -134,6 +134,8 @@ def _run_thm(config: ExperimentConfig, out_dir: Path, which: str) -> list:
 
 
 def _run_validate(cfg: dict, out_dir: Path, seed: int, dump_trace: int | None) -> list:
+    if dump_trace is not None and dump_trace < 1:  # before any output is written
+        raise ValueError(f"--dump-trace stride must be >= 1, got {dump_trace}")
     config = _experiment_config(cfg)
     seq = build_critical_sequence(config, cfg.get("n", 1000), stream_gen(seed, 1))
     report = validate_assumptions(seq)
@@ -149,7 +151,7 @@ def _run_validate(cfg: dict, out_dir: Path, seed: int, dump_trace: int | None) -
         g = sample_white_matching(seq, stream_gen(seed, 2))
         tr = explore(g, stream_gen(seed, 3))
         trace_path = out_dir / "trace.csv"
-        write_trace_csv(tr, trace_path, stride=max(1, dump_trace))
+        write_trace_csv(tr, trace_path, stride=dump_trace)
         outputs.append(trace_path)
     return outputs
 
@@ -159,6 +161,8 @@ def _run_mcmw(cfg: dict, out_dir: Path, seed: int) -> list:
     y = np.asarray(cfg.get("weights", list(x)), dtype=float)
     t = cfg.get("time", 1.0)
     reps = cfg.get("replicates", 1000)
+    if reps < 1:
+        raise ValueError("replicates must be >= 1")
     coupling = cfg.get("coupling", "none")
     if coupling not in _COUPLINGS:
         raise ValueError(f"unknown coupling {coupling!r}")

@@ -8,12 +8,11 @@ totals so matchings need no repair.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvariantError, as_generator, cached_property, write_rows
+from .core import InvariantError, as_generator, cached_property, write_int_rows
 
 
 @dataclass(frozen=True)
@@ -369,17 +368,4 @@ def validate_assumptions(seq: DegreeSequence, K: int | None = None, rel_tol: flo
 
 
 def write_degree_csv(seq: DegreeSequence, path):
-    write_rows(path, "{},{}\r\n", (seq.white, seq.black), header="white,black\r\n")
-
-
-def read_degree_csv(path):
-    """(white, black) integer arrays from a two-column degree CSV."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["white", "black"]:
-            raise ValueError("expected header 'white,black'")
-        rows = [(int(a), int(c)) for a, c in reader]
-    w = np.array([r[0] for r in rows], dtype=np.int64)
-    b = np.array([r[1] for r in rows], dtype=np.int64)
-    return w, b
+    write_int_rows(path, (seq.white, seq.black), header="white,black\r\n")

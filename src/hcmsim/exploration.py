@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import breadth_first_order
 
-from .core import InvariantError, as_generator, write_rows
+from .core import InvariantError, as_generator, write_int_rows
 from .degrees import ScalingConstants
 from .graphs import ColoredMultigraph, csr_adjacency
 from .paths import CadlagPath
@@ -260,7 +260,9 @@ def discovery_probability_check(seq, t_checks, replicates, rng_seed, hubs=None, 
 
 
 def write_trace_csv(tr: ExplorationTrace, path, stride: int = 1):
-    """Rows (t, X, Y, N) for every ``stride``-th step."""
-    every = slice(None, None, max(1, int(stride)))
+    """Rows (t, X, Y, N) for every ``stride``-th step; ``stride`` must be >= 1."""
+    if stride < 1:
+        raise ValueError(f"trace stride must be >= 1, got {stride}")
+    every = slice(None, None, int(stride))
     t = np.arange(tr.X.size)[every]
-    write_rows(path, "{},{},{},{}\r\n", (t, tr.X[every], tr.Y[every], tr.N[every]), header="t,X,Y,N\r\n")
+    write_int_rows(path, (t, tr.X[every], tr.Y[every], tr.N[every]), header="t,X,Y,N\r\n")

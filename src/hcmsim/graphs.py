@@ -9,7 +9,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _cc
 
-from .core import InvariantError, as_generator, cached_property, write_rows
+from .core import InvariantError, as_generator, cached_property, write_int_rows
 from .degrees import DegreeSequence
 
 
@@ -153,4 +153,4 @@ def merged_sizes(g: ColoredMultigraph, u, v) -> np.ndarray:
 def write_edge_csv(g: ColoredMultigraph, path):
     """G_n(0)'s white edges as CSV rows (half_edge_a, half_edge_b, color)."""
     pairs = g.white_pairs()
-    write_rows(path, "{},{},white\r\n", (pairs[:, 0], pairs[:, 1]), header="half_edge_a,half_edge_b,color\r\n")
+    write_int_rows(path, (pairs[:, 0], pairs[:, 1]), header="half_edge_a,half_edge_b,color\r\n", suffix=",white\r\n")

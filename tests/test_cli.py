@@ -125,6 +125,13 @@ def test_validate_degrees_subcommand(tmp_path):
     assert trace[0] == "t,X,Y,N"
 
 
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_validate_degrees_bad_trace_stride_exits_2(tmp_path, stride):
+    assert run_cli(["--out-dir", str(tmp_path), "validate-degrees", "--n", "300",
+                    f"--dump-trace={stride}"]) == EXIT_CONFIG
+    assert not any(tmp_path.iterdir())  # no trace.csv, and no degrees.csv either
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "hcmsim.cli", "--out-dir", str(tmp_path), "mcmw",
@@ -202,6 +209,18 @@ def test_bad_mcmw_input_exits_2(tmp_path):
                  ["--masses", "1,2,3", "--weights", "1,1", "--time", "0.5"]):
         out = tmp_path / str(len(list(tmp_path.iterdir())))
         assert run_cli(["--out-dir", str(out), "mcmw", *args, "--reps", "5"]) == EXIT_CONFIG
+        assert not (out / "mcmw_masses.csv").exists()
+
+
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_mcmw_reps_below_one_exits_2(tmp_path, capsys, reps):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(f"replicates = {reps}\n")
+    args = ["mcmw", "--masses", "1,2", "--weights", "1,1", "--time", "0.5"]
+    for name, extra in (("flag", [*args, f"--reps={reps}"]), ("file", ["--config", str(cfg), *args])):
+        out = tmp_path / name
+        assert run_cli(["--out-dir", str(out), *extra]) == EXIT_CONFIG
+        assert "replicates must be >= 1" in capsys.readouterr().err
         assert not (out / "mcmw_masses.csv").exists()
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hcmsim.core import as_generator, stream_gen, write_rows
+from hcmsim.core import as_generator, stream_gen, write_int_rows, write_rows
 
 
 def test_seed_stream_distinct_and_stable():
@@ -140,6 +140,47 @@ def test_degree_csv_bytes_equal_csv_writer(tmp_path):
 def test_write_rows_without_rows_writes_header_only(tmp_path):
     write_rows(tmp_path / "h.csv", "{},{}\n", (np.zeros(0), np.zeros(0)), header="a,b\n")
     assert (tmp_path / "h.csv").read_bytes() == b"a,b\n"
+
+
+_I64 = np.iinfo(np.int64)
+_EDGE_INTS = [0, 1, -1, 9, -9, 10, -10, _I64.min, _I64.max]
+
+
+def _int_table(rows, seed):
+    """Three int64 columns of ``rows`` rows, led by the edge values, and one
+    uint64 column that reaches its maximum."""
+    rng = np.random.default_rng(seed)
+    table = rng.integers(_I64.min, _I64.max, (3, rows), endpoint=True)
+    table[1] //= 10 ** rng.integers(0, 19, rows)  # values of many widths, not only 19 digits
+    lead = min(rows, len(_EDGE_INTS))
+    table[:, :lead] = [_EDGE_INTS[:lead], _EDGE_INTS[::-1][:lead], _EDGE_INTS[:lead]]
+    unsigned = rng.integers(0, 2**64 - 1, rows, dtype=np.uint64, endpoint=True)
+    unsigned[:lead] = np.array([0, 2**64 - 1, 1, 9, 10, 99, 100, 2**63, 2**63 - 1], dtype=np.uint64)[:lead]
+    return [*table, unsigned]
+
+
+@pytest.mark.parametrize("rows", [0, 1, len(_EDGE_INTS), 16_384, 16_385])
+@pytest.mark.parametrize("suffix", ["\r\n", ",white\r\n"])
+def test_int_rows_bytes_equal_format_and_csv_writer(tmp_path, rows, suffix):
+    columns = _int_table(rows, rows)
+    write_int_rows(tmp_path / "new.csv", columns, header="a,b,c,d\r\n", suffix=suffix)
+    write_rows(tmp_path / "fmt.csv", "{},{},{},{}" + suffix, columns, header="a,b,c,d\r\n")
+    with open(tmp_path / "csv.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["a", "b", "c", "d"])
+        for row in zip(*(c.tolist() for c in columns)):
+            writer.writerow([*row, "white"] if suffix != "\r\n" else row)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "fmt.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+    if rows == 0:
+        assert new == b"a,b,c,d\r\n"
+
+
+@pytest.mark.parametrize("dtype", [float, bool, object])
+def test_int_rows_refuse_non_integer_columns(tmp_path, dtype):
+    with pytest.raises(TypeError):
+        write_int_rows(tmp_path / "x.csv", (np.arange(3), np.array([1, 2, 3], dtype=dtype)), header="a,b\r\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def _csv_writer_edges(g, path):

