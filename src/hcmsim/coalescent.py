@@ -67,8 +67,8 @@ def _sample_labels(x, y, t: float, reps: int, rng_seed, xi_batch=None):
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("masses and weights must be 1-D and of equal length")
-    if not (np.all(x >= 0) and np.all(y >= 0) and t >= 0):
-        raise ValueError("masses, weights and time must be non-negative")
+    if not (np.all(np.isfinite(x) & (x >= 0)) and np.all(np.isfinite(y) & (y >= 0)) and 0 <= t < np.inf):
+        raise ValueError("masses, weights and time must be finite and non-negative")
     n = x.size
     # the pairs i < j in np.triu_indices(n, 1) order; that call is slower at small n
     iu, ju = np.nonzero(np.arange(n)[:, None] < np.arange(n))
@@ -93,25 +93,6 @@ def mcmw_graphical(x, y, t: float, rng_seed, xi_batch: np.ndarray | None = None)
     x, y, labels = _sample_labels(x, y, t, 1, rng_seed, xi_batch)
     blocks = BlockSystem(x, y, labels)
     return blocks.ordered_masses(), blocks
-
-
-def susceptibility(masses) -> float:
-    """Sum of squared component masses."""
-    m = np.asarray(masses, dtype=float)
-    return float(np.sum(m**2))
-
-
-def scaling_transform(x, y, a: float, b: float, c: float):
-    """Inputs for the identity MC2(ax, by, ct) =d a * MC2(x, b sqrt(c) y, t).
-
-    Returns ((x, b*sqrt(c)*y), a): run MC2 on the transformed weights and
-    post-scale the masses by a.
-    """
-    if a <= 0 or b <= 0 or c <= 0:
-        raise ValueError("scalars must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return (x, b * np.sqrt(c) * y), a
 
 
 # -- batches of replicates ----------------------------------------------
@@ -146,104 +127,6 @@ def mcmw_batch(x, y, t: float, reps: int, rng_seed, xi_batch: np.ndarray | None 
 def sample_xi_batch(n: int, reps: int, rng_seed) -> np.ndarray:
     rng = as_generator(rng_seed)
     return rng.exponential(size=(reps, n * (n - 1) // 2))
-
-
-# -- probe reports ----------------------------------------------------------
-
-
-def feller_probe(x, y, perturbation_scale: float, t: float, replicates: int, rng_seed) -> dict:
-    """Continuity probe under the xi-coupling plus the classical envelopes.
-
-    Reports E||MC2(x+delta, y+delta', t) - MC2(x, y, t)||^2 for
-    perturbations of norm <= perturbation_scale, the empirical tail of
-    ||MC1(x+y, t)||^2 against the bound t s ||x+y||^2 / (s - ||x+y||^2) at
-    s = 2||x+y||^2, and the susceptibility chain
-    S(x,y,t) <= S(x+y,y,t) - ||y||^2 - 2<x,y> checked per realization.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
-        raise ValueError("all weights must be strictly positive")
-    rng = as_generator(rng_seed)
-    n = x.size
-    eps = perturbation_scale
-    delta = np.full(n, eps / np.sqrt(n))
-    xi = sample_xi_batch(n, replicates, rng)
-    base = mcmw_batch(x, y, t, replicates, rng, xi_batch=xi)
-    pert = mcmw_batch(x + delta, y + delta, t, replicates, rng, xi_batch=xi)
-    diff_sq = np.sum((pert - base) ** 2, axis=1)
-
-    xy = x + y
-    mc1_masses = mcmw_batch(xy, xy, t, replicates, rng, xi_batch=xi)
-    S1 = np.sum(mc1_masses**2, axis=1)
-    s_level = 2.0 * float(np.sum(xy**2))
-    norm_sq = float(np.sum(xy**2))
-    bound = t * s_level * norm_sq / (s_level - norm_sq)
-    p_hat = float(np.mean(S1 > s_level))
-    se = float(np.sqrt(max(p_hat * (1 - p_hat), 1.0 / replicates) / replicates))
-
-    joint = mcmw_batch(xy, y, t, replicates, rng, xi_batch=xi)
-    S_xy = np.sum(base**2, axis=1)
-    S_joint = np.sum(joint**2, axis=1)
-    chain_slack = S_joint - float(np.sum(y**2)) - 2.0 * float(np.sum(x * y)) - S_xy
-    return {
-        "mean_diff_sq": float(np.mean(diff_sq)),
-        "max_diff_sq": float(np.max(diff_sq)),
-        "envelope": {
-            "s": s_level,
-            "empirical": p_hat,
-            "bound": bound,
-            "stderr": se,
-            "holds": bool(p_hat <= bound + 4 * se),
-        },
-        "chain_min_slack": float(np.min(chain_slack)),
-        "chain_violations": int(np.sum(chain_slack < -1e-9)),
-    }
-
-
-def bipartite_bound_check(x, y, m_split: int, t: float, epsilon: float, replicates: int, rng_seed) -> dict:
-    """Empirical check of the bipartite susceptibility-increment bound.
-
-    Edges only across the split, P(i~j) = 1 - exp(-t y_i y_j). With
-    alpha1 = sum_{i<=m} x_i^2 and alpha2 = sum_{i<=m} y_i^2 the bound reads
-
-      eps P(sum Z_i^2 > alpha1 + eps)
-        <= (t (alpha1 + 2 alpha2 + 3 eps) + t^2 (alpha1 + alpha2 + 2 eps)^2)
-           * sum_{k>m} (x_k + y_k)^2.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.size
-    if not 1 <= m_split < n:
-        raise ValueError("split must satisfy 1 <= m < n")
-    rng = as_generator(rng_seed)
-    left = np.arange(n) < m_split
-    p = -np.expm1(-t * np.outer(y[left], y[~left]))
-    alpha1 = float(np.sum(x[left] ** 2))
-    alpha2 = float(np.sum(y[left] ** 2))
-    tail = float(np.sum((x[~left] + y[~left]) ** 2))
-    rhs = (t * (alpha1 + 2 * alpha2 + 3 * epsilon) + t**2 * (alpha1 + alpha2 + 2 * epsilon) ** 2) * tail
-
-    E = rng.random((replicates, m_split, n - m_split)) < p
-    r, a, b = np.nonzero(E)
-    labels = labels_from_edges(r * n + a, r * n + m_split + b, replicates * n)
-    # components made of right-side vertices only never entered the left
-    # susceptibility ledger: with no edges the sum is exactly alpha1
-    has_left = np.bincount(labels, weights=np.tile(left, replicates)) > 0
-    left_mass = np.where(has_left[labels].reshape(replicates, n), _root_masses(labels, x, replicates), 0.0)
-    Z_sq = np.sum(left_mass**2, axis=1)
-    p_hat = float(np.mean(Z_sq > alpha1 + epsilon))
-    lhs = epsilon * p_hat
-    se = epsilon * float(np.sqrt(max(p_hat * (1 - p_hat), 1.0 / replicates) / replicates))
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "stderr": se,
-        "holds": bool(lhs <= rhs + 4 * se),
-        "p_hat": p_hat,
-        "alpha1": alpha1,
-        "alpha2": alpha2,
-    }
 
 
 def write_masses_csv(masses: np.ndarray, path):

@@ -25,10 +25,15 @@ class ScalingConstants:
     c_n: float
 
 
-def make_scaling(n: int, tau: float, L_value: float = 1.0) -> ScalingConstants:
-    """Scaling triple a_n = n^{1/(tau-1)} L, b_n = n^{(tau-2)/(tau-1)}/L, c_n = n^{(tau-3)/(tau-1)}/L^2."""
+def _check_tau(tau: float):
+    """The paper's regime: theta lies in l3 minus l2 only for tau in (3, 4)."""
     if not 3.0 < tau < 4.0:
         raise ValueError(f"tau must lie in (3, 4), got {tau}")
+
+
+def make_scaling(n: int, tau: float, L_value: float = 1.0) -> ScalingConstants:
+    """Scaling triple a_n = n^{1/(tau-1)} L, b_n = n^{(tau-2)/(tau-1)}/L, c_n = n^{(tau-3)/(tau-1)}/L^2."""
+    _check_tau(tau)
     if n < 1:
         raise ValueError("n must be a positive integer")
     if L_value <= 0:
@@ -88,6 +93,7 @@ def power_profiles(tau: float, k_max: int, theta_scale: float = 0.4, beta_scale:
     With rho = 2 the beta profile is square-summable and <theta, beta> is
     finite for every tau in (3, 4), while theta stays in l3 minus l2.
     """
+    _check_tau(tau)
     i = np.arange(1, k_max + 1, dtype=float)
     theta = theta_scale * i ** (-1.0 / (tau - 1.0))
     beta = beta_scale * i ** (-beta_rho / (tau - 1.0))

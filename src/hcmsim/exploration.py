@@ -34,7 +34,6 @@ import numpy as np
 from scipy.sparse.csgraph import breadth_first_order
 
 from .core import InvariantError, as_generator, write_int_rows
-from .degrees import ScalingConstants
 from .graphs import ColoredMultigraph, csr_adjacency
 from .paths import CadlagPath
 
@@ -194,69 +193,6 @@ def _assert_trace(tr: ExplorationTrace, seq):
         raise InvariantError("surplus counter out of sync with -2 steps")
     if np.any(tr.X[tr.tau] != -2 * np.arange(1, tr.tau.size + 1)):
         raise InvariantError("X(tau_k) != -2k")
-
-
-def rescale_trace(tr: ExplorationTrace, scaling: ScalingConstants, T: float | None = None):
-    """Paths t -> (X(b_n t)/a_n, Y(b_n t)/b_n, N(b_n t)) on [0, T]."""
-    max_T = tr.steps / scaling.b_n
-    if T is None:
-        T = max_T
-    if T > max_T + 1e-12:
-        raise ValueError(f"T={T} beyond trace horizon {max_T}")
-    kmax = min(int(np.floor(T * scaling.b_n)), tr.steps)
-    times = np.arange(kmax + 1) / scaling.b_n
-    X = CadlagPath(times, tr.X[: kmax + 1] / scaling.a_n, np.zeros(kmax + 1), T)
-    Y = CadlagPath(times, tr.Y[: kmax + 1] / scaling.b_n, np.zeros(kmax + 1), T)
-    Npath = CadlagPath(times, tr.N[: kmax + 1].astype(float), np.zeros(kmax + 1), T)
-    return X, Y, Npath
-
-
-def discovery_probability_check(seq, t_checks, replicates, rng_seed, hubs=None, T_cap=None) -> dict:
-    """Empirical P(eta_i <= t) for hub vertices against the a priori bounds.
-
-    For t <= T b_n the per-step discovery chance of vertex i lies between
-    d_i/l_n and d_i/(l_n - 2 T b_n), which brackets P(eta_i <= t) between
-    d_i t/l_n - d_i^2 t^2/l_n^2 and (d_i/(l_n - 2Tb_n) + d_i^2/(l_n - 2Tb_n)^2) t.
-    Monte Carlo bands are 4 binomial standard errors. Diagnostic only.
-    """
-    from .graphs import sample_white_matching
-
-    if replicates < 1000:
-        raise ValueError("discovery probability check needs at least 1e3 replicates")
-    rng = as_generator(rng_seed)
-    t_checks = np.asarray(t_checks, dtype=np.int64)
-    if hubs is None:
-        hubs = list(range(min(3, seq.n)))
-    ell = seq.total_white
-    if T_cap is None:
-        T_cap = max(t_checks.max() / seq.scaling.b_n, 1e-9)
-    denom = ell - 2.0 * T_cap * seq.scaling.b_n
-    if denom <= 0:
-        raise ValueError("T cap too large for the bound to make sense")
-    hits = np.zeros((len(hubs), t_checks.size))
-    for _ in range(replicates):
-        g = sample_white_matching(seq, rng)
-        tr = explore(g, rng)
-        for a, v in enumerate(hubs):
-            hits[a] += tr.eta[v] <= t_checks
-    report = {"replicates": replicates, "hubs": {}}
-    ok = True
-    for a, v in enumerate(hubs):
-        d = float(seq.white[v])
-        rows = []
-        for j, t in enumerate(t_checks):
-            p_hat = hits[a, j] / replicates
-            se = np.sqrt(max(p_hat * (1 - p_hat), 1.0 / replicates) / replicates)
-            lower = d * t / ell - (d * t / ell) ** 2
-            upper = (d / denom + (d / denom) ** 2) * t
-            contained = (p_hat >= lower - 4 * se) and (p_hat <= upper + 4 * se)
-            ok &= contained
-            rows.append(
-                {"t": int(t), "p_hat": p_hat, "lower": lower, "upper": min(upper, 1.0), "contained": bool(contained)}
-            )
-        report["hubs"][int(v)] = rows
-    report["all_contained"] = bool(ok)
-    return report
 
 
 def write_trace_csv(tr: ExplorationTrace, path, stride: int = 1):

@@ -109,13 +109,6 @@ def sample_surplus_process(x: CadlagPath, rng_seed) -> CadlagPath:
     return CadlagPath(times, values, np.zeros_like(values), x.horizon)
 
 
-def truncation_gap_bound(params: LimitParameters, k_lo: int, k_hi: int, T: float) -> float:
-    """Analytic bound on |X_{k_hi}(T) - X_{k_lo}(T)| for shared clocks:
-    each extra term moves X(T) by at most theta_i (1 + theta_i T / kappa)."""
-    theta = params.theta[k_lo:k_hi]
-    return float(np.sum(theta * (1.0 + theta * T / params.kappa)))
-
-
 def exploration_limit_params(params: LimitParameters) -> LimitParameters:
     """Re-express the exploration-scaling limit in the hub-clock convention.
 

@@ -1,4 +1,4 @@
-"""Norms, orderings, KS machinery, and the desk-scale convergence experiments.
+"""KS machinery and the desk-scale convergence experiments.
 
 The two theorem experiments compare rescaled finite-n component data
 against simulated limit objects. No convergence rate is available, so the
@@ -29,24 +29,6 @@ from .excursions import gamma_down
 from .graphs import component_table, sample_white_matching
 from .levy import exploration_limit_params, sample_thinned_levy
 from .coalescent import mcmw_graphical
-
-
-def ord_vec(v) -> np.ndarray:
-    """The ord map: non-negative entries sorted in decreasing order."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 0):
-        raise ValueError("ord is defined on non-negative vectors")
-    return np.sort(v)[::-1]
-
-
-def l2_norm(v) -> float:
-    return float(np.linalg.norm(np.asarray(v, dtype=float)))
-
-
-def l22_norm(pairs) -> float:
-    """(sum_i x_i^2 + y_i^2)^{1/2} for a list of (x, y) pairs."""
-    arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
-    return float(np.sqrt(np.sum(arr**2)))
 
 
 def ks_two_sample(a, b):
@@ -88,6 +70,10 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.top_j < 1:
+            raise ValueError("top_j must be >= 1")
+        if not 0 < self.levy_horizon < np.inf:
+            raise ValueError(f"levy_horizon must be finite and > 0, got {self.levy_horizon}")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         # every (n, replicate) pair must map to its own RNG stream (_sidx)

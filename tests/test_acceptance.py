@@ -11,13 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from hcmsim.coalescent import (
-    bipartite_bound_check,
-    mcmw_batch,
-    mcmw_graphical,
-    sample_xi_batch,
-    scaling_transform,
-)
+from hcmsim.coalescent import mcmw_batch, mcmw_graphical, sample_xi_batch
 from hcmsim.core import stream_gen
 from hcmsim.degrees import (
     DEFAULT_BULK_BLACK,
@@ -27,13 +21,16 @@ from hcmsim.degrees import (
     make_limit_parameters,
     make_scaling,
 )
-from hcmsim.dynamics import q_trajectory_check, run_dynamic, run_modified, modified_block_view
+from hcmsim.dynamics import run_dynamic, run_modified
 from hcmsim.exploration import explore
 from hcmsim.graphs import component_table, sample_white_matching
 from hcmsim.levy import sample_surplus_process, sample_thinned_levy
 from hcmsim.paths import CadlagPath
 from hcmsim.stats import ExperimentConfig, theorem_1_6_experiment, theorem_1_7_experiment
+from test_coalescent import scaling_transform
+from test_dynamics import modified_block_view, q_trajectory_check
 from test_graphs import percolate_black, relabel_table, sample_black_matching
+from test_mc2_engine import bipartite_bound_check
 
 
 def _report(num, text):

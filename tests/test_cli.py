@@ -206,7 +206,10 @@ def test_invalid_built_degrees_exits_3(tmp_path, monkeypatch):
 def test_bad_mcmw_input_exits_2(tmp_path):
     for args in (["--masses", "1,2,3", "--weights", "1,1,1", "--time", "-1"],
                  ["--masses=-1,2,3", "--weights=-1,-1,1", "--time", "0.5"],
-                 ["--masses", "1,2,3", "--weights", "1,1", "--time", "0.5"]):
+                 ["--masses", "1,2,3", "--weights", "1,1", "--time", "0.5"],
+                 ["--masses", "1,inf", "--weights", "1,1", "--time", "0.5"],
+                 ["--masses", "1,1", "--weights", "0,inf", "--time", "0.5"],
+                 ["--masses", "1,1", "--weights", "1,1", "--time", "inf"]):
         out = tmp_path / str(len(list(tmp_path.iterdir())))
         assert run_cli(["--out-dir", str(out), "mcmw", *args, "--reps", "5"]) == EXIT_CONFIG
         assert not (out / "mcmw_masses.csv").exists()
@@ -230,6 +233,16 @@ def test_thm_zero_reps_or_tau_exits_2(tmp_path):
         for flag in ("--reps", "--tau"):
             out = tmp_path / f"{which}{flag}"
             assert run_cli(["--out-dir", str(out), which, "--n-grid", "200", flag, "0"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("line", ["top_j = 0", "levy_horizon = 0", "levy_horizon = inf", "levy_horizon = nan"])
+def test_thm_bad_top_j_or_levy_horizon_in_config_exits_2(tmp_path, line):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"{line}\nreplicates = 12\nlimit_replicates = 12\nK_max = 5\n")
+    for which in ("thm16", "thm17"):
+        out = tmp_path / which
+        assert run_cli(["--config", str(cfg), "--out-dir", str(out), which, "--n-grid", "200"]) == EXIT_CONFIG
+        assert list(out.glob("*")) == []
 
 
 def test_thm16_has_no_mu_flag():
@@ -291,8 +304,11 @@ def test_unknown_coupling_in_config_exits_2(tmp_path):
     assert not (tmp_path / "out" / "mcmw_masses.csv").exists()
 
 
-def test_levy_zero_grid_step_exits_2(tmp_path):
-    assert run_cli(["--out-dir", str(tmp_path), "levy", "--k-max", "50", "--grid-step", "0"]) == EXIT_CONFIG
+@pytest.mark.parametrize("args", [["--grid-step", "0"], ["--tau", "1"], ["--tau", "2.5"], ["--tau", "3"],
+                                  ["--tau", "4"], ["--tau", "5"]],
+                         ids=["grid_step_0", "tau_1", "tau_2.5", "tau_3", "tau_4", "tau_5"])
+def test_bad_levy_input_exits_2(tmp_path, args):
+    assert run_cli(["--out-dir", str(tmp_path), "levy", "--k-max", "50", *args]) == EXIT_CONFIG
     assert not (tmp_path / "limit_path.csv").exists()
 
 
@@ -400,6 +416,19 @@ def _scipy_stats_loaded(commands):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
                           capture_output=True, text=True, check=True)
     return [line == "True" for line in proc.stdout.splitlines()]
+
+
+_LEVY_IMPORT_PROBE = """
+import sys
+import hcmsim.levy
+print(sorted(m for m in ("hcmsim.graphs", "scipy.sparse") if m in sys.modules))
+"""
+
+
+def test_levy_module_loads_no_graph_code():
+    # the limit path never builds a graph, so importing it must not pay for scipy.sparse
+    proc = subprocess.run([sys.executable, "-c", _LEVY_IMPORT_PROBE], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_only_the_theorem_experiments_import_scipy_stats(tmp_path):

@@ -6,16 +6,84 @@ from scipy.stats import ks_2samp
 
 from hcmsim.coalescent import (
     BlockSystem,
-    bipartite_bound_check,
-    feller_probe,
     mcmw_batch,
     mcmw_graphical,
     sample_xi_batch,
-    scaling_transform,
-    susceptibility,
 )
-from hcmsim.core import InvariantError, stream_gen
-from test_mc2_engine import union_find
+from hcmsim.core import InvariantError, as_generator, stream_gen
+from test_mc2_engine import bipartite_bound_check, union_find
+
+
+# Lemma checks on MC2 that no CLI command runs, used by these tests and
+# the acceptance suite: the susceptibility, the scaling identity's inputs
+# and the Feller-type continuity probe.
+def susceptibility(masses) -> float:
+    """Sum of squared component masses."""
+    m = np.asarray(masses, dtype=float)
+    return float(np.sum(m**2))
+
+
+def scaling_transform(x, y, a: float, b: float, c: float):
+    """Inputs for the identity MC2(ax, by, ct) =d a * MC2(x, b sqrt(c) y, t).
+
+    Returns ((x, b*sqrt(c)*y), a): run MC2 on the transformed weights and
+    post-scale the masses by a.
+    """
+    if a <= 0 or b <= 0 or c <= 0:
+        raise ValueError("scalars must be positive")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return (x, b * np.sqrt(c) * y), a
+
+
+def feller_probe(x, y, perturbation_scale: float, t: float, replicates: int, rng_seed) -> dict:
+    """Continuity probe under the xi-coupling plus the classical envelopes.
+
+    Reports E||MC2(x+delta, y+delta', t) - MC2(x, y, t)||^2 for
+    perturbations of norm <= perturbation_scale, the empirical tail of
+    ||MC1(x+y, t)||^2 against the bound t s ||x+y||^2 / (s - ||x+y||^2) at
+    s = 2||x+y||^2, and the susceptibility chain
+    S(x,y,t) <= S(x+y,y,t) - ||y||^2 - 2<x,y> checked per realization.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0):
+        raise ValueError("all weights must be strictly positive")
+    rng = as_generator(rng_seed)
+    n = x.size
+    eps = perturbation_scale
+    delta = np.full(n, eps / np.sqrt(n))
+    xi = sample_xi_batch(n, replicates, rng)
+    base = mcmw_batch(x, y, t, replicates, rng, xi_batch=xi)
+    pert = mcmw_batch(x + delta, y + delta, t, replicates, rng, xi_batch=xi)
+    diff_sq = np.sum((pert - base) ** 2, axis=1)
+
+    xy = x + y
+    mc1_masses = mcmw_batch(xy, xy, t, replicates, rng, xi_batch=xi)
+    S1 = np.sum(mc1_masses**2, axis=1)
+    s_level = 2.0 * float(np.sum(xy**2))
+    norm_sq = float(np.sum(xy**2))
+    bound = t * s_level * norm_sq / (s_level - norm_sq)
+    p_hat = float(np.mean(S1 > s_level))
+    se = float(np.sqrt(max(p_hat * (1 - p_hat), 1.0 / replicates) / replicates))
+
+    joint = mcmw_batch(xy, y, t, replicates, rng, xi_batch=xi)
+    S_xy = np.sum(base**2, axis=1)
+    S_joint = np.sum(joint**2, axis=1)
+    chain_slack = S_joint - float(np.sum(y**2)) - 2.0 * float(np.sum(x * y)) - S_xy
+    return {
+        "mean_diff_sq": float(np.mean(diff_sq)),
+        "max_diff_sq": float(np.max(diff_sq)),
+        "envelope": {
+            "s": s_level,
+            "empirical": p_hat,
+            "bound": bound,
+            "stderr": se,
+            "holds": bool(p_hat <= bound + 4 * se),
+        },
+        "chain_min_slack": float(np.min(chain_slack)),
+        "chain_violations": int(np.sum(chain_slack < -1e-9)),
+    }
 
 
 def test_time_zero_returns_sorted_input():

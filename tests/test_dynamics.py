@@ -4,15 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, chi2_contingency, chisquare, ks_2samp, kstest
 
-from hcmsim.coalescent import mcmw_batch
+from hcmsim.coalescent import BlockSystem, mcmw_batch
 from hcmsim.core import InvariantError, as_generator, stream_gen
 from hcmsim.degrees import DegreeSequence, make_limit_parameters, make_scaling
 from hcmsim.dynamics import (
     EVENT_DTYPE,
     PercolationState,
-    edge_probability_estimate,
-    modified_block_view,
-    q_trajectory_check,
     run_coupled,
     run_dynamic,
     run_modified,
@@ -20,6 +17,98 @@ from hcmsim.dynamics import (
 from hcmsim.exploration import explore
 from hcmsim.graphs import ColoredMultigraph, component_table, merged_sizes, sample_white_matching
 from test_graphs import component_labels, percolate_black, relabel_table, sample_black_matching
+
+
+# Lemma checks on the percolation dynamics that no CLI command runs, used
+# by these tests and the acceptance suite.
+def q_trajectory_check(
+    g: ColoredMultigraph,
+    T: float,
+    replicates: int,
+    rng_seed,
+    delta_exponent: float = 0.4,
+    t_mean_check: float = 1.0,
+) -> dict:
+    """Deviation of Q(t)/n from the pure-death ODE solution (Q(0)/n) e^{-t}.
+
+    Records sup_{t <= T/c_n} |Q(t)/n - (Q(0)/n) e^{-t}| per replicate and
+    the exceedance rate of delta_n = n^{-delta_exponent}, to compare with
+    the bound 2 gamma T / (delta_n^2 n c_n). Also reports the mean of
+    Q(t)/n at ``t_mean_check`` against its exact value. All replicates are
+    held at once: memory is O(replicates * Q(0)).
+    """
+    if replicates < 100:
+        raise ValueError("trajectory check needs at least 1e2 replicates")
+    rng = as_generator(rng_seed)
+    n = g.n
+    q0 = g.seq.total_black // 2
+    c_n = g.seq.scaling.c_n
+    gamma = g.seq.total_black / n
+    horizon_sup = T / c_n
+    delta_n = n ** (-delta_exponent)
+    # one row of pairing-clock event times per replicate, drawn as the
+    # successive waiting times of the pure-death chain (rates Q0, Q0-1, ...)
+    rates = np.arange(q0, 0, -1, dtype=float)
+    times = np.cumsum(rng.exponential(1.0 / rates, size=(replicates, q0)), axis=1)
+    # Q/n is constant between events and the ODE curve is monotone, so the
+    # sup is attained at event times (just before/after) or the endpoints.
+    k = np.sum(times <= horizon_sup, axis=1)
+    j = np.arange(1, q0 + 1)
+    f = q0 * np.exp(-times)
+    dev = np.maximum(np.abs(q0 - (j - 1) - f), np.abs(q0 - j - f)) / n
+    at_events = np.where(j <= k[:, None], dev, 0.0).max(axis=1, initial=0.0)
+    sups = np.maximum(at_events, np.abs(q0 - k - q0 * np.exp(-horizon_sup)) / n)
+    q_at_t = (q0 - np.sum(times <= t_mean_check, axis=1)) / n
+    exceed = float(np.mean(sups > delta_n))
+    bound = 2.0 * gamma * T / (delta_n**2 * n * c_n)
+    se_exceed = float(np.sqrt(max(exceed * (1 - exceed), 1.0 / replicates) / replicates))
+    mean_target = q0 * np.exp(-t_mean_check) / n
+    sd = float(np.std(q_at_t, ddof=1))
+    return {
+        "sup_deviation_mean": float(np.mean(sups)),
+        "delta_n": delta_n,
+        "exceedance_rate": exceed,
+        "exceedance_bound": bound,
+        "exceedance_stderr": se_exceed,
+        "exceedance_ok": bool(exceed <= bound + 4 * se_exceed),
+        "mean_q_at_t": float(np.mean(q_at_t)),
+        "mean_q_target": float(mean_target),
+        "mean_q_sd": sd,
+        "mean_ok": bool(abs(np.mean(q_at_t) - mean_target) <= 3 * sd / np.sqrt(replicates)),
+    }
+
+
+def edge_probability_estimate(
+    g: ColoredMultigraph,
+    component_i: np.ndarray,
+    component_j: np.ndarray,
+    s: float,
+    replicates: int,
+    rng_seed,
+) -> float:
+    """Monte Carlo frequency that a black edge joins the two components by
+    time s*gamma_n/c_n in the dynamic process, given the initial graph."""
+    in_i = np.zeros(g.n, dtype=bool)
+    in_j = np.zeros(g.n, dtype=bool)
+    in_i[np.asarray(component_i, dtype=np.int64)] = True
+    in_j[np.asarray(component_j, dtype=np.int64)] = True
+    if np.any(in_i & in_j):
+        raise ValueError("components must be disjoint")
+    rng = as_generator(rng_seed)
+    gamma_n = g.seq.total_black / g.n
+    horizon = s * gamma_n / g.seq.scaling.c_n
+    hits = 0
+    for _ in range(replicates):
+        u, v = run_dynamic(g, horizon, rng).event_vertex_pairs().T
+        hits += bool(np.any((in_i[u] & in_j[v]) | (in_j[u] & in_i[v])))
+    return hits / replicates
+
+
+def modified_block_view(g: ColoredMultigraph) -> BlockSystem:
+    """Initial blocks of the modified process: one block per component of
+    G_n(0) with mass = size and weight = incident black half-edges."""
+    sizes, blacks, *_ = component_table(g)
+    return BlockSystem(sizes.astype(float), blacks.astype(float))
 
 
 def _graph(white, black, seed=0, match=None):

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from hcmsim.core import stream_gen
+from hcmsim.core import as_generator, stream_gen
 from hcmsim.degrees import (
     DEFAULT_BULK_WHITE,
     DegreeSequence,
+    ScalingConstants,
     build_degree_sequence,
     make_limit_parameters,
     make_scaling,
@@ -19,13 +20,74 @@ from hcmsim.exploration import (
     ExplorationTrace,
     _seed_order,
     _walk,
-    discovery_probability_check,
     explore,
-    rescale_trace,
     write_trace_csv,
 )
 from hcmsim.graphs import ColoredMultigraph, component_table, labels_from_edges, sample_white_matching
+from hcmsim.paths import CadlagPath
 from test_graphs import relabel_table
+
+
+# Lemma checks on the exploration walk that no CLI command runs.
+def rescale_trace(tr: ExplorationTrace, scaling: ScalingConstants, T: float | None = None):
+    """Paths t -> (X(b_n t)/a_n, Y(b_n t)/b_n, N(b_n t)) on [0, T]."""
+    max_T = tr.steps / scaling.b_n
+    if T is None:
+        T = max_T
+    if T > max_T + 1e-12:
+        raise ValueError(f"T={T} beyond trace horizon {max_T}")
+    kmax = min(int(np.floor(T * scaling.b_n)), tr.steps)
+    times = np.arange(kmax + 1) / scaling.b_n
+    X = CadlagPath(times, tr.X[: kmax + 1] / scaling.a_n, np.zeros(kmax + 1), T)
+    Y = CadlagPath(times, tr.Y[: kmax + 1] / scaling.b_n, np.zeros(kmax + 1), T)
+    Npath = CadlagPath(times, tr.N[: kmax + 1].astype(float), np.zeros(kmax + 1), T)
+    return X, Y, Npath
+
+
+def discovery_probability_check(seq, t_checks, replicates, rng_seed, hubs=None, T_cap=None) -> dict:
+    """Empirical P(eta_i <= t) for hub vertices against the a priori bounds.
+
+    For t <= T b_n the per-step discovery chance of vertex i lies between
+    d_i/l_n and d_i/(l_n - 2 T b_n), which brackets P(eta_i <= t) between
+    d_i t/l_n - d_i^2 t^2/l_n^2 and (d_i/(l_n - 2Tb_n) + d_i^2/(l_n - 2Tb_n)^2) t.
+    Monte Carlo bands are 4 binomial standard errors. Diagnostic only.
+    """
+    if replicates < 1000:
+        raise ValueError("discovery probability check needs at least 1e3 replicates")
+    rng = as_generator(rng_seed)
+    t_checks = np.asarray(t_checks, dtype=np.int64)
+    if hubs is None:
+        hubs = list(range(min(3, seq.n)))
+    ell = seq.total_white
+    if T_cap is None:
+        T_cap = max(t_checks.max() / seq.scaling.b_n, 1e-9)
+    denom = ell - 2.0 * T_cap * seq.scaling.b_n
+    if denom <= 0:
+        raise ValueError("T cap too large for the bound to make sense")
+    hits = np.zeros((len(hubs), t_checks.size))
+    for _ in range(replicates):
+        g = sample_white_matching(seq, rng)
+        tr = explore(g, rng)
+        for a, v in enumerate(hubs):
+            hits[a] += tr.eta[v] <= t_checks
+    report = {"replicates": replicates, "hubs": {}}
+    ok = True
+    for a, v in enumerate(hubs):
+        d = float(seq.white[v])
+        rows = []
+        for j, t in enumerate(t_checks):
+            p_hat = hits[a, j] / replicates
+            se = np.sqrt(max(p_hat * (1 - p_hat), 1.0 / replicates) / replicates)
+            lower = d * t / ell - (d * t / ell) ** 2
+            upper = (d / denom + (d / denom) ** 2) * t
+            contained = (p_hat >= lower - 4 * se) and (p_hat <= upper + 4 * se)
+            ok &= contained
+            rows.append(
+                {"t": int(t), "p_hat": p_hat, "lower": lower, "upper": min(upper, 1.0), "contained": bool(contained)}
+            )
+        report["hubs"][int(v)] = rows
+    report["all_contained"] = bool(ok)
+    return report
 
 
 def _seq(white, black=None, n_scale=None):

@@ -8,9 +8,16 @@ from hcmsim.levy import (
     reflected,
     sample_surplus_process,
     sample_thinned_levy,
-    truncation_gap_bound,
 )
 from hcmsim.paths import CadlagPath
+
+
+# Truncation bound for the limit pair, which no CLI command reports.
+def truncation_gap_bound(params: LimitParameters, k_lo: int, k_hi: int, T: float) -> float:
+    """Analytic bound on |X_{k_hi}(T) - X_{k_lo}(T)| for shared clocks:
+    each extra term moves X(T) by at most theta_i (1 + theta_i T / kappa)."""
+    theta = params.theta[k_lo:k_hi]
+    return float(np.sum(theta * (1.0 + theta * T / params.kappa)))
 
 
 def _params(theta, beta, alpha=0.0, lam=0.0, kappa=1.0):

@@ -12,8 +12,56 @@ order of floating-point mass sums.
 import numpy as np
 import pytest
 
-from hcmsim.coalescent import bipartite_bound_check, mcmw_batch, mcmw_graphical, sample_xi_batch
-from hcmsim.core import InvariantError, stream_gen
+from hcmsim.coalescent import _root_masses, mcmw_batch, mcmw_graphical, sample_xi_batch
+from hcmsim.core import InvariantError, as_generator, stream_gen
+from hcmsim.graphs import labels_from_edges
+
+
+# The bipartite susceptibility-increment bound, a lemma check that no CLI
+# command runs; the acceptance suite imports it from here.
+def bipartite_bound_check(x, y, m_split: int, t: float, epsilon: float, replicates: int, rng_seed) -> dict:
+    """Empirical check of the bipartite susceptibility-increment bound.
+
+    Edges only across the split, P(i~j) = 1 - exp(-t y_i y_j). With
+    alpha1 = sum_{i<=m} x_i^2 and alpha2 = sum_{i<=m} y_i^2 the bound reads
+
+      eps P(sum Z_i^2 > alpha1 + eps)
+        <= (t (alpha1 + 2 alpha2 + 3 eps) + t^2 (alpha1 + alpha2 + 2 eps)^2)
+           * sum_{k>m} (x_k + y_k)^2.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    if not 1 <= m_split < n:
+        raise ValueError("split must satisfy 1 <= m < n")
+    rng = as_generator(rng_seed)
+    left = np.arange(n) < m_split
+    p = -np.expm1(-t * np.outer(y[left], y[~left]))
+    alpha1 = float(np.sum(x[left] ** 2))
+    alpha2 = float(np.sum(y[left] ** 2))
+    tail = float(np.sum((x[~left] + y[~left]) ** 2))
+    rhs = (t * (alpha1 + 2 * alpha2 + 3 * epsilon) + t**2 * (alpha1 + alpha2 + 2 * epsilon) ** 2) * tail
+
+    E = rng.random((replicates, m_split, n - m_split)) < p
+    r, a, b = np.nonzero(E)
+    labels = labels_from_edges(r * n + a, r * n + m_split + b, replicates * n)
+    # components made of right-side vertices only never entered the left
+    # susceptibility ledger: with no edges the sum is exactly alpha1
+    has_left = np.bincount(labels, weights=np.tile(left, replicates)) > 0
+    left_mass = np.where(has_left[labels].reshape(replicates, n), _root_masses(labels, x, replicates), 0.0)
+    Z_sq = np.sum(left_mass**2, axis=1)
+    p_hat = float(np.mean(Z_sq > alpha1 + epsilon))
+    lhs = epsilon * p_hat
+    se = epsilon * float(np.sqrt(max(p_hat * (1 - p_hat), 1.0 / replicates) / replicates))
+    return {
+        "lhs": lhs,
+        "rhs": rhs,
+        "stderr": se,
+        "holds": bool(lhs <= rhs + 4 * se),
+        "p_hat": p_hat,
+        "alpha1": alpha1,
+        "alpha2": alpha2,
+    }
 
 
 def union_find(mass, weight, edges):

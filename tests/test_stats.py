@@ -7,14 +7,30 @@ from hcmsim.stats import (
     _sidx,
     build_critical_sequence,
     ks_two_sample,
-    l22_norm,
-    l2_norm,
-    ord_vec,
     sample_limit_pairs,
     theorem_1_6_experiment,
     theorem_1_7_experiment,
     trend_non_increasing,
 )
+
+
+# The ord map and the l2 norms of the paper's state spaces.
+def ord_vec(v) -> np.ndarray:
+    """The ord map: non-negative entries sorted in decreasing order."""
+    v = np.asarray(v, dtype=float)
+    if np.any(v < 0):
+        raise ValueError("ord is defined on non-negative vectors")
+    return np.sort(v)[::-1]
+
+
+def l2_norm(v) -> float:
+    return float(np.linalg.norm(np.asarray(v, dtype=float)))
+
+
+def l22_norm(pairs) -> float:
+    """(sum_i x_i^2 + y_i^2)^{1/2} for a list of (x, y) pairs."""
+    arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    return float(np.sqrt(np.sum(arr**2)))
 
 
 def test_norm_hand_values():
