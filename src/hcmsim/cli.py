@@ -15,6 +15,7 @@ import json
 import platform
 import sys
 import time
+from collections import namedtuple
 from dataclasses import fields
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from .coalescent import mcmw_batch, sample_xi_batch, write_masses_csv
 from .stats import (
     ExperimentConfig,
     build_critical_sequence,
+    percolation_time,
     theorem_1_6_experiment,
     theorem_1_7_experiment,
     write_report_csv,
@@ -50,6 +52,15 @@ def int_list(text: str) -> list:
 def float_list(text: str) -> list:
     """Comma-separated floats, as in ``masses = 1,2,1``."""
     return [float(v) for v in text.split(",")]
+
+
+def one_of(*values: str):
+    """A parser of one of ``values``, as in ``coupling = xi``."""
+    def choice(text: str) -> str:
+        if text not in values:
+            raise argparse.ArgumentTypeError(f"expected one of {', '.join(values)}, got {text!r}")
+        return text
+    return choice
 
 
 # Every setting's name and parser, shared by config files and subcommand flags.
@@ -73,11 +84,10 @@ _CONFIG_KEYS = {
     "out_dir": str,
     "masses": float_list,
     "weights": float_list,
-    "coupling": str,
-    "mode": str,
+    "coupling": one_of("none", "xi"),
+    "mode": one_of("dynamic", "modified", "coupled"),
 }
 
-_COUPLINGS = ("none", "xi")
 _EXPERIMENT_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
@@ -124,29 +134,25 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
     return ExperimentConfig(**{k: v for k, v in kwargs.items() if k in _EXPERIMENT_FIELDS})
 
 
-def _run_thm(config: ExperimentConfig, out_dir: Path, which: str) -> list:
-    result = theorem_1_6_experiment(config) if which == "thm16" else theorem_1_7_experiment(config)
-    json_path = out_dir / f"{which}_report.json"
-    csv_path = out_dir / f"{which}_report.csv"
+def _run_thm(experiment, cfg: dict, out_dir: Path, seed: int) -> list:
+    result = experiment(_experiment_config({**cfg, "master_seed": seed}))
+    json_path, csv_path = (out_dir / f"{cfg['experiment']}_report.{ext}" for ext in ("json", "csv"))
     write_json(result, json_path)
     write_report_csv(result["records"], csv_path)
     return [json_path, csv_path]
 
 
-def _run_validate(cfg: dict, out_dir: Path, seed: int, dump_trace: int | None) -> list:
+def _run_validate(cfg: dict, out_dir: Path, seed: int) -> list:
+    dump_trace = cfg.get("dump_trace")
     if dump_trace is not None and dump_trace < 1:  # before any output is written
         raise ValueError(f"--dump-trace stride must be >= 1, got {dump_trace}")
     config = _experiment_config(cfg)
     seq = build_critical_sequence(config, cfg.get("n", 1000), stream_gen(seed, 1))
     report = validate_assumptions(seq)
     report["criticality_target"] = 1.0 + config.lam / seq.scaling.c_n
-    outputs = []
-    path = out_dir / "degree_validation.json"
-    write_json(report, path)
-    outputs.append(path)
-    csv_path = out_dir / "degrees.csv"
-    write_degree_csv(seq, csv_path)
-    outputs.append(csv_path)
+    outputs = [out_dir / "degree_validation.json", out_dir / "degrees.csv"]
+    write_json(report, outputs[0])
+    write_degree_csv(seq, outputs[1])
     if dump_trace is not None:
         g = sample_white_matching(seq, stream_gen(seed, 2))
         tr = explore(g, stream_gen(seed, 3))
@@ -163,10 +169,7 @@ def _run_mcmw(cfg: dict, out_dir: Path, seed: int) -> list:
     reps = cfg.get("replicates", 1000)
     if reps < 1:
         raise ValueError("replicates must be >= 1")
-    coupling = cfg.get("coupling", "none")
-    if coupling not in _COUPLINGS:
-        raise ValueError(f"unknown coupling {coupling!r}")
-    if coupling == "xi":
+    if cfg.get("coupling", "none") == "xi":
         xi = sample_xi_batch(x.size, reps, stream_gen(seed, 11))
         masses = mcmw_batch(x, y, t, reps, stream_gen(seed, 12), xi_batch=xi)
     else:
@@ -176,37 +179,29 @@ def _run_mcmw(cfg: dict, out_dir: Path, seed: int) -> list:
     return [path]
 
 
-def _run_percolate(cfg: dict, out_dir: Path, seed: int, dump_graph: bool) -> list:
+def _run_percolate(cfg: dict, out_dir: Path, seed: int) -> list:
     config = _experiment_config(cfg)
     seq = build_critical_sequence(config, cfg.get("n", 1000), stream_gen(seed, 1))
     g = sample_white_matching(seq, stream_gen(seed, 2))
     mode = cfg.get("mode", "dynamic")
-    if "time" in cfg:
-        s = cfg["time"]
-    else:
-        gamma_n = seq.total_black / g.n
-        s = config.mu * gamma_n / seq.scaling.c_n
+    s = cfg["time"] if "time" in cfg else percolation_time(seq, config.mu)
     outputs = []
     if mode == "dynamic":
         state = run_dynamic(g, s, stream_gen(seed, 3))
     elif mode == "modified":
         state = run_modified(g, s, stream_gen(seed, 3))
-    elif mode == "coupled":
+    else:
         pair = run_coupled(g, s, stream_gen(seed, 3))
         state = pair.dynamic
-        mod_path = out_dir / "events_modified.csv"
-        write_event_csv(pair.modified, mod_path)
-        outputs.append(mod_path)
-    else:
-        raise ValueError(f"unknown percolation mode {mode!r}")
+        outputs.append(out_dir / "events_modified.csv")
+        write_event_csv(pair.modified, outputs[-1])
     path = out_dir / "events.csv"
     write_event_csv(state, path)
     outputs.append(path)
-    sizes = state.component_sizes()
     sizes_path = out_dir / "component_sizes.csv"
-    np.savetxt(sizes_path, sizes[None, :], delimiter=",", fmt="%d")
+    np.savetxt(sizes_path, state.component_sizes()[None, :], delimiter=",", fmt="%d")
     outputs.append(sizes_path)
-    if dump_graph:
+    if cfg.get("dump_graph", False):
         gpath = out_dir / "graph.csv"
         write_edge_csv(g, gpath)
         outputs.append(gpath)
@@ -214,8 +209,7 @@ def _run_percolate(cfg: dict, out_dir: Path, seed: int, dump_graph: bool) -> lis
 
 
 def _run_levy(cfg: dict, out_dir: Path, seed: int) -> list:
-    tau = cfg.get("tau", 3.5)
-    limits = make_limit_parameters(tau, cfg.get("K_max", 1000), lam=cfg.get("lambda", 0.0))
+    limits = make_limit_parameters(cfg.get("tau", 3.5), cfg.get("K_max", 1000), lam=cfg.get("lambda", 0.0))
     T = cfg.get("levy_horizon", 10.0)
     real = sample_thinned_levy(limits, T=T, rng_seed=stream_gen(seed, 7))
     surplus = sample_surplus_process(real.X_path, stream_gen(seed, 8))
@@ -224,33 +218,47 @@ def _run_levy(cfg: dict, out_dir: Path, seed: int) -> list:
     return [path]
 
 
-def _dispatch(cfg: dict, dump_graph=False, dump_trace=None) -> int:
+# A command's run(cfg, out_dir, seed) -> output paths, the master seed it
+# runs on when none is set, its help, and its (flag, key) pairs. The theorem
+# rows look their experiment up by name when run, so a wrapper set on that
+# module attribute (as perfbench's tracer sets one) is the one that runs.
+_Command = namedtuple("_Command", "run seed help flags")
+
+_THM_FLAGS = (("--n-grid", "n_grid"), ("--reps", "replicates"), ("--tau", "tau"))
+
+_COMMANDS = {
+    "mcmw": _Command(_run_mcmw, 0, "ordered masses of MC2(x, y, t) per replicate", (
+        ("--masses", "masses"), ("--weights", "weights"), ("--time", "time"), ("--reps", "replicates"),
+        ("--coupling", "coupling"))),
+    "percolate": _Command(_run_percolate, 0, "event-driven black percolation", (
+        ("--mode", "mode"), ("--time", "time"), ("--mu", "mu"), ("--n", "n"), ("--tau", "tau"),
+        ("--dump-graph", "dump_graph"))),
+    "levy": _Command(_run_levy, 0, "sample the limit pair and surplus process", (
+        ("--tau", "tau"), ("--k-max", "K_max"), ("--horizon", "levy_horizon"), ("--grid-step", "grid_step"))),
+    "validate-degrees": _Command(_run_validate, 0, "build, tune, and validate a degree sequence", (
+        ("--n", "n"), ("--tau", "tau"), ("--lambda", "lambda"), ("--dump-trace", "dump_trace"))),
+    "thm16": _Command(lambda *run: _run_thm(theorem_1_6_experiment, *run), ExperimentConfig.master_seed,
+                      "desk-scale convergence experiment of Theorem 1.6", _THM_FLAGS),
+    "thm17": _Command(lambda *run: _run_thm(theorem_1_7_experiment, *run), ExperimentConfig.master_seed,
+                      "desk-scale convergence experiment of Theorem 1.7", (*_THM_FLAGS, ("--mu", "mu"))),
+}
+
+
+def _dispatch(cfg: dict) -> int:
     """Run the experiment named in ``cfg``; exit code semantics:
     0 success, 2 config error, 3 invariant violation during the run."""
-    experiment = cfg.get("experiment")
-    if experiment not in {"thm16", "thm17", "mcmw", "percolate", "levy", "validate-degrees"}:
-        print(f"config error: unknown experiment {experiment!r}", file=sys.stderr)
+    command = _COMMANDS.get(cfg.get("experiment"))
+    if command is None:
+        print(f"config error: unknown experiment {cfg.get('experiment')!r}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(cfg.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
+    seed = cfg.get("master_seed", command.seed)
     try:
         if cfg.get("threads", 1) < 1:
             raise ValueError("threads must be >= 1")
-        if experiment in ("thm16", "thm17"):
-            config = _experiment_config(cfg)
-            seed = config.master_seed
-            outputs = _run_thm(config, out_dir, experiment)
-        else:
-            seed = cfg.get("master_seed", 0)
-            if experiment == "mcmw":
-                outputs = _run_mcmw(cfg, out_dir, seed)
-            elif experiment == "percolate":
-                outputs = _run_percolate(cfg, out_dir, seed, dump_graph)
-            elif experiment == "levy":
-                outputs = _run_levy(cfg, out_dir, seed)
-            else:
-                outputs = _run_validate(cfg, out_dir, seed, dump_trace)
+        outputs = command.run(cfg, out_dir, seed)
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -262,22 +270,32 @@ def _dispatch(cfg: dict, dump_graph=False, dump_trace=None) -> int:
 
 
 def _merge(file_cfg: dict, flags: dict) -> dict:
-    """The config file's keys overridden by the flags'. ``percolate``'s
-    ``time`` and ``mu`` both set its percolation time s, so each source
-    may give only one of them, and a flag for either replaces both of the
-    file's."""
+    """The config file's keys overridden by the flags'. A command with both
+    ``time`` and ``mu`` (``percolate``) reads either as its percolation time s:
+    each source gives one, and a flag for either replaces both of the file's."""
     s_keys = {"time", "mu"}
-    if flags.get("experiment", file_cfg.get("experiment")) == "percolate":
+    command = _COMMANDS.get(flags.get("experiment", file_cfg.get("experiment")))
+    if command and s_keys <= {key for _, key in command.flags}:
         if s_keys <= file_cfg.keys() or s_keys <= flags.keys():
-            raise ValueError("percolate takes time or mu, not both")
+            raise ValueError("time and mu set the same percolation time: give one, not both")
         if s_keys & flags.keys():
             file_cfg = {k: v for k, v in file_cfg.items() if k not in s_keys}
     return {**file_cfg, **flags}
 
 
+# argparse options beyond the key's parser; dump_graph and dump_trace are flag-only keys.
+_FLAG_OPTIONS = {
+    "mu": {"help": "sets s = mu gamma_n / c_n"},
+    "dump_graph": {"action": "store_true", "help": "also write G_n(0)'s white edges to graph.csv"},
+    "dump_trace": {"type": int, "metavar": "STRIDE", "help": "also explore once and dump the walk"},
+}
+
+
 def _flag(parser, flag: str, key: str, **kwargs):
-    """A flag that sets config ``key``, parsed as the config file parses it."""
-    parser.add_argument(flag, dest=key, type=_CONFIG_KEYS[key], **kwargs)
+    """A flag that sets ``key``, parsed as the config file parses it."""
+    if key in _CONFIG_KEYS:
+        kwargs["type"] = _CONFIG_KEYS[key]
+    parser.add_argument(flag, dest=key, **kwargs, **_FLAG_OPTIONS.get(key, {}))
 
 
 @functools.cache
@@ -291,45 +309,10 @@ def _parser() -> argparse.ArgumentParser:
     _flag(parser, "--threads", "threads", help="worker threads")
     _flag(parser, "--out-dir", "out_dir", help="output directory")
     sub = parser.add_subparsers(dest="experiment")
-
-    def command(name, help):
-        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-
-    p_mcmw = command("mcmw", "ordered masses of MC2(x, y, t) per replicate")
-    _flag(p_mcmw, "--masses", "masses")
-    _flag(p_mcmw, "--weights", "weights")
-    _flag(p_mcmw, "--time", "time")
-    _flag(p_mcmw, "--reps", "replicates")
-    _flag(p_mcmw, "--coupling", "coupling", choices=_COUPLINGS)
-
-    p_perc = command("percolate", "event-driven black percolation")
-    _flag(p_perc, "--mode", "mode", choices=["dynamic", "modified", "coupled"])
-    _flag(p_perc, "--time", "time")
-    _flag(p_perc, "--mu", "mu", help="sets s = mu gamma_n / c_n")
-    _flag(p_perc, "--n", "n")
-    _flag(p_perc, "--tau", "tau")
-    p_perc.add_argument("--dump-graph", action="store_true", help="also write G_n(0)'s white edges to graph.csv")
-
-    p_levy = command("levy", "sample the limit pair and surplus process")
-    _flag(p_levy, "--tau", "tau")
-    _flag(p_levy, "--k-max", "K_max")
-    _flag(p_levy, "--horizon", "levy_horizon")
-    _flag(p_levy, "--grid-step", "grid_step")
-
-    p_val = command("validate-degrees", "build, tune, and validate a degree sequence")
-    _flag(p_val, "--n", "n")
-    _flag(p_val, "--tau", "tau")
-    _flag(p_val, "--lambda", "lambda")
-    p_val.add_argument("--dump-trace", type=int, metavar="STRIDE", help="also explore once and dump the walk")
-
-    for name in ("thm16", "thm17"):
-        p = command(name, f"desk-scale convergence experiment {name}")
-        _flag(p, "--n-grid", "n_grid")
-        _flag(p, "--reps", "replicates")
-        _flag(p, "--tau", "tau")
-        if name == "thm17":
-            _flag(p, "--mu", "mu")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for flag, key in command.flags:
+            _flag(p, flag, key)
     return parser
 
 
@@ -337,17 +320,15 @@ def main(argv=None) -> int:
     args = vars(_parser().parse_args(argv))
     if args["experiment"] is None:  # no subcommand: the config file names it
         del args["experiment"]
-    dump_graph = args.pop("dump_graph", False)
-    dump_trace = args.pop("dump_trace", None)
     try:
         cfg = _merge(parse_config(args.pop("config")) if "config" in args else {}, args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if "experiment" not in cfg:
         print("config error: no experiment selected", file=sys.stderr)
         return EXIT_CONFIG
-    return _dispatch(cfg, dump_graph=dump_graph, dump_trace=dump_trace)
+    return _dispatch(cfg)
 
 
 if __name__ == "__main__":

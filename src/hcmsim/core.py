@@ -29,15 +29,12 @@ class cached_property:
 def as_generator(seed) -> np.random.Generator:
     """Return a counter-based Generator for ``seed``.
 
-    ``seed`` may be an int, a SeedSequence, or an existing Generator
-    (returned unchanged). All fresh generators use the Philox engine so
-    that streams derived by :func:`stream_gen` are counter-based and
-    cannot collide.
+    ``seed`` may be an int or an existing Generator (returned unchanged).
+    All fresh generators use the Philox engine so that streams derived by
+    :func:`stream_gen` are counter-based and cannot collide.
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 

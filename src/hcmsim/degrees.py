@@ -87,16 +87,16 @@ class LimitParameters:
         }
 
 
-def power_profiles(tau: float, k_max: int, theta_scale: float = 0.4, beta_scale: float = 0.5, beta_rho: float = 2.0):
-    """Default hub profiles theta_i = c i^{-1/(tau-1)}, beta_i = c' i^{-rho/(tau-1)}.
+def power_profiles(tau: float, k_max: int):
+    """Hub profiles theta_i = 0.4 i^{-1/(tau-1)}, beta_i = 0.5 i^{-2/(tau-1)}.
 
-    With rho = 2 the beta profile is square-summable and <theta, beta> is
-    finite for every tau in (3, 4), while theta stays in l3 minus l2.
+    With exponent 2 the beta profile is square-summable and <theta, beta>
+    is finite for every tau in (3, 4), while theta stays in l3 minus l2.
     """
     _check_tau(tau)
     i = np.arange(1, k_max + 1, dtype=float)
-    theta = theta_scale * i ** (-1.0 / (tau - 1.0))
-    beta = beta_scale * i ** (-beta_rho / (tau - 1.0))
+    theta = 0.4 * i ** (-1.0 / (tau - 1.0))
+    beta = 0.5 * i ** (-2.0 / (tau - 1.0))
     return theta, beta
 
 
@@ -137,10 +137,6 @@ class BulkLaw:
     def mean(self) -> float:
         return self.moment(1)
 
-    def nu(self) -> float:
-        """E[D(D-1)] / E[D], the criticality ratio of the law."""
-        return (self.moment(2) - self.mean) / self.mean
-
     def sample(self, rng, size: int) -> np.ndarray:
         cdf = np.cumsum(self.probs)
         u = rng.random(size)
@@ -151,26 +147,17 @@ DEFAULT_BULK_WHITE = BulkLaw.table({1: 0.60, 2: 0.25, 3: 0.15})
 DEFAULT_BULK_BLACK = BulkLaw.table({0: 0.40, 1: 0.30, 2: 0.20, 3: 0.10})
 
 
-def make_limit_parameters(
-    tau: float,
-    k_max: int,
-    lam: float = 0.0,
-    bulk_white: BulkLaw = DEFAULT_BULK_WHITE,
-    bulk_black: BulkLaw = DEFAULT_BULK_BLACK,
-    theta_scale: float = 0.4,
-    beta_scale: float = 0.5,
-    beta_rho: float = 2.0,
-) -> LimitParameters:
-    """Limit parameters matching the sequences built from these bulk laws.
+def make_limit_parameters(tau: float, k_max: int, lam: float = 0.0) -> LimitParameters:
+    """Limit parameters matching the sequences built from the default bulk laws.
 
     With independent bulk colours the cross-moment satisfies
     E[d_w d_b] = E[d_w] E[d_b], so the implied drift of the black count is
     alpha = E[bulk black] E[bulk white] / kappa.
     """
-    theta, beta = power_profiles(tau, k_max, theta_scale, beta_scale, beta_rho)
-    kappa = bulk_white.mean
-    alpha = bulk_black.mean * bulk_white.mean / kappa
-    gamma = bulk_black.mean
+    theta, beta = power_profiles(tau, k_max)
+    kappa = DEFAULT_BULK_WHITE.mean
+    alpha = DEFAULT_BULK_BLACK.mean * DEFAULT_BULK_WHITE.mean / kappa
+    gamma = DEFAULT_BULK_BLACK.mean
     return LimitParameters(theta=theta, beta=beta, alpha=alpha, lam=lam, kappa=kappa, gamma=gamma)
 
 
@@ -333,11 +320,11 @@ def tune_to_criticality(seq: DegreeSequence, lambda_target: float) -> DegreeSequ
     return out
 
 
-def validate_assumptions(seq: DegreeSequence, K: int | None = None, rel_tol: float = 0.25) -> dict:
+def validate_assumptions(seq: DegreeSequence, K: int | None = None) -> dict:
     """Empirical moment report against the limit parameters.
 
     Flags (never errors) when a measured quantity drifts from its target
-    by more than ``rel_tol`` relatively. The truncated theta l2 mass is
+    by more than 25% relatively. The truncated theta l2 mass is
     reported as monitored only: it diverges in the limit.
     """
     lim = seq.limits
@@ -366,7 +353,7 @@ def validate_assumptions(seq: DegreeSequence, K: int | None = None, rel_tol: flo
     flags = {}
     for key, tgt in targets.items():
         if tgt > 0:
-            flags[key] = bool(abs(report[key] - tgt) > rel_tol * tgt)
+            flags[key] = bool(abs(report[key] - tgt) > 0.25 * tgt)
     flags["bulk_needs_degree_one"] = bool(np.min(w) > 1)
     report["targets"] = targets
     report["flags"] = flags

@@ -27,52 +27,33 @@ class ThinnedLevyRealization:
     X_path: CadlagPath
     Y_path: CadlagPath
     params: LimitParameters
-    k_max: int
 
     def identity_residuals(self, times) -> tuple[np.ndarray, np.ndarray]:
         """Residuals of the defining formulas at the given times (exact up to rounding)."""
         p = self.params
         t = np.atleast_1d(np.asarray(times, dtype=float))
-        theta = p.theta[: self.k_max]
-        beta = p.beta[: self.k_max]
         ind = self.xi[None, :] <= p.kappa * t[:, None]
-        x_ref = (ind * theta).sum(axis=1) - np.sum(theta**2) / p.kappa * t + p.lam * t
-        y_ref = (ind * beta).sum(axis=1) + p.alpha * t
+        x_ref = (ind * p.theta).sum(axis=1) - np.sum(p.theta**2) / p.kappa * t + p.lam * t
+        y_ref = (ind * p.beta).sum(axis=1) + p.alpha * t
         return (
             np.atleast_1d(self.X_path.eval(t)) - x_ref,
             np.atleast_1d(self.Y_path.eval(t)) - y_ref,
         )
 
 
-def sample_thinned_levy(
-    params: LimitParameters,
-    K_max: int | None = None,
-    T: float = 10.0,
-    grid_step: float | None = None,
-    rng_seed=None,
-) -> ThinnedLevyRealization:
+def sample_thinned_levy(params: LimitParameters, T: float = 10.0, rng_seed=None) -> ThinnedLevyRealization:
     """Draw the clocks and build (X, Y) on [0, T] as exact jump+drift paths."""
+    if params.theta.size == 0:
+        raise ValueError("the limit pair needs at least one hub: K_max must be >= 1")
     rng = as_generator(rng_seed)
-    if K_max is None:
-        K_max = params.theta.size
-    if K_max < 1 or K_max > params.theta.size:
-        raise ValueError("K_max must lie in [1, len(theta)]")
-    if grid_step is not None and grid_step <= 0:
-        raise ValueError("grid step must be positive")
-    theta = params.theta[:K_max]
-    beta = params.beta[:K_max]
+    theta, beta = params.theta, params.beta
     xi = rng.exponential(1.0 / theta)
     jump_times = xi / params.kappa
     inside = jump_times <= T
     drift_x = params.lam - float(np.sum(theta**2)) / params.kappa
     X = CadlagPath.from_jumps(T, jump_times[inside], theta[inside], drift=drift_x)
     Y = CadlagPath.from_jumps(T, jump_times[inside], beta[inside], drift=params.alpha)
-    return ThinnedLevyRealization(xi=xi, X_path=X, Y_path=Y, params=params, k_max=int(K_max))
-
-
-def reflected(x: CadlagPath) -> CadlagPath:
-    """Pathwise X - running minimum."""
-    return x.reflected()
+    return ThinnedLevyRealization(xi=xi, X_path=X, Y_path=Y, params=params)
 
 
 def sample_surplus_process(x: CadlagPath, rng_seed) -> CadlagPath:

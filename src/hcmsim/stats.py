@@ -208,6 +208,12 @@ def theorem_1_6_experiment(config: ExperimentConfig) -> dict:
     return _grid_report(config, "thm16", 2, replicate, record)
 
 
+def percolation_time(seq, mu: float) -> float:
+    """Theorem 1.7's percolation time s = mu gamma_n / c_n, where gamma_n is
+    the mean black degree of ``seq``."""
+    return mu * (seq.total_black / seq.n) / seq.scaling.c_n
+
+
 def theorem_1_7_experiment(config: ExperimentConfig) -> dict:
     """Percolated component sizes at s = mu gamma_n / c_n against MC2(Gamma(X,Y), mu)."""
     limit = sample_limit_pairs(config, 5)
@@ -223,8 +229,7 @@ def theorem_1_7_experiment(config: ExperimentConfig) -> dict:
     limit_top = np.array(_replicates(config, 6, 0, limit.shape[0], limit_largest))
 
     def replicate(seq, rng):
-        s = config.mu * (seq.total_black / seq.n) / seq.scaling.c_n  # mu gamma_n / c_n
-        sizes = run_dynamic(sample_white_matching(seq, rng), s, rng).component_sizes()
+        sizes = run_dynamic(sample_white_matching(seq, rng), percolation_time(seq, config.mu), rng).component_sizes()
         b_n = seq.scaling.b_n
         return sizes[0] / b_n, sizes[0] / seq.n, float(np.sum((sizes[config.top_j :] / b_n) ** 2))
 

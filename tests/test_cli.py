@@ -1,11 +1,15 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+from hcmsim import cli
 from hcmsim.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, config_hash, main, parse_config
 
 
@@ -304,9 +308,24 @@ def test_unknown_coupling_in_config_exits_2(tmp_path):
     assert not (tmp_path / "out" / "mcmw_masses.csv").exists()
 
 
+def test_dump_flags_are_not_config_keys(tmp_path):
+    for line in ("dump_graph = 1", "dump_trace = 1"):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"experiment=percolate\nn=80\n{line}\nout_dir={tmp_path / 'out'}\n")
+        assert run_cli(["--config", str(cfg)]) == EXIT_CONFIG, line
+        assert list((tmp_path / "out").glob("*")) == []
+
+
+def test_unknown_mode_in_config_exits_2(tmp_path):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"experiment=percolate\nn=80\nmode=bogus\nout_dir={tmp_path / 'out'}\n")
+    assert run_cli(["--config", str(cfg)]) == EXIT_CONFIG
+    assert list((tmp_path / "out").glob("*")) == []
+
+
 @pytest.mark.parametrize("args", [["--grid-step", "0"], ["--tau", "1"], ["--tau", "2.5"], ["--tau", "3"],
-                                  ["--tau", "4"], ["--tau", "5"]],
-                         ids=["grid_step_0", "tau_1", "tau_2.5", "tau_3", "tau_4", "tau_5"])
+                                  ["--tau", "4"], ["--tau", "5"], ["--k-max", "0"]],
+                         ids=["grid_step_0", "tau_1", "tau_2.5", "tau_3", "tau_4", "tau_5", "k_max_0"])
 def test_bad_levy_input_exits_2(tmp_path, args):
     assert run_cli(["--out-dir", str(tmp_path), "levy", "--k-max", "50", *args]) == EXIT_CONFIG
     assert not (tmp_path / "limit_path.csv").exists()
@@ -399,6 +418,48 @@ def test_mcmw_takes_its_keys_from_config_file(tmp_path):
     rows = (tmp_path / "file" / "mcmw_masses.csv").read_text().strip().splitlines()
     assert len(rows) == 7
     assert (tmp_path / "file" / "mcmw_masses.csv").read_bytes() == (tmp_path / "flags" / "mcmw_masses.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name, keys, flags", [
+    ("levy", "tau = 3.3\nK_max = 50\nlevy_horizon = 4.0\ngrid_step = 0.05\n",
+     ["--tau", "3.3", "--k-max", "50", "--horizon", "4.0", "--grid-step", "0.05"]),
+    ("percolate", "mode = coupled\nn = 300\ntau = 3.4\nmu = 0.5\n",
+     ["--mode", "coupled", "--n", "300", "--tau", "3.4", "--mu", "0.5"]),
+    ("validate-degrees", "n = 300\ntau = 3.6\nlambda = 0.5\n", ["--n", "300", "--tau", "3.6", "--lambda", "0.5"]),
+    ("mcmw", "masses = 1,2,1\nweights = 1,0.5,1\ntime = 0.5\nreplicates = 7\ncoupling = xi\n",
+     ["--masses", "1,2,1", "--weights", "1,0.5,1", "--time", "0.5", "--reps", "7", "--coupling", "xi"]),
+], ids=["levy", "percolate", "validate-degrees", "mcmw"])
+def test_config_file_alone_runs_a_command_as_its_flags(tmp_path, name, keys, flags):
+    # the file names the experiment, its seed and its output directory: no flag at all
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"experiment = {name}\nmaster_seed = 6\nout_dir = {tmp_path / 'file'}\n{keys}")
+    assert run_cli(["--config", str(cfg)]) == EXIT_OK
+    assert run_cli(["--out-dir", str(tmp_path / "flags"), "--seed", "6", name, *flags]) == EXIT_OK
+    assert _outputs(tmp_path / "file")
+    assert _outputs(tmp_path / "file") == _outputs(tmp_path / "flags")
+
+
+def _flag_keys() -> dict:
+    """{parser: {flag: the key it sets}} for the top-level parser and each subcommand."""
+    top = cli._parser()
+    parsers = {"hcmsim": top}
+    for action in top._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers.update(action.choices)
+    return {name: {flag: a.dest for a in p._actions for flag in a.option_strings if flag != "-h"}
+            for name, p in parsers.items()}
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = dict(re.findall(r"^\| `(--[\w-]+)` \| `(\w+)` \|$", readme, re.M))
+    assert "--seed" in table
+    flag_keys = _flag_keys()
+    for flag, key in table.items():
+        setters = {name: keys[flag] for name, keys in flag_keys.items() if flag in keys}
+        assert setters and set(setters.values()) == {key}, (flag, setters)
+    renamed = {flag for keys in flag_keys.values() for flag, key in keys.items() if key != flag[2:].replace("-", "_")}
+    assert renamed <= table.keys(), renamed - table.keys()
 
 
 _IMPORT_PROBE = """

@@ -5,7 +5,6 @@ from hcmsim.core import stream_gen
 from hcmsim.degrees import LimitParameters, make_limit_parameters
 from hcmsim.levy import (
     exploration_limit_params,
-    reflected,
     sample_surplus_process,
     sample_thinned_levy,
 )
@@ -105,12 +104,12 @@ def test_truncation_stability_bound():
 def test_reflected_paths():
     # non-decreasing path reflects to x - x(0)
     up = CadlagPath.from_jumps(2.0, [0.5], [1.0], drift=0.2, start=3.0)
-    r = reflected(up)
+    r = up.reflected()
     t = np.linspace(0, 2, 40)
     assert np.allclose(np.atleast_1d(r.eval(t)), np.atleast_1d(up.eval(t)) - 3.0)
     # pure down-drift reflects to zero
     down = CadlagPath.from_jumps(2.0, [], [], drift=-1.0)
-    rd = reflected(down)
+    rd = down.reflected()
     assert np.allclose(np.atleast_1d(rd.eval(t)), 0.0)
 
 
@@ -152,10 +151,3 @@ def test_exploration_limit_params_embedding():
     C = float(np.sum(p.theta**2))
     assert q.lam - C / q.kappa == pytest.approx(p.lam - C / p.kappa)
 
-
-def test_k_max_validation():
-    p = make_limit_parameters(3.5, 10)
-    with pytest.raises(ValueError):
-        sample_thinned_levy(p, K_max=11, T=1.0, rng_seed=0)
-    with pytest.raises(ValueError):
-        sample_thinned_levy(p, K_max=5, T=1.0, grid_step=-1.0, rng_seed=0)
