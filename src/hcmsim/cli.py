@@ -106,7 +106,10 @@ def parse_config(path: str) -> dict:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        cfg[key] = _CONFIG_KEYS[key](value)
+        try:
+            cfg[key] = _CONFIG_KEYS[key](value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return cfg
 
 
@@ -169,11 +172,8 @@ def _run_mcmw(cfg: dict, out_dir: Path, seed: int) -> list:
     reps = cfg.get("replicates", 1000)
     if reps < 1:
         raise ValueError("replicates must be >= 1")
-    if cfg.get("coupling", "none") == "xi":
-        xi = sample_xi_batch(x.size, reps, stream_gen(seed, 11))
-        masses = mcmw_batch(x, y, t, reps, stream_gen(seed, 12), xi_batch=xi)
-    else:
-        masses = mcmw_batch(x, y, t, reps, stream_gen(seed, 12))
+    xi = sample_xi_batch(x.size, reps, stream_gen(seed, 11)) if cfg.get("coupling", "none") == "xi" else None
+    masses = mcmw_batch(x, y, t, reps, stream_gen(seed, 12), xi_batch=xi)
     path = out_dir / "mcmw_masses.csv"
     write_masses_csv(masses, path)
     return [path]

@@ -192,6 +192,11 @@ class DegreeSequence:
     def black_owner(self) -> np.ndarray:
         return _owners(self.black)
 
+    @cached_property
+    def white_indptr(self) -> np.ndarray:  # vertex v owns white half-edges indptr[v]:indptr[v + 1]
+        idx = np.int32 if max(self.n, self.total_white) < 2**31 else np.int64  # scipy's index width
+        return np.concatenate(([0], np.cumsum(self.white))).astype(idx)
+
     def arrangement_key(self) -> np.ndarray:
         return self.white / self.scaling.a_n + self.black / self.scaling.b_n
 

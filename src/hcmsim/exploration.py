@@ -149,9 +149,8 @@ def _discovery_order(g: ColoredMultigraph, seeds: np.ndarray) -> np.ndarray:
     half-edges in half-edge order, so children are found in the order the
     exploration pairs half-edges.
     """
-    n = g.n
-    adj = csr_adjacency(np.append(g.seq.white, seeds.size), np.concatenate((g.seq.white_owner[g.white_match], seeds)))
-    found = breadth_first_order(adj, n, directed=True, return_predecessors=False)[1:]
+    adj = csr_adjacency(np.append(g.seq.white, seeds.size), np.concatenate((g.partner_owner, seeds)))
+    found = breadth_first_order(adj, g.n, directed=True, return_predecessors=False)[1:]
     labels = g.blocks.label
     rank = np.zeros(g.blocks.size.size, dtype=np.int32)
     rank[labels[seeds]] = np.arange(seeds.size, dtype=np.int32)
@@ -170,10 +169,8 @@ def _discovery_edge_steps(g: ColoredMultigraph, order: np.ndarray) -> np.ndarray
     """
     d = g.seq.white[order]
     n_half = g.seq.white_owner.size
-    starts = np.zeros(order.size, dtype=np.int64)
-    np.cumsum(d[:-1], out=starts[1:])
-    first_half_edge = np.cumsum(g.seq.white) - g.seq.white
-    layout = np.repeat(first_half_edge[order] - starts, d) + np.arange(n_half)
+    starts = np.cumsum(d) - d
+    layout = np.repeat(g.seq.white_indptr[order] - starts, d) + np.arange(n_half)
     position = np.empty(n_half, dtype=np.int32)
     position[layout] = np.arange(n_half, dtype=np.int32)
     partner = position[g.white_match[layout]]

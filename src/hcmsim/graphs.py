@@ -7,7 +7,9 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as _cc
+# the kernel of connected_components(directed=False), called directly (only by
+# _component_labels) because that wrapper transposes even a symmetric graph
+from scipy.sparse.csgraph._traversal import _connected_components_undirected
 
 from .core import InvariantError, as_generator, cached_property, write_int_rows
 from .degrees import DegreeSequence
@@ -59,14 +61,17 @@ class ColoredMultigraph:
         return np.column_stack((a, self.white_match[a]))
 
     @cached_property
+    def partner_owner(self) -> np.ndarray:  # over seq.white_indptr, the CSR indices of G_n(0)'s adjacency
+        return self.seq.white_owner[self.white_match].astype(self.seq.white_indptr.dtype)
+
+    @cached_property
     def blocks(self) -> Blocks:
         """The components of G_n(0), labelled once per graph."""
-        pairs, owner = self.white_pairs(), self.seq.white_owner
-        first = owner[pairs[:, 0]]
-        label = labels_from_edges(first, owner[pairs[:, 1]], self.n)
+        indices, indptr = self.partner_owner, self.seq.white_indptr
+        label = _component_labels(indices, indptr, indices, indptr)  # symmetric: its own transpose
         size = np.bincount(label)
         black = np.bincount(label, weights=self.seq.black).astype(np.int64)
-        edges = np.bincount(label[first], minlength=size.size)  # an edge lies in its first end's block
+        edges = np.bincount(label, weights=self.seq.white).astype(np.int64) // 2  # a white edge's ends share a block
         # labels number the blocks by least member vertex, so a stable sort
         # breaks size ties by it
         table = Blocks(label, size, black, edges, np.argsort(-size, kind="stable"))
@@ -101,12 +106,22 @@ def labels_from_edges(rows, cols, n: int) -> np.ndarray:
     """Component label per vertex of the undirected graph on ``n`` vertices
     with edges ``(rows[k], cols[k])``, numbered by least member vertex.
 
-    Rows that arrive as a few sorted runs (white pairs, a batch's
-    replicates) make the stable sort nearly linear.
+    Rows that arrive as a few sorted runs (a batch's replicates) make the
+    stable sort nearly linear.
     """
     rows = np.asarray(rows, dtype=np.int64)
     adj = csr_adjacency(np.bincount(rows, minlength=n), np.asarray(cols)[np.argsort(rows, kind="stable")])
-    return _cc(adj, directed=False)[1]
+    adj_t = adj.T.tocsr()
+    return _component_labels(adj.indices, adj.indptr, adj_t.indices, adj_t.indptr)
+
+
+def _component_labels(indices, indptr, indices_t, indptr_t) -> np.ndarray:
+    """Label per vertex, by least member vertex, of the graph with this CSR adjacency and its transpose."""
+    labels = np.empty(indptr.size - 1, dtype=np.int32)
+    # the kernel reports an index that is not a vertex only on stderr, and returns 0 components
+    if _connected_components_undirected(indices, indptr, indices_t, indptr_t, labels) == 0 and labels.size:
+        raise InvariantError("adjacency index out of range")
+    return labels
 
 
 def csr_adjacency(row_lengths, cols) -> csr_matrix:

@@ -41,7 +41,7 @@ class ThinnedLevyRealization:
         )
 
 
-def sample_thinned_levy(params: LimitParameters, T: float = 10.0, rng_seed=None) -> ThinnedLevyRealization:
+def sample_thinned_levy(params: LimitParameters, T: float, rng_seed) -> ThinnedLevyRealization:
     """Draw the clocks and build (X, Y) on [0, T] as exact jump+drift paths."""
     if params.theta.size == 0:
         raise ValueError("the limit pair needs at least one hub: K_max must be >= 1")

@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import stream_gen, write_rows
 from .degrees import (
-    DEFAULT_BULK_BLACK,
     DEFAULT_BULK_WHITE,
     build_degree_sequence,
     make_limit_parameters,
@@ -121,14 +120,7 @@ def build_critical_sequence(config: ExperimentConfig, n: int, rng_seed=None):
         rng_seed = stream_gen(config.master_seed, _sidx(1, n))
     scaling = make_scaling(n, config.tau, config.L)
     limits = make_limit_parameters(config.tau, config.K_max, lam=config.lam)
-    seq = build_degree_sequence(
-        scaling,
-        limits,
-        hub_count=config.K_max,
-        bulk_law=DEFAULT_BULK_WHITE,
-        rng_seed=rng_seed,
-        bulk_black_law=DEFAULT_BULK_BLACK,
-    )
+    seq = build_degree_sequence(scaling, limits, hub_count=config.K_max, bulk_law=DEFAULT_BULK_WHITE, rng_seed=rng_seed)
     return tune_to_criticality(seq, config.lam)
 
 

@@ -323,6 +323,15 @@ def test_unknown_mode_in_config_exits_2(tmp_path):
     assert list((tmp_path / "out").glob("*")) == []
 
 
+@pytest.mark.parametrize("line,key", [("mode = bogus", "mode"), ("n = x", "n"), ("n_grid = 100,abc", "n_grid")])
+def test_bad_config_value_names_file_line_and_key(tmp_path, capsys, line, key):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"experiment=percolate\n# a comment\n{line}\nout_dir={tmp_path / 'out'}\n")
+    assert run_cli(["--config", str(cfg)]) == EXIT_CONFIG
+    assert f"{cfg}:3: {key}:" in capsys.readouterr().err
+    assert list((tmp_path / "out").glob("*")) == []
+
+
 @pytest.mark.parametrize("args", [["--grid-step", "0"], ["--tau", "1"], ["--tau", "2.5"], ["--tau", "3"],
                                   ["--tau", "4"], ["--tau", "5"], ["--k-max", "0"]],
                          ids=["grid_step_0", "tau_1", "tau_2.5", "tau_3", "tau_4", "tau_5", "k_max_0"])

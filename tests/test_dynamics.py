@@ -702,13 +702,13 @@ def test_white_graph_labelled_once_per_graph(monkeypatch):
     import hcmsim.graphs as graphs
 
     calls = []
-    label = graphs.labels_from_edges
+    label = graphs._component_labels
 
-    def counting(rows, cols, n):
-        calls.append(n)
-        return label(rows, cols, n)
+    def counting(indices, indptr, indices_t, indptr_t):
+        calls.append(indptr.size - 1)
+        return label(indices, indptr, indices_t, indptr_t)
 
-    monkeypatch.setattr(graphs, "labels_from_edges", counting)
+    monkeypatch.setattr(graphs, "_component_labels", counting)
     g = _graph([1, 1, 1, 1, 2], [1, 1, 1, 1, 2], seed=0)
     state = run_dynamic(g, 1.0, 3)
     first = state.component_sizes()

@@ -1,9 +1,12 @@
 import threading
-from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 import hcmsim.graphs as graphs
 from hcmsim.core import InvariantError, as_generator, stream_gen
@@ -137,18 +140,19 @@ def test_self_loop_probability_one_third():
 def test_matching_uniformity_six_half_edges():
     # degrees (2,2,2): 15 matchings, each with probability 1/15
     seq = _seq([2, 2, 2])
+    for s in range(4):  # a graph's matching is this draw from its stream
+        want = _uniform_matching(6, stream_gen(7, s))
+        assert np.array_equal(sample_white_matching(seq, stream_gen(7, s)).white_match, want)
     rng = stream_gen(7, 0)
     reps = 1_000_000
-    counts = Counter()
-    for _ in range(reps):
-        g = sample_white_matching(seq, rng)
-        m = g.white_match
-        key = tuple(sorted((i, int(m[i])) for i in range(6) if i < m[i]))
-        counts[key] += 1
+    draws = np.empty((reps, 6), dtype=np.int8)
+    for r in range(reps):
+        draws[r] = _uniform_matching(6, rng)
+    matchings, counts = np.unique(draws, axis=0, return_counts=True)
     assert len(counts) == 15
     se = np.sqrt((1 / 15) * (14 / 15) / reps)
-    for key, c in counts.items():
-        assert abs(c / reps - 1 / 15) <= 4 * se, (key, c / reps)
+    for m, c in zip(matchings, counts):
+        assert abs(c / reps - 1 / 15) <= 4 * se, (m.tolist(), c / reps)
 
 
 def test_component_partition_and_ordering():
@@ -276,6 +280,28 @@ def test_component_table_equals_full_relabel_small():
                 assert np.array_equal(got, want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+@example([1, 1], 0)  # a single edge
+@example([2], 0)  # a self-loop
+@example([2, 2, 0], 1)  # a double edge and an isolated vertex
+@example([0], 0)  # no edges at all
+def test_blocks_equal_the_public_labelling(white, seed):
+    # blocks call scipy's undirected kernel directly on the half-edge CSR;
+    # a change to its signature or its numbering must show here
+    if sum(white) % 2:
+        white = white + [1]
+    g = sample_white_matching(_seq(white, black=np.arange(len(white)) % 3), seed)
+    pairs = _vertex_pairs(g)
+    adj = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(g.n, g.n))
+    b = g.blocks
+    assert np.array_equal(b.label, connected_components(adj, directed=False)[1])
+    sizes, blacks, edges, _, _, order = relabel_table(g)
+    assert np.array_equal(b.order, order)
+    for got, want in ((b.size, sizes), (b.black, blacks), (b.edges, edges)):
+        assert np.array_equal(got[b.order], want)
+
+
 def test_graph_is_frozen():
     g = sample_white_matching(_seq([1, 1, 2]), 0)
     with pytest.raises(FrozenInstanceError):
@@ -327,16 +353,16 @@ def test_owners_race_to_one_value():
 def test_block_tables_of_two_graphs_build_concurrently(monkeypatch):
     # thm17 builds one graph's table per worker thread: a cache lock shared
     # by all graphs would make each worker wait for the others
-    label = graphs.labels_from_edges
+    label = graphs._component_labels
     entered, release = threading.Event(), threading.Event()
 
-    def held_in_first(rows, cols, n):
+    def held_in_first(*csr):
         if threading.current_thread().name == "first":
             entered.set()
             release.wait(5)
-        return label(rows, cols, n)
+        return label(*csr)
 
-    monkeypatch.setattr(graphs, "labels_from_edges", held_in_first)
+    monkeypatch.setattr(graphs, "_component_labels", held_in_first)
     seq = _seq([1, 1, 2, 2])
     first, second = sample_white_matching(seq, 0), sample_white_matching(seq, 1)
     t1 = threading.Thread(target=lambda: first.blocks, name="first")
@@ -350,3 +376,11 @@ def test_block_tables_of_two_graphs_build_concurrently(monkeypatch):
     t1.join(5)
     assert second_done and not t1.is_alive()
     assert "blocks" in first.__dict__ and "blocks" in second.__dict__
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+def test_kernel_index_out_of_range_raises():
+    # scipy's kernel swallows its bounds error (pytest sees it as unraisable) and returns 0 components
+    indptr = np.array([0, 1, 2], dtype=np.int32)
+    with pytest.raises(InvariantError):
+        graphs._component_labels(np.array([1, 5], dtype=np.int32), indptr, np.array([1, 0], dtype=np.int32), indptr)

@@ -151,3 +151,10 @@ def test_exploration_limit_params_embedding():
     C = float(np.sum(p.theta**2))
     assert q.lam - C / q.kappa == pytest.approx(p.lam - C / p.kappa)
 
+
+def test_thinned_levy_needs_a_seed():
+    # a default seed of None could not work: as_generator(None) calls int(None)
+    import inspect
+
+    params = inspect.signature(sample_thinned_levy).parameters
+    assert params["rng_seed"].default is inspect.Parameter.empty
