@@ -116,16 +116,6 @@ class BulkLaw:
             raise ValueError("probs must be a probability vector")
 
     @classmethod
-    def zeta(cls, exponent: float, k_max: int = 30):
-        k = np.arange(1, k_max + 1, dtype=float)
-        w = k**-exponent
-        return cls(k.astype(np.int64), w / w.sum())
-
-    @classmethod
-    def point_mass(cls, k: int):
-        return cls(np.array([k]), np.array([1.0]))
-
-    @classmethod
     def table(cls, pmf: dict):
         ks = sorted(pmf)
         return cls(np.array(ks), np.array([pmf[k] for k in ks], dtype=float))

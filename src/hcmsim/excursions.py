@@ -29,40 +29,25 @@ def excursion_decompose(f: CadlagPath) -> list[ExcursionInterval]:
     Requires ``f`` to have no negative jumps. An excursion still open at
     the horizon is dropped (it has no right endpoint).
     """
+    return [ExcursionInterval(l, r, r - l) for l, r in zip(*_excursion_bounds(f))]
+
+
+def _excursion_bounds(f: CadlagPath) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right endpoints of the excursions, read off the segments."""
     if f.has_negative_jumps():
         raise ValueError("path has negative jumps; excursion intervals undefined")
-    scale = max(1.0, float(np.max(np.abs(f.values))))
-    tol = _tol(scale)
-    out: list[ExcursionInterval] = []
-    m = f.values[0]
-    in_exc = False
-    l = 0.0
-    K = len(f.times)
-    for k in range(K):
-        a = f.times[k]
-        b = f.times[k + 1] if k + 1 < K else f.horizon
-        v, s = float(f.values[k]), float(f.slopes[k])
-        if not in_exc:
-            if v > m + tol:
-                in_exc, l = True, a  # jump lifted the path off its minimum
-            elif s > 0.0 and b > a:
-                in_exc, l = True, a  # drift lifts it off the minimum
-                m = min(m, v)
-            elif s < 0.0:
-                m = min(m, v) + s * (b - a)
-                continue
-            else:
-                m = min(m, v)
-                continue
-        if s < 0.0:
-            end = v + s * (b - a)
-            if end <= m + tol:
-                tstar = a + (m - v) / s
-                tstar = min(max(tstar, a), b)
-                out.append(ExcursionInterval(l, tstar, tstar - l))
-                in_exc = False
-                m = v + s * (b - a)  # path rides the minimum down afterwards
-    return out
+    tol = _tol(float(np.max(np.abs(f.values))))
+    a, v, s = f.times, f.values, f.slopes
+    end, m = f._segment_minima()
+    # lifted off the minimum by a jump, or by rising drift
+    above = (v > m + tol) | (s > 0.0)
+    close = above & (s < 0.0) & (end <= m + tol)
+    opens = np.flatnonzero(above & ~np.concatenate(([False], (above & ~close)[:-1])))
+    k = np.flatnonzero(close)
+    b = np.concatenate((a[1:], [f.horizon]))[k]
+    r = np.minimum(np.maximum(a[k] + (m[k] - v[k]) / s[k], a[k]), b)
+    # each excursion opens at the last opening segment up to its close
+    return a[opens[np.searchsorted(opens, k, side="right") - 1]], r
 
 
 def gamma_down(f: CadlagPath, g: CadlagPath) -> np.ndarray:
@@ -76,11 +61,9 @@ def gamma_down(f: CadlagPath, g: CadlagPath) -> np.ndarray:
     """
     if not g.is_nondecreasing():
         raise ValueError("g must be non-decreasing")
-    exc = excursion_decompose(f)
-    if not exc:
+    lefts, rights = _excursion_bounds(f)
+    if not lefts.size:
         return np.zeros((0, 2))
-    lefts = np.array([e.l for e in exc])
-    rights = np.array([e.r for e in exc])
     g_left = _left_eval(g, lefts)
     g_right = np.atleast_1d(g.eval(rights))
     pairs = np.column_stack((rights - lefts, g_right - g_left))

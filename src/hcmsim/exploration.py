@@ -31,20 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
 from .core import InvariantError, as_generator, write_int_rows
-from .graphs import ColoredMultigraph, csr_adjacency
-from .paths import CadlagPath
-
-
-@dataclass
-class DiscoveredComponent:
-    ordinal: int
-    edge_count: int
-    size: int
-    black_half_edges: int
-    surplus: int
+from .graphs import ColoredMultigraph
 
 
 @dataclass
@@ -59,40 +50,6 @@ class ExplorationTrace:
     @property
     def steps(self) -> int:
         return self.X.size - 1
-
-    def components(self) -> list[DiscoveredComponent]:
-        out = []
-        prev = 0
-        for k, t in enumerate(self.tau, start=1):
-            dN = int(self.N[t] - self.N[prev])
-            out.append(
-                DiscoveredComponent(
-                    ordinal=k,
-                    edge_count=int(t - prev - 1),
-                    size=int(t - prev - dN),
-                    black_half_edges=int(self.Y[t] - self.Y[prev]),
-                    surplus=dN,
-                )
-            )
-            prev = t
-        return out
-
-    def vertex_time_walks(self, linear: bool = False):
-        """Walks with surplus steps removed, plus the re-indexed hitting times.
-
-        In vertex time each component occupies exactly ``size`` ticks, so
-        the hitting-time spacings reproduce component sizes and the Y
-        increments reproduce black half-edge counts.
-        """
-        keep = np.ones(self.X.size, dtype=bool)
-        keep[1:] = np.diff(self.N) == 0
-        Xv, Yv = self.X[keep], self.Y[keep]
-        tau_v = self.tau - self.N[self.tau]
-        make = CadlagPath.piecewise_linear if linear else CadlagPath.step_function
-        if linear:
-            t = np.arange(Xv.size, dtype=float)
-            return make(t, Xv), make(t, Yv), tau_v
-        return make(Xv), make(Yv), tau_v
 
 
 def explore(g: ColoredMultigraph, rng_seed) -> ExplorationTrace:
@@ -155,6 +112,22 @@ def _discovery_order(g: ColoredMultigraph, seeds: np.ndarray) -> np.ndarray:
     rank = np.zeros(g.blocks.size.size, dtype=np.int32)
     rank[labels[seeds]] = np.arange(seeds.size, dtype=np.int32)
     return found[np.argsort(rank[labels[found]], kind="stable")]
+
+
+def csr_adjacency(row_lengths, cols) -> csr_matrix:
+    """Square CSR matrix whose row v holds the next ``row_lengths[v]``
+    entries of ``cols``.
+
+    scipy's own index width and float64 data, so that scipy neither
+    converts, sorts nor sums duplicates: a traversal visits each row's
+    entries in exactly this order.
+    """
+    n = len(row_lengths)
+    idx = np.int32 if max(n, len(cols)) < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(row_lengths, out=indptr[1:])
+    indices = np.asarray(cols, dtype=idx)
+    return csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
 
 
 def _discovery_edge_steps(g: ColoredMultigraph, order: np.ndarray) -> np.ndarray:

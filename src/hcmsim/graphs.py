@@ -6,7 +6,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
+# scipy's compiled COO-to-CSR counting sort, called directly (only by
+# labels_from_edges): a csr_matrix costs more than the sort on small graphs
+from scipy.sparse._sparsetools import coo_tocsr
 # the kernel of connected_components(directed=False), called directly (only by
 # _component_labels) because that wrapper transposes even a symmetric graph
 from scipy.sparse.csgraph._traversal import _connected_components_undirected
@@ -104,15 +106,18 @@ def sample_white_matching(seq: DegreeSequence, rng_seed) -> ColoredMultigraph:
 
 def labels_from_edges(rows, cols, n: int) -> np.ndarray:
     """Component label per vertex of the undirected graph on ``n`` vertices
-    with edges ``(rows[k], cols[k])``, numbered by least member vertex.
-
-    Rows that arrive as a few sorted runs (a batch's replicates) make the
-    stable sort nearly linear.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    adj = csr_adjacency(np.bincount(rows, minlength=n), np.asarray(cols)[np.argsort(rows, kind="stable")])
-    adj_t = adj.T.tocsr()
-    return _component_labels(adj.indices, adj.indptr, adj_t.indices, adj_t.indptr)
+    with edges ``(rows[k], cols[k])``, numbered by least member vertex."""
+    ends = np.concatenate((rows, cols))
+    if ends.size and (ends.min() < 0 or ends.max() >= n):
+        raise InvariantError("edge end is not a vertex")  # coo_tocsr does not check
+    nnz = ends.size
+    idx = np.int32 if max(n, nnz) < 2**31 else np.int64
+    indptr, indices = np.empty(n + 1, dtype=idx), np.empty(nnz, dtype=idx)
+    # both directions of each edge, grouped by end: the CSR of a symmetric
+    # graph, which is its own transpose
+    other = np.concatenate((cols, rows)).astype(idx)
+    coo_tocsr(n, n, nnz, ends.astype(idx), other, np.zeros(nnz, np.int8), indptr, indices, np.empty(nnz, np.int8))
+    return _component_labels(indices, indptr, indices, indptr)
 
 
 def _component_labels(indices, indptr, indices_t, indptr_t) -> np.ndarray:
@@ -122,22 +127,6 @@ def _component_labels(indices, indptr, indices_t, indptr_t) -> np.ndarray:
     if _connected_components_undirected(indices, indptr, indices_t, indptr_t, labels) == 0 and labels.size:
         raise InvariantError("adjacency index out of range")
     return labels
-
-
-def csr_adjacency(row_lengths, cols) -> csr_matrix:
-    """Square CSR matrix whose row v holds the next ``row_lengths[v]``
-    entries of ``cols``.
-
-    scipy's own index width and float64 data, so that scipy neither
-    converts, sorts nor sums duplicates: a traversal visits each row's
-    entries in exactly this order.
-    """
-    n = len(row_lengths)
-    idx = np.int32 if max(n, len(cols)) < 2**31 else np.int64
-    indptr = np.zeros(n + 1, dtype=idx)
-    np.cumsum(row_lengths, out=indptr[1:])
-    indices = np.asarray(cols, dtype=idx)
-    return csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
 
 
 def component_table(g: ColoredMultigraph):

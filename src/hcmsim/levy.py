@@ -28,18 +28,6 @@ class ThinnedLevyRealization:
     Y_path: CadlagPath
     params: LimitParameters
 
-    def identity_residuals(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """Residuals of the defining formulas at the given times (exact up to rounding)."""
-        p = self.params
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        ind = self.xi[None, :] <= p.kappa * t[:, None]
-        x_ref = (ind * p.theta).sum(axis=1) - np.sum(p.theta**2) / p.kappa * t + p.lam * t
-        y_ref = (ind * p.beta).sum(axis=1) + p.alpha * t
-        return (
-            np.atleast_1d(self.X_path.eval(t)) - x_ref,
-            np.atleast_1d(self.Y_path.eval(t)) - y_ref,
-        )
-
 
 def sample_thinned_levy(params: LimitParameters, T: float, rng_seed) -> ThinnedLevyRealization:
     """Draw the clocks and build (X, Y) on [0, T] as exact jump+drift paths."""

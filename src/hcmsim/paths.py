@@ -65,26 +65,6 @@ class CadlagPath:
         slopes = np.full(times.shape, float(drift))
         return cls(times, values, slopes, float(horizon))
 
-    @classmethod
-    def step_function(cls, values, horizon=None, dt=1.0):
-        """Right-continuous step path through ``values`` at spacing ``dt``."""
-        values = np.asarray(values, dtype=float)
-        times = np.arange(values.size) * float(dt)
-        if horizon is None:
-            horizon = times[-1] if values.size else 0.0
-        return cls(times, values, np.zeros_like(values), float(horizon))
-
-    @classmethod
-    def piecewise_linear(cls, times, values, horizon=None):
-        """Continuous path interpolating (times, values) linearly."""
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if horizon is None:
-            horizon = times[-1]
-        dt = np.diff(times)
-        slopes = np.concatenate((np.diff(values) / dt, [0.0]))
-        return cls(times, values, slopes, float(horizon))
-
     # -- evaluation -----------------------------------------------------
 
     def segment_index(self, t):
@@ -102,8 +82,11 @@ class CadlagPath:
 
     def left_limits(self):
         """Left limit of the path at each breakpoint (= value at t=0 for k=0)."""
-        seg_end = self.values[:-1] + self.slopes[:-1] * np.diff(self.times)
-        return np.concatenate(([self.values[0]], seg_end))
+        return np.concatenate((self.values[:1], self._segment_ends()[:-1]))
+
+    def _segment_ends(self):
+        """Left limit at each segment's right end, the horizon for the last."""
+        return self.values + self.slopes * (np.concatenate((self.times[1:], [self.horizon])) - self.times)
 
     def jumps(self):
         """(times, sizes) of the nonzero jumps."""
@@ -125,43 +108,31 @@ class CadlagPath:
         _, sizes = self.jumps()
         return bool(np.all(self.slopes >= -tol)) and not np.any(sizes < -tol)
 
-    def final_value(self):
-        return self.eval(self.horizon)
-
     # -- derived paths ---------------------------------------------------
+
+    def _segment_minima(self):
+        """``(end, m)`` per segment: ``end`` is the left limit at its right
+        end, ``m`` the running minimum where it starts, its own value
+        included. A linear piece has its infimum at one of its ends, so
+        ``m`` is exact."""
+        end = self._segment_ends()
+        return end, np.minimum.accumulate(np.minimum(self.values, np.concatenate((self.values[:1], end[:-1]))))
 
     def running_minimum(self) -> "CadlagPath":
         """Continuous non-increasing path ``t -> inf_{s<=t} f(s)``."""
-        out_t, out_v, out_s = [], [], []
-        m = self.values[0]
-        K = len(self.times)
-        for k in range(K):
-            a = self.times[k]
-            b = self.times[k + 1] if k + 1 < K else self.horizon
-            v, s = self.values[k], self.slopes[k]
-            m = min(m, v)
-            if v <= m and s < 0.0:
-                # path rides the minimum down through the whole segment
-                out_t.append(a), out_v.append(m), out_s.append(s)
-                m = v + s * (b - a)
-            elif s < 0.0:
-                end = v + s * (b - a)
-                if end < m:
-                    tstar = a + (m - v) / s
-                    out_t.append(a), out_v.append(m), out_s.append(0.0)
-                    if tstar > a:
-                        out_t.append(tstar), out_v.append(m), out_s.append(s)
-                    else:
-                        out_s[-1] = s
-                    m = end
-                else:
-                    out_t.append(a), out_v.append(m), out_s.append(0.0)
-            else:
-                out_t.append(a), out_v.append(m), out_s.append(0.0)
-        # collapse duplicate breakpoints introduced by tstar == a edge cases
-        t = np.asarray(out_t)
-        keep = np.concatenate(([True], np.diff(t) > 0))
-        return CadlagPath(t[keep], np.asarray(out_v)[keep], np.asarray(out_s)[keep], self.horizon)
+        a, v, s = self.times, self.values, self.slopes
+        end, m = self._segment_minima()
+        # a falling segment that starts on the minimum or ends below it rides
+        # the minimum from tstar, where it crosses it, to its right end
+        down = (s < 0.0) & ((v <= m) | (end < m))
+        tstar = a + np.divide(m - v, s, out=np.zeros_like(v), where=down)
+        late = np.flatnonzero(tstar > a)  # flat on [a, tstar) first
+        pts = np.stack((a, m, np.where(down & (tstar <= a), s, 0.0)))  # (times, values, slopes)
+        if late.size:
+            pts = np.insert(pts, late + 1, np.stack((tstar[late], m[late], s[late])), axis=1)
+            # collapse duplicate breakpoints introduced by tstar == b edge cases
+            pts = pts[:, np.concatenate(([True], np.diff(pts[0]) > 0))]
+        return CadlagPath(*pts, self.horizon)
 
     def reflected(self) -> "CadlagPath":
         """Pathwise ``f - running minimum``; non-negative everywhere."""

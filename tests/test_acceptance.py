@@ -29,7 +29,9 @@ from hcmsim.paths import CadlagPath
 from hcmsim.stats import ExperimentConfig, theorem_1_6_experiment, theorem_1_7_experiment
 from test_coalescent import scaling_transform
 from test_dynamics import modified_block_view, q_trajectory_check
+from test_exploration import components
 from test_graphs import percolate_black, relabel_table, sample_black_matching
+from test_levy import final_value, identity_residuals
 from test_mc2_engine import bipartite_bound_check
 
 
@@ -49,7 +51,7 @@ def test_c01_exact_identity_suite():
         seq = build_degree_sequence(sc, lim, 8, DEFAULT_BULK_WHITE, rng, DEFAULT_BULK_BLACK)
         g = sample_white_matching(seq, rng)
         tr = explore(g, rng)
-        comps = tr.components()
+        comps = components(tr)
         # X hits -2k exactly at the hitting times
         assert np.array_equal(tr.X[tr.tau], -2 * np.arange(1, tr.tau.size + 1))
         # Euler relation per component, exact integers
@@ -218,7 +220,7 @@ def test_c07_thinned_levy_identities():
         real = sample_thinned_levy(params, T=2.0, rng_seed=rng)
         acc[r] = np.atleast_1d(real.Y_path.eval(ts))
         if r < 200:  # identity and jump-set checks on a prefix
-            rx, ry = real.identity_residuals(grid)
+            rx, ry = identity_residuals(real, grid)
             assert np.max(np.abs(rx)) < 1e-9
             assert np.max(np.abs(ry)) < 1e-9
             xt, _ = real.X_path.jumps()
@@ -238,7 +240,7 @@ def test_c08_surplus_process_poisson():
     for k, h in enumerate((0.5, 1.0, 2.0)):
         ramp = CadlagPath(np.array([0.0, 1e-9]), np.array([0.0, h]), np.array([h * 1e9, 0.0]), 1.0)
         rng = stream_gen(808, k)
-        vals = np.array([sample_surplus_process(ramp, rng).final_value() for _ in range(reps)])
+        vals = np.array([final_value(sample_surplus_process(ramp, rng)) for _ in range(reps)])
         se_mean = np.sqrt(h / reps)
         assert abs(vals.mean() - h) <= 3 * se_mean, h
         se_var = np.sqrt((h + 2 * h * h) / reps)  # Var of the sample variance for Poisson
@@ -344,10 +346,11 @@ def test_c12_desk_scale_convergence_trends():
     _report(12, f"thm16 KS {ks16} non-increasing; tail mass {tails16}")
     if out17["ks_saturated"]:
         print(
-            "              thm17 KS saturated at 1.0 for all n (the percolated system "
-            "sits beyond its own scaling window at desk scale; contamination decays "
-            f"like 1/c_n) - giant fraction {fracs} is the informative trend"
-            f" (decreasing: {out17['giant_fraction_decreasing']})"
+            "              thm17 KS saturated at 1.0 for all n, so the trend passes only "
+            "as 1.0 <= 1.0: the finite bulk keeps a hub-free l2 mass that grows with n "
+            f"while the limit's is 0; giant fraction {fracs}"
+            f" (decreasing: {out17['giant_fraction_decreasing']}) falls only because "
+            "largest/b_n grows slower than n/b_n"
         )
     _report(12, f"thm17 KS {ks17} non-increasing per the stated rule")
 

@@ -88,7 +88,7 @@ _MASSES = hnp.arrays(
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(_MASSES)
 @example(np.zeros((5, 4)))
 @example(np.zeros((1, 1)))

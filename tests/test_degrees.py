@@ -19,6 +19,16 @@ from hcmsim.degrees import (
 )
 
 
+def zeta_law(exponent: float, k_max: int = 30) -> BulkLaw:
+    k = np.arange(1, k_max + 1, dtype=float)
+    w = k**-exponent
+    return BulkLaw(k.astype(np.int64), w / w.sum())
+
+
+def point_mass(k: int) -> BulkLaw:
+    return BulkLaw(np.array([k]), np.array([1.0]))
+
+
 def test_make_scaling_hand_values():
     sc = make_scaling(1, 3.5, 1.0)
     assert sc.a_n == sc.b_n == sc.c_n == 1.0
@@ -63,7 +73,7 @@ def test_criticality_hand_values():
 def test_build_point_mass_two_is_exactly_critical():
     sc = make_scaling(50, 3.5)
     lim = make_limit_parameters(3.5, 5)
-    seq = build_degree_sequence(sc, lim, 0, BulkLaw.point_mass(2), 1, BulkLaw.point_mass(0))
+    seq = build_degree_sequence(sc, lim, 0, point_mass(2), 1, point_mass(0))
     assert np.all(seq.white == 2)
     assert np.all(seq.black == 0)
     assert criticality(seq) == pytest.approx(1.0)
@@ -94,7 +104,7 @@ def test_parity_and_arrangement():
 
 
 def test_bulk_mean_matches_kappa():
-    law = BulkLaw.zeta(3.5, k_max=30)
+    law = zeta_law(3.5, k_max=30)
     sc = make_scaling(20000, 3.5)
     lim_default = make_limit_parameters(3.5, 8)
     lim = type(lim_default)(
@@ -116,7 +126,7 @@ def test_bulk_mean_matches_kappa():
 def test_tune_identity_when_already_critical():
     sc = make_scaling(60, 3.5)
     lim = make_limit_parameters(3.5, 4)
-    seq = build_degree_sequence(sc, lim, 0, BulkLaw.point_mass(2), 5, BulkLaw.point_mass(0))
+    seq = build_degree_sequence(sc, lim, 0, point_mass(2), 5, point_mass(0))
     tuned = tune_to_criticality(seq, 0.0)
     assert np.array_equal(np.sort(tuned.white), np.sort(seq.white))
     assert criticality(tuned) == pytest.approx(1.0)
@@ -139,7 +149,7 @@ def test_tune_reaches_target_and_preserves_parity():
 def test_tune_unreachable_raises():
     sc = make_scaling(20, 3.5)
     lim = make_limit_parameters(3.5, 2)
-    seq = build_degree_sequence(sc, lim, 0, BulkLaw.point_mass(2), 9, BulkLaw.point_mass(0))
+    seq = build_degree_sequence(sc, lim, 0, point_mass(2), 9, point_mass(0))
     # no degree-1 or degree-3 bulk vertices: only nu = 1 is reachable
     with pytest.raises(ValueError):
         tune_to_criticality(seq, 30.0)

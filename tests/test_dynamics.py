@@ -618,7 +618,7 @@ def _small_graphs(draw):
     return _graph(white, black, seed=draw(st.integers(0, 2**32 - 1)))
 
 
-_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_PROPERTY = settings(max_examples=150)
 
 
 @_PROPERTY

@@ -2,6 +2,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcmsim.core import stream_gen
 from hcmsim.degrees import (
@@ -10,11 +12,75 @@ from hcmsim.degrees import (
     make_limit_parameters,
     make_scaling,
 )
-from hcmsim.excursions import excursion_decompose, gamma_down
+from hcmsim.excursions import ExcursionInterval, _left_eval, excursion_decompose, gamma_down
 from hcmsim.exploration import explore
 from hcmsim.graphs import sample_white_matching
 from hcmsim.levy import sample_thinned_levy
 from hcmsim.paths import CadlagPath, _tol
+from test_exploration import components, vertex_time_walks
+from test_paths import jump_drift_paths, linear_path, running_minimum_loop, same_bits, step_path
+
+
+# The segment loop of the excursion decomposition, and gamma_down on top of
+# it: the reference that excursion_decompose and gamma_down are compared
+# against.
+def excursion_decompose_loop(f: CadlagPath) -> list[ExcursionInterval]:
+    """Maximal excursion intervals of ``f`` above its running minimum.
+
+    Requires ``f`` to have no negative jumps. An excursion still open at
+    the horizon is dropped (it has no right endpoint).
+    """
+    if f.has_negative_jumps():
+        raise ValueError("path has negative jumps; excursion intervals undefined")
+    scale = max(1.0, float(np.max(np.abs(f.values))))
+    tol = _tol(scale)
+    out: list[ExcursionInterval] = []
+    m = f.values[0]
+    in_exc = False
+    l = 0.0
+    K = len(f.times)
+    for k in range(K):
+        a = f.times[k]
+        b = f.times[k + 1] if k + 1 < K else f.horizon
+        v, s = float(f.values[k]), float(f.slopes[k])
+        if not in_exc:
+            if v > m + tol:
+                in_exc, l = True, a  # jump lifted the path off its minimum
+            elif s > 0.0 and b > a:
+                in_exc, l = True, a  # drift lifts it off the minimum
+                m = min(m, v)
+            elif s < 0.0:
+                m = min(m, v) + s * (b - a)
+                continue
+            else:
+                m = min(m, v)
+                continue
+        if s < 0.0:
+            end = v + s * (b - a)
+            if end <= m + tol:
+                tstar = a + (m - v) / s
+                tstar = min(max(tstar, a), b)
+                out.append(ExcursionInterval(l, tstar, tstar - l))
+                in_exc = False
+                m = v + s * (b - a)  # path rides the minimum down afterwards
+    return out
+
+
+def gamma_down_loop(f: CadlagPath, g: CadlagPath) -> np.ndarray:
+    """gamma_down's ordering and increments over excursion_decompose_loop(f)."""
+    exc = excursion_decompose_loop(f)
+    if not exc:
+        return np.zeros((0, 2))
+    lefts = np.array([e.l for e in exc])
+    rights = np.array([e.r for e in exc])
+    pairs = np.column_stack((rights - lefts, np.atleast_1d(g.eval(rights)) - _left_eval(g, lefts)))
+    return pairs[np.lexsort((lefts, -pairs[:, 0]))]
+
+
+def assert_same_excursions(f: CadlagPath):
+    new = np.array([(e.l, e.r, e.length) for e in excursion_decompose(f)]).reshape(-1, 3)
+    old = np.array([(e.l, e.r, e.length) for e in excursion_decompose_loop(f)]).reshape(-1, 3)
+    assert new.tobytes() == old.tobytes()
 
 
 # Goodness diagnostics, hitting-time point processes and their matching
@@ -184,9 +250,27 @@ def test_single_jump_excursion_hand_values():
 
 
 def test_negative_jump_rejected():
-    p = CadlagPath.step_function([0.0, 1.0, -1.0])
+    p = step_path([0.0, 1.0, -1.0])
     with pytest.raises(ValueError):
         excursion_decompose(p)
+
+
+def test_sub_tolerance_jumps_open_no_excursion():
+    # two jumps below the 1e-9 tolerance while the path rides its minimum
+    # down: neither lifts it off the minimum, but the segment loop kept
+    # its minimum from before the first one and saw an excursion at t=2
+    p = CadlagPath.from_jumps(4.0, [1.0, 2.0], [0.9e-9, 0.9e-9], drift=-0.5)
+    assert excursion_decompose(p) == []
+    assert [e.l for e in excursion_decompose_loop(p)] == [2.0]
+
+
+def test_sub_tolerance_rise_leaves_excursions_disjoint():
+    # drift lifts the path 1e-10 off its minimum and then stays flat: that
+    # rise never closes, and each later excursion opens at its own jump
+    times = np.array([0.0, 1.0, 2.0, 4.0, 6.0])
+    p = CadlagPath(times, np.array([0.0, 1e-10, 1.0, 1.0, 1.5]), np.array([1e-10, 0.0, -1.0, -0.5, -1.0]), 10.0)
+    assert [(e.l, e.r) for e in excursion_decompose(p)] == [(2.0, 3.0), (4.0, 8.5)]
+    assert [(e.l, e.r) for e in excursion_decompose_loop(p)] == [(0.0, 3.0), (4.0, 8.5)]
 
 
 def test_incomplete_excursion_dropped():
@@ -292,9 +376,9 @@ def test_point_process_reproduces_component_triples():
     rng = stream_gen(9, 9)
     g = sample_white_matching(seq, rng)
     tr = explore(g, rng)
-    Xv, Yv, tau_v = tr.vertex_time_walks()
+    Xv, Yv, tau_v = vertex_time_walks(tr)
     pp = point_process_from_hitting_times(Xv, Yv, tau_v.astype(float))
-    comps = tr.components()
+    comps = components(tr)
     assert pp.atoms.shape[0] == len(comps)
     for atom, c in zip(pp.atoms, comps):
         assert atom[1] == c.size
@@ -378,8 +462,10 @@ def test_piecewise_linear_walks_vs_dense_oracle():
             np.array([-2, -1, 0, 1, 2, 3]), size=60, p=[0.25, 0.2, 0.15, 0.2, 0.12, 0.08]
         )
         walk = np.concatenate(([0], np.cumsum(steps))).astype(float)
-        p = CadlagPath.piecewise_linear(np.arange(walk.size, dtype=float), walk)
+        p = linear_path(np.arange(walk.size, dtype=float), walk)
         exc = excursion_decompose(p)
+        assert_same_excursions(p)
+        assert same_bits(p.running_minimum(), running_minimum_loop(p))
 
         def merge(intervals, gap_tol):
             out = []
@@ -408,3 +494,23 @@ def test_piecewise_linear_walks_vs_dense_oracle():
         assert len(oracle) == len(mine)
         if len(mine):
             assert np.abs(oracle - mine).max() < 1e-3  # grid resolution
+
+
+@st.composite
+def _weighted_paths(draw):
+    """A path ``f`` and a non-decreasing weight path ``g`` on its breakpoints."""
+    f = draw(jump_drift_paths())
+    k = f.times.size
+    jumps = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=k - 1, max_size=k - 1)))
+    slopes = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=k, max_size=k)))
+    values = np.concatenate(([0.0], np.cumsum(slopes[:-1] * np.diff(f.times) + jumps)))
+    return f, CadlagPath(f.times, values, slopes, f.horizon)
+
+
+@settings(max_examples=500)
+@given(_weighted_paths())
+def test_excursions_equal_the_segment_loop(fg):
+    f, g = fg
+    assert_same_excursions(f)
+    new, old = gamma_down(f, g), gamma_down_loop(f, g)
+    assert new.shape == old.shape and new.tobytes() == old.tobytes()

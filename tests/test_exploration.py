@@ -1,5 +1,6 @@
 import csv
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,6 +27,46 @@ from hcmsim.exploration import (
 from hcmsim.graphs import ColoredMultigraph, component_table, labels_from_edges, sample_white_matching
 from hcmsim.paths import CadlagPath
 from test_graphs import relabel_table
+from test_paths import step_path
+
+
+@dataclass
+class DiscoveredComponent:
+    ordinal: int
+    edge_count: int
+    size: int
+    black_half_edges: int
+    surplus: int
+
+
+def components(tr: ExplorationTrace) -> list[DiscoveredComponent]:
+    out = []
+    prev = 0
+    for k, t in enumerate(tr.tau, start=1):
+        dN = int(tr.N[t] - tr.N[prev])
+        out.append(
+            DiscoveredComponent(
+                ordinal=k,
+                edge_count=int(t - prev - 1),
+                size=int(t - prev - dN),
+                black_half_edges=int(tr.Y[t] - tr.Y[prev]),
+                surplus=dN,
+            )
+        )
+        prev = t
+    return out
+
+
+def vertex_time_walks(tr: ExplorationTrace):
+    """Walks with surplus steps removed, plus the re-indexed hitting times.
+
+    In vertex time each component occupies exactly ``size`` ticks, so
+    the hitting-time spacings reproduce component sizes and the Y
+    increments reproduce black half-edge counts.
+    """
+    keep = np.ones(tr.X.size, dtype=bool)
+    keep[1:] = np.diff(tr.N) == 0
+    return step_path(tr.X[keep]), step_path(tr.Y[keep]), tr.tau - tr.N[tr.tau]
 
 
 # Lemma checks on the exploration walk that no CLI command runs.
@@ -315,7 +356,7 @@ def test_self_loop_trace():
     assert list(tr.X) == [0, 0, -2]
     assert list(tr.N) == [0, 0, 1]
     assert list(tr.tau) == [2]
-    comps = tr.components()
+    comps = components(tr)
     assert comps[0].size == 1 and comps[0].surplus == 1 and comps[0].edge_count == 1
 
 
@@ -324,7 +365,7 @@ def test_two_vertex_edge_trace():
     g = sample_white_matching(seq, 0)
     tr = explore(g, 1)
     assert list(tr.tau) == [2]
-    c = tr.components()[0]
+    c = components(tr)[0]
     assert c.edge_count == 1 and c.size == 2 and c.surplus == 0
 
 
@@ -337,7 +378,7 @@ def test_trace_matches_union_find_oracle():
         for _ in range(30):
             g = sample_white_matching(seq, rng)
             tr = explore(g, rng)
-            walk = sorted((c.size, c.black_half_edges, c.surplus, c.edge_count) for c in tr.components())
+            walk = sorted((c.size, c.black_half_edges, c.surplus, c.edge_count) for c in components(tr))
             sizes, blacks, white_edges, surplus, *_ = relabel_table(g)
             oracle = sorted(zip(sizes.tolist(), blacks.tolist(), surplus.tolist(), white_edges.tolist()))
             assert walk == oracle
@@ -412,8 +453,8 @@ def test_vertex_time_walks_spacings_are_sizes():
     rng = stream_gen(6, 6)
     g = sample_white_matching(seq, rng)
     tr = explore(g, rng)
-    _, _, tau_v = tr.vertex_time_walks()
-    comps = tr.components()
+    _, _, tau_v = vertex_time_walks(tr)
+    comps = components(tr)
     spacings = np.diff(np.concatenate(([0], tau_v)))
     assert list(spacings) == [c.size for c in comps]
 
@@ -477,7 +518,7 @@ def _small_walks(draw):
     return g, explore(g, draw(st.integers(0, 2**32 - 1)))
 
 
-_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+_PROPERTY = settings(max_examples=200)
 
 
 @_PROPERTY
@@ -486,7 +527,7 @@ def test_walk_euler_per_component(walk):
     g, tr = walk
     assert sorted(tr.order.tolist()) == list(range(g.n))
     start = 0
-    for c in tr.components():
+    for c in components(tr):
         members = tr.order[start : start + c.size]
         start += c.size
         assert 2 * c.edge_count == g.seq.white[members].sum()
@@ -508,7 +549,7 @@ def test_walk_first_hits_minus_2k_at_tau(walk):
 @given(_small_walks())
 def test_walk_multiset_equals_component_table(walk):
     g, tr = walk
-    walk_rows = sorted((c.size, c.black_half_edges, c.surplus, c.edge_count) for c in tr.components())
+    walk_rows = sorted((c.size, c.black_half_edges, c.surplus, c.edge_count) for c in components(tr))
     sizes, blacks, white_edges, surplus, *_ = component_table(g)
     assert walk_rows == sorted(zip(sizes.tolist(), blacks.tolist(), surplus.tolist(), white_edges.tolist()))
 

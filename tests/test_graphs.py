@@ -280,7 +280,7 @@ def test_component_table_equals_full_relabel_small():
                 assert np.array_equal(got, want)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
 @example([1, 1], 0)  # a single edge
 @example([2], 0)  # a self-loop
@@ -296,6 +296,7 @@ def test_blocks_equal_the_public_labelling(white, seed):
     adj = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(g.n, g.n))
     b = g.blocks
     assert np.array_equal(b.label, connected_components(adj, directed=False)[1])
+    assert np.array_equal(labels_from_edges(pairs[:, 0], pairs[:, 1], g.n), b.label)
     sizes, blacks, edges, _, _, order = relabel_table(g)
     assert np.array_equal(b.order, order)
     for got, want in ((b.size, sizes), (b.black, blacks), (b.edges, edges)):
@@ -384,3 +385,10 @@ def test_kernel_index_out_of_range_raises():
     indptr = np.array([0, 1, 2], dtype=np.int32)
     with pytest.raises(InvariantError):
         graphs._component_labels(np.array([1, 5], dtype=np.int32), indptr, np.array([1, 0], dtype=np.int32), indptr)
+
+
+@pytest.mark.parametrize("rows,cols", [([0, 3], [1, 0]), ([0, 1], [2, -1])])
+def test_edge_end_out_of_range_raises(rows, cols):
+    # labels_from_edges hands the ends to a compiled counting sort that does not check them
+    with pytest.raises(InvariantError):
+        labels_from_edges(np.array(rows), np.array(cols), 3)

@@ -4,11 +4,29 @@ import pytest
 from hcmsim.core import stream_gen
 from hcmsim.degrees import LimitParameters, make_limit_parameters
 from hcmsim.levy import (
+    ThinnedLevyRealization,
     exploration_limit_params,
     sample_surplus_process,
     sample_thinned_levy,
 )
 from hcmsim.paths import CadlagPath
+
+
+def identity_residuals(real: ThinnedLevyRealization, times) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the defining formulas at the given times (exact up to rounding)."""
+    p = real.params
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    ind = real.xi[None, :] <= p.kappa * t[:, None]
+    x_ref = (ind * p.theta).sum(axis=1) - np.sum(p.theta**2) / p.kappa * t + p.lam * t
+    y_ref = (ind * p.beta).sum(axis=1) + p.alpha * t
+    return (
+        np.atleast_1d(real.X_path.eval(t)) - x_ref,
+        np.atleast_1d(real.Y_path.eval(t)) - y_ref,
+    )
+
+
+def final_value(path: CadlagPath):
+    return path.eval(path.horizon)
 
 
 # Truncation bound for the limit pair, which no CLI command reports.
@@ -55,7 +73,7 @@ def test_identity_residuals_below_1e9():
     p = make_limit_parameters(3.7, 200)
     for seed in range(5):
         real = sample_thinned_levy(p, T=6.0, rng_seed=seed)
-        rx, ry = real.identity_residuals(np.linspace(0, 6, 257))
+        rx, ry = identity_residuals(real, np.linspace(0, 6, 257))
         assert np.max(np.abs(rx)) < 1e-9
         assert np.max(np.abs(ry)) < 1e-9
         assert real.Y_path.is_nondecreasing()
@@ -116,7 +134,7 @@ def test_reflected_paths():
 def test_surplus_zero_intensity():
     down = CadlagPath.from_jumps(1.0, [], [], drift=-2.0)
     N = sample_surplus_process(down, 5)
-    assert N.final_value() == 0.0
+    assert final_value(N) == 0.0
 
 
 def test_surplus_poisson_moments():
@@ -125,7 +143,7 @@ def test_surplus_poisson_moments():
     for h in (0.5, 2.0):
         ramp = CadlagPath(np.array([0.0, 1e-9]), np.array([0.0, h]), np.array([h * 1e9, 0.0]), 1.0)
         rng = stream_gen(77, int(h * 10))
-        vals = np.array([sample_surplus_process(ramp, rng).final_value() for _ in range(reps)])
+        vals = np.array([final_value(sample_surplus_process(ramp, rng)) for _ in range(reps)])
         se_mean = np.sqrt(h / reps)
         assert abs(vals.mean() - h) <= 3 * se_mean
         var_se = np.sqrt(2 * h**2 / reps) + 3 * h / reps  # rough Poisson var-of-var
@@ -138,7 +156,7 @@ def test_surplus_intensity_additivity():
     for h in (1.0, 2.0):
         ramp = CadlagPath(np.array([0.0, 1e-9]), np.array([0.0, h]), np.array([h * 1e9, 0.0]), 1.0)
         rng = stream_gen(78, int(h))
-        means.append(np.mean([sample_surplus_process(ramp, rng).final_value() for _ in range(reps)]))
+        means.append(np.mean([final_value(sample_surplus_process(ramp, rng)) for _ in range(reps)]))
     assert abs(means[1] - 2 * means[0]) <= 4 * np.sqrt(2.0 / reps + 4 * 1.0 / reps)
 
 

@@ -1,7 +1,111 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcmsim.paths import CadlagPath
+
+
+# Path builders and the segment loop of the running minimum, kept as the
+# reference that CadlagPath.running_minimum is compared against.
+def step_path(values, horizon=None, dt=1.0):
+    """Right-continuous step path through ``values`` at spacing ``dt``."""
+    values = np.asarray(values, dtype=float)
+    times = np.arange(values.size) * float(dt)
+    if horizon is None:
+        horizon = times[-1] if values.size else 0.0
+    return CadlagPath(times, values, np.zeros_like(values), float(horizon))
+
+
+def linear_path(times, values, horizon=None):
+    """Continuous path interpolating (times, values) linearly."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if horizon is None:
+        horizon = times[-1]
+    dt = np.diff(times)
+    slopes = np.concatenate((np.diff(values) / dt, [0.0]))
+    return CadlagPath(times, values, slopes, float(horizon))
+
+
+def running_minimum_loop(self: CadlagPath) -> CadlagPath:
+    """Continuous non-increasing path ``t -> inf_{s<=t} f(s)``."""
+    out_t, out_v, out_s = [], [], []
+    m = self.values[0]
+    K = len(self.times)
+    for k in range(K):
+        a = self.times[k]
+        b = self.times[k + 1] if k + 1 < K else self.horizon
+        v, s = self.values[k], self.slopes[k]
+        m = min(m, v)
+        if v <= m and s < 0.0:
+            # path rides the minimum down through the whole segment
+            out_t.append(a), out_v.append(m), out_s.append(s)
+            m = v + s * (b - a)
+        elif s < 0.0:
+            end = v + s * (b - a)
+            if end < m:
+                tstar = a + (m - v) / s
+                out_t.append(a), out_v.append(m), out_s.append(0.0)
+                if tstar > a:
+                    out_t.append(tstar), out_v.append(m), out_s.append(s)
+                else:
+                    out_s[-1] = s
+                m = end
+            else:
+                out_t.append(a), out_v.append(m), out_s.append(0.0)
+        else:
+            out_t.append(a), out_v.append(m), out_s.append(0.0)
+    # collapse duplicate breakpoints introduced by tstar == a edge cases
+    t = np.asarray(out_t)
+    keep = np.concatenate(([True], np.diff(t) > 0))
+    return CadlagPath(t[keep], np.asarray(out_v)[keep], np.asarray(out_s)[keep], self.horizon)
+
+
+def reflected_loop(f: CadlagPath) -> CadlagPath:
+    """``f`` minus running_minimum_loop(f), built as CadlagPath.reflected builds it."""
+    m = running_minimum_loop(f)
+    ts = np.union1d(f.times, m.times)
+    vals = np.atleast_1d(f.eval(ts)) - np.atleast_1d(m.eval(ts))
+    slopes = f.slope_at(ts) - m.slope_at(ts)
+    return CadlagPath(ts, vals, slopes, f.horizon)
+
+
+def same_bits(p: CadlagPath, q: CadlagPath) -> bool:
+    return all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in [(p.times, q.times), (p.values, q.values), (p.slopes, q.slopes)]
+    ) and p.horizon == q.horizon
+
+
+@st.composite
+def jump_drift_paths(draw, negative_jumps=False):
+    """Jump-plus-drift paths on integer breakpoints, or the limit's shape.
+
+    On the integer grid, values and slopes are dyadic, so the path meets
+    its minimum exactly at breakpoints (ties), rises from it, touches it
+    and is lifted off again; a horizon on the last breakpoint leaves a
+    zero-length last segment, and an excursion may still be open there.
+    Jumps are 0 or at least 0.01: the segment loop of the excursions
+    drifts from the path's minimum on jumps below its 1e-9 tolerance
+    (test_sub_tolerance_jumps_open_no_excursion).
+    """
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 12))
+        gaps = np.array(draw(st.lists(st.integers(1, 3), min_size=k - 1, max_size=k - 1)), dtype=float)
+        times = np.concatenate(([0.0], np.cumsum(gaps)))
+        horizon = times[-1] + draw(st.integers(0, 2))
+        slopes = np.array(draw(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0]), min_size=k, max_size=k)))
+        low = -2 if negative_jumps else 0
+        jumps = np.array(draw(st.lists(st.integers(low, 3), min_size=k - 1, max_size=k - 1)), dtype=float)
+        start = float(draw(st.integers(-2, 2)))
+        values = start + np.concatenate(([0.0], np.cumsum(slopes[:-1] * gaps + jumps)))
+        return CadlagPath(times, values, slopes, horizon)
+    k = draw(st.integers(0, 8))
+    floats = st.floats(0.01, 10.0, allow_nan=False)
+    jump_times = draw(st.lists(floats, min_size=k, max_size=k))
+    jump_sizes = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 3.0)), min_size=k, max_size=k))
+    return CadlagPath.from_jumps(10.0, jump_times, jump_sizes, drift=draw(st.floats(-2.0, 0.5)))
 
 
 def test_from_jumps_eval_exact():
@@ -20,7 +124,7 @@ def test_zero_jumps_dropped_and_merged():
 
 
 def test_step_function_and_left_limits():
-    p = CadlagPath.step_function([0.0, 3.0, 1.0])
+    p = step_path([0.0, 3.0, 1.0])
     assert p.eval(0.5) == 0.0
     assert p.eval(1.0) == 3.0
     ll = p.left_limits()
@@ -56,7 +160,7 @@ def test_reflected_nondecreasing_path_is_shifted():
 
 
 def test_piecewise_linear_interpolates():
-    p = CadlagPath.piecewise_linear([0.0, 1.0, 2.0], [0.0, 2.0, -1.0])
+    p = linear_path([0.0, 1.0, 2.0], [0.0, 2.0, -1.0])
     assert float(p.eval(0.5)) == pytest.approx(1.0)
     assert float(p.eval(1.5)) == pytest.approx(0.5)
     assert not p.has_negative_jumps()
@@ -74,3 +178,10 @@ def test_invalid_paths_rejected():
         CadlagPath(np.array([0.5]), np.array([0.0]), np.array([0.0]), 1.0)
     with pytest.raises(ValueError):
         CadlagPath.from_jumps(1.0, [2.0], [1.0])
+
+
+@settings(max_examples=500)
+@given(jump_drift_paths(negative_jumps=True))
+def test_running_minimum_equals_the_segment_loop(f):
+    assert same_bits(f.running_minimum(), running_minimum_loop(f))
+    assert same_bits(f.reflected(), reflected_loop(f))
