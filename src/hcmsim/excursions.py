@@ -34,11 +34,11 @@ def excursion_decompose(f: CadlagPath) -> list[ExcursionInterval]:
 
 def _excursion_bounds(f: CadlagPath) -> tuple[np.ndarray, np.ndarray]:
     """Left and right endpoints of the excursions, read off the segments."""
-    if f.has_negative_jumps():
-        raise ValueError("path has negative jumps; excursion intervals undefined")
-    tol = _tol(float(np.max(np.abs(f.values))))
     a, v, s = f.times, f.values, f.slopes
     end, m = f._segment_minima()
+    tol = _tol(np.max(np.abs(v)))
+    if f.has_negative_jumps(tol, end):
+        raise ValueError("path has negative jumps; excursion intervals undefined")
     # lifted off the minimum by a jump, or by rising drift
     above = (v > m + tol) | (s > 0.0)
     close = above & (s < 0.0) & (end <= m + tol)

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _tol(scale: float) -> float:
-    return 1e-9 * max(1.0, abs(scale))
+def _tol(scale):
+    """Tolerance of a path whose largest absolute value is ``scale``; an array
+    of scales gives one tolerance each."""
+    return 1e-9 * np.fmax(1.0, np.abs(scale))
 
 
 @dataclass
@@ -94,19 +96,19 @@ class CadlagPath:
         keep = sizes != 0.0
         return self.times[keep], sizes[keep]
 
-    def has_negative_jumps(self, tol=None):
-        _, sizes = self.jumps()
-        if sizes.size == 0:
-            return False
+    def has_negative_jumps(self, tol=None, end=None):
+        """Whether a jump falls below ``-tol``; ``end`` passes the segment
+        ends (``_segment_ends``) when the caller has them already."""
         if tol is None:
             tol = _tol(np.max(np.abs(self.values)))
-        return bool(np.any(sizes < -tol))
+        if end is None:
+            end = self._segment_ends()
+        return bool(np.any(self.values[1:] - end[:-1] < -tol))
 
     def is_nondecreasing(self, tol=None):
         if tol is None:
             tol = _tol(np.max(np.abs(self.values)))
-        _, sizes = self.jumps()
-        return bool(np.all(self.slopes >= -tol)) and not np.any(sizes < -tol)
+        return bool(np.all(self.slopes >= -tol)) and not self.has_negative_jumps(tol)
 
     # -- derived paths ---------------------------------------------------
 
@@ -118,29 +120,38 @@ class CadlagPath:
         end = self._segment_ends()
         return end, np.minimum.accumulate(np.minimum(self.values, np.concatenate((self.values[:1], end[:-1]))))
 
-    def running_minimum(self) -> "CadlagPath":
-        """Continuous non-increasing path ``t -> inf_{s<=t} f(s)``."""
+    def _minimum_points(self):
+        """The running minimum's breakpoints as rows (times, values, slopes),
+        and for each the segment of ``self`` that ``eval`` picks there."""
         a, v, s = self.times, self.values, self.slopes
         end, m = self._segment_minima()
+        b = np.concatenate((a[1:], [self.horizon]))
         # a falling segment that starts on the minimum or ends below it rides
         # the minimum from tstar, where it crosses it, to its right end
         down = (s < 0.0) & ((v <= m) | (end < m))
         tstar = a + np.divide(m - v, s, out=np.zeros_like(v), where=down)
-        late = np.flatnonzero(tstar > a)  # flat on [a, tstar) first
-        pts = np.stack((a, m, np.where(down & (tstar <= a), s, 0.0)))  # (times, values, slopes)
-        if late.size:
-            pts = np.insert(pts, late + 1, np.stack((tstar[late], m[late], s[late])), axis=1)
-            # collapse duplicate breakpoints introduced by tstar == b edge cases
-            pts = pts[:, np.concatenate(([True], np.diff(pts[0]) > 0))]
-        return CadlagPath(*pts, self.horizon)
+        # flat on [a, tstar) first; a crossing that rounds onto b or past it
+        # leaves the whole segment flat, and the next one starts below m
+        cross = (tstar > a) & (tstar < b)
+        seg = np.repeat(np.arange(a.size), 1 + cross)  # segment k's points: a_k, then tstar_k
+        at = np.arange(a.size) + np.cumsum(cross) - cross
+        pts = np.empty((3, seg.size))  # (times, values, slopes)
+        pts[:, at] = a, m, np.where(down & (tstar <= a), s, 0.0)
+        pts[:, at[cross] + 1] = tstar[cross], m[cross], s[cross]
+        return pts, seg
+
+    def running_minimum(self) -> "CadlagPath":
+        """Continuous non-increasing path ``t -> inf_{s<=t} f(s)``."""
+        return CadlagPath(*self._minimum_points()[0], self.horizon)
 
     def reflected(self) -> "CadlagPath":
-        """Pathwise ``f - running minimum``; non-negative everywhere."""
-        m = self.running_minimum()
-        ts = np.union1d(self.times, m.times)
-        vals = np.atleast_1d(self.eval(ts)) - np.atleast_1d(m.eval(ts))
-        slopes = self.slope_at(ts) - m.slope_at(ts)
-        return CadlagPath(ts, vals, slopes, self.horizon)
+        """Pathwise ``f - running minimum``; non-negative everywhere.
+
+        The minimum's breakpoints include the path's own, so both paths are
+        evaluated there as ``eval`` does, each on its segment at that time."""
+        (t, mv, ms), k = self._minimum_points()
+        a, v, s = self.times[k], self.values[k], self.slopes[k]
+        return CadlagPath(t, (v + s * (t - a)) - (mv + ms * (t - t)), s - ms, self.horizon)
 
     # -- export -----------------------------------------------------------
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import stream_gen, write_rows
+from .core import InvariantError, stream_gen, write_rows
 from .degrees import (
     DEFAULT_BULK_WHITE,
     build_degree_sequence,
@@ -26,7 +26,7 @@ from .degrees import (
 from .dynamics import run_dynamic
 from .excursions import gamma_down
 from .graphs import component_table, sample_white_matching
-from .levy import exploration_limit_params, sample_thinned_levy
+from .levy import exploration_limit_params, limit_pairs_batch, sample_thinned_levy
 from .coalescent import mcmw_graphical
 
 
@@ -126,15 +126,23 @@ def build_critical_sequence(config: ExperimentConfig, n: int, rng_seed=None):
 
 def sample_limit_pairs(config: ExperimentConfig, code: int = 4):
     """``config.limit_replicates`` replicates of the ordered limit vector
-    Gamma(X, Y), top_j rows each, on the streams of ``code``."""
-    limits = make_limit_parameters(config.tau, config.K_max, lam=config.lam)
-    walk_params = exploration_limit_params(limits)
+    Gamma(X, Y), top_j rows each, on the streams of ``code``.
 
-    def one(r, rng):
-        real = sample_thinned_levy(walk_params, T=config.levy_horizon, rng_seed=rng)
-        return _pad_pairs(gamma_down(real.X_path, real.Y_path), config.top_j)
-
-    return np.array(_replicates(config, code, 0, config.limit_replicates, one))
+    Replicate r draws its hub clocks from stream (code, 0, r); the rows are
+    then computed together by ``levy.limit_pairs_batch``. Replicate 0 is
+    computed once more through the paths (``sample_thinned_levy`` and
+    ``gamma_down``), and the two must agree bit for bit."""
+    params = exploration_limit_params(make_limit_parameters(config.tau, config.K_max, lam=config.lam))
+    T, R = config.levy_horizon, config.limit_replicates
+    xi = np.empty((R, params.theta.size))
+    for r in range(R):
+        xi[r] = stream_gen(config.master_seed, _sidx(code, 0, r)).exponential(1.0 / params.theta)
+    rows = limit_pairs_batch(params, T, xi, config.top_j)
+    if R:
+        real = sample_thinned_levy(params, T, stream_gen(config.master_seed, _sidx(code, 0, 0)))
+        if _pad_pairs(gamma_down(real.X_path, real.Y_path), config.top_j).tobytes() != rows[0].tobytes():
+            raise InvariantError("limit replicate 0: the array pass and the path form disagree")
+    return rows
 
 
 def _pad_pairs(pairs: np.ndarray, top_j: int):

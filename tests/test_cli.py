@@ -11,6 +11,7 @@ import scipy
 
 from hcmsim import cli
 from hcmsim.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, config_hash, main, parse_config
+from test_stats import _off_by_one_ulp
 
 
 def run_cli(args):
@@ -204,6 +205,14 @@ def test_invalid_built_degrees_exits_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(stats, "build_degree_sequence", odd_black_total)
     assert run_cli(["--out-dir", str(tmp_path), "validate-degrees", "--n", "200"]) == EXIT_INVARIANT
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_limit_replicate_zero_mismatch_exits_3(tmp_path, monkeypatch):
+    _off_by_one_ulp(monkeypatch)
+    cfg = tmp_path / "thm16.cfg"
+    cfg.write_text(f"experiment=thm16\nn_grid=200,400\nreplicates=10\nlimit_replicates=20\nout_dir={tmp_path}\n")
+    assert run_cli(["--config", str(cfg)]) == EXIT_INVARIANT
     assert not (tmp_path / "manifest.json").exists()
 
 

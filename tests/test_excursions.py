@@ -255,6 +255,23 @@ def test_negative_jump_rejected():
         excursion_decompose(p)
 
 
+@pytest.mark.parametrize("scale", [1.0, 4.0])
+def test_jump_checks_hold_their_tolerance(scale):
+    # the tolerance is 1e-9 times the path's largest |value|, at least 1;
+    # each path here peaks at scale
+    tol = 1e-9 * scale
+    f = CadlagPath.from_jumps(5.0, [1.0, 3.0], [scale, -0.5 * tol])
+    g = CadlagPath.from_jumps(5.0, [2.0], [scale])
+    gamma_down(f, g)
+    with pytest.raises(ValueError, match="negative jumps"):
+        gamma_down(CadlagPath.from_jumps(5.0, [1.0, 3.0], [scale, -1.5 * tol]), g)
+    gamma_down(f, CadlagPath.from_jumps(5.0, [2.0, 4.0], [scale, -0.5 * tol]))
+    for falling in (CadlagPath.from_jumps(5.0, [2.0, 4.0], [scale, -1.5 * tol]),
+                    CadlagPath(np.array([0.0, 2.0]), np.array([0.0, scale]), np.array([0.0, -1.5 * tol]), 5.0)):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            gamma_down(f, falling)
+
+
 def test_sub_tolerance_jumps_open_no_excursion():
     # two jumps below the 1e-9 tolerance while the path rides its minimum
     # down: neither lifts it off the minimum, but the segment loop kept

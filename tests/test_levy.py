@@ -1,15 +1,23 @@
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcmsim.core import stream_gen
 from hcmsim.degrees import LimitParameters, make_limit_parameters
+from hcmsim.excursions import gamma_down
 from hcmsim.levy import (
     ThinnedLevyRealization,
     exploration_limit_params,
+    limit_pairs_batch,
     sample_surplus_process,
     sample_thinned_levy,
 )
 from hcmsim.paths import CadlagPath
+from hcmsim.stats import _pad_pairs
 
 
 def identity_residuals(real: ThinnedLevyRealization, times) -> tuple[np.ndarray, np.ndarray]:
@@ -176,3 +184,133 @@ def test_thinned_levy_needs_a_seed():
 
     params = inspect.signature(sample_thinned_levy).parameters
     assert params["rng_seed"].default is inspect.Parameter.empty
+
+
+# -- the array pass over a clock matrix ------------------------------------------
+
+
+class _FixedClocks(np.random.Generator):
+    """A generator whose exponential draw is a given clock row, so that
+    sample_thinned_levy builds the paths of crafted clocks."""
+
+    def __init__(self, xi):
+        super().__init__(np.random.Philox(0))
+        self.xi = np.asarray(xi, dtype=float)
+
+    def exponential(self, scale):
+        return self.xi.copy()
+
+
+def path_form_rows(params, T, xi, top_j) -> np.ndarray:
+    """The rows of limit_pairs_batch, one path pair per clock row; raises
+    the ValueError of the first row that the paths reject."""
+    rows = []
+    for clocks in xi:
+        real = sample_thinned_levy(params, T, _FixedClocks(clocks))
+        rows.append(_pad_pairs(gamma_down(real.X_path, real.Y_path), top_j))
+    return np.array(rows)
+
+
+def assert_batch_equals_path_form(params, T, xi, top_j):
+    xi = np.asarray(xi, dtype=float)
+    try:
+        expected = path_form_rows(params, T, xi, top_j)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            limit_pairs_batch(params, T, xi, top_j)
+        return
+    batch = limit_pairs_batch(params, T, xi, top_j)
+    assert batch.shape == expected.shape == (xi.shape[0], 2 * top_j + 1)
+    for got, want in zip(batch, expected):
+        assert got.tobytes() == want.tobytes()
+
+
+def _drift_lam(theta, kappa, sign):
+    """lambda that makes X's drift negative, exactly zero or positive."""
+    c = float(np.sum(np.asarray(theta) ** 2)) / kappa
+    return {-1: 0.0, 0: c, 1: c + 5.0}[sign]
+
+
+@pytest.mark.parametrize("drift", [-1, 0, 1])
+def test_batch_equals_path_form_on_crafted_clocks(drift):
+    theta, beta = [1.5, 1.0, 0.75, 0.5], [0.5, 0.0, 1.0, 0.25]
+    p = _params(theta, beta, alpha=0.5, lam=_drift_lam(theta, 1.0, drift))
+    T = 4.0
+    xi = [
+        [1.0, 1.0, 2.0, 2.0],  # tied jump times, one of them with a zero beta
+        [9.0, 5.0, 7.5, 4.5],  # no jump inside the horizon
+        [4.0, 0.5, 9.0, 4.0],  # jumps exactly at T
+        [0.25, 0.5, 0.75, 1.0],  # more excursions than top_j below
+        [3.0, 0.5, 0.5, 0.5],  # three hubs on one time
+    ]
+    for top_j in (1, 2, 20):
+        assert_batch_equals_path_form(p, T, xi, top_j)
+    assert_batch_equals_path_form(p, T, xi[1:2], 2)  # no row jumps at all
+    one = _params([1.0], [0.5], lam=_drift_lam([1.0], 1.0, drift))  # K = 1
+    assert_batch_equals_path_form(one, T, [[0.5], [4.0], [7.0]], 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batch_equals_path_form_on_random_clocks(seed):
+    """Non-dyadic profiles, where the rounding of a sum or of a drift term
+    depends on the order of the adds and on the segment Y is evaluated on:
+    24 hubs on three ring times, and 6 hubs half of which have beta = 0."""
+    rng = np.random.default_rng(seed)
+    for K, ties in [(24, True), (6, False)]:
+        theta = np.sort(rng.uniform(0.05, 2.0, K))[::-1]
+        beta = rng.uniform(0.01, 2.0, K) * (rng.random(K) < 0.5)
+        p = _params(theta, beta, alpha=1 / 3, lam=_drift_lam(theta, 1.0, -1))
+        xi = rng.choice([0.5, 1.5, 2.5], size=(4, K)) if ties else rng.uniform(0.01, 6.0, (4, K))
+        assert_batch_equals_path_form(p, 4.0, xi, 3)
+
+
+def test_batch_equals_path_form_on_exact_closes():
+    # X = 2 hub jumps of 1 on drift -1: excursions [1, 2] and [3, 4] of equal
+    # length, the first closing exactly on the next jump, whose beta Y(r) takes
+    p = _params([1.0, 1.0], [0.5, 0.25], alpha=0.5, lam=1.0)
+    assert_batch_equals_path_form(p, 5.0, [[1.0, 3.0], [1.0, 2.0], [2.0, 1.0]], 2)
+    # one jump whose excursion closes exactly at T, the last column of its row
+    assert_batch_equals_path_form(_params([1.0], [0.5], lam=0.0), 3.0, [[2.0], [1.0]], 1)
+
+
+@st.composite
+def _clock_matrices(draw):
+    """Limit parameters, a horizon and a clock matrix whose rows tie, jump
+    at T and beyond it, with X's drift negative, zero or positive."""
+    K, R = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    kappa = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    T = draw(st.sampled_from([1.0, 2.5, 4.0]))
+    theta = np.sort(draw(st.lists(st.floats(0.05, 2.0), min_size=K, max_size=K)))[::-1]
+    beta = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 2.0)), min_size=K, max_size=K))
+    lam = _drift_lam(theta, kappa, draw(st.sampled_from([-1, 0, 1])))
+    p = _params(theta, beta, alpha=draw(st.sampled_from([0.0, 0.5])), lam=lam, kappa=kappa)
+    # quarter-grid clocks tie; T * kappa rings exactly at T, 3 T kappa beyond it
+    clock = st.one_of(st.sampled_from([0.25, 0.5, 1.0, T * kappa, 3 * T * kappa]), st.floats(0.01, 2 * T * kappa))
+    xi = draw(st.lists(st.lists(clock, min_size=K, max_size=K), min_size=R, max_size=R))
+    return p, T, xi, draw(st.integers(1, 4))
+
+
+@settings(max_examples=300)
+@given(_clock_matrices())
+def test_batch_equals_path_form_row_by_row(case):
+    assert_batch_equals_path_form(*case)
+
+
+def test_batch_raises_the_path_forms_errors():
+    p = _params([1.0, 0.5], [0.5, 0.5])
+    with pytest.raises(ValueError, match="jump times must lie"):
+        limit_pairs_batch(p, 4.0, np.array([[1.0, 2.0], [0.0, 2.0]]), 3)
+    assert_batch_equals_path_form(p, 4.0, [[1.0, 2.0], [0.0, 2.0]], 3)
+    # negative theta or beta jumps, which LimitParameters itself refuses
+    # Y's second jump falls though Y stays above its start
+    for theta, beta, msg in [([1.0, -0.5], [0.5, 0.5], "negative jumps"), ([1.0, 0.5], [1.0, -0.5], "non-decreasing")]:
+        bad = SimpleNamespace(theta=np.array(theta), beta=np.array(beta), alpha=0.0, lam=0.0, kappa=1.0)
+        xi = np.array([[5.0, 6.0], [1.0, 2.0], [1.0, 3.0]])  # row 0 rings no hub
+        with pytest.raises(ValueError, match=msg):
+            limit_pairs_batch(bad, 4.0, xi, 3)
+        assert_batch_equals_path_form(bad, 4.0, xi, 3)
+    # the first rejected row decides the error, as it does row by row
+    bad = SimpleNamespace(theta=np.array([1.0, -0.5]), beta=np.array([0.5, -0.5]), alpha=0.0, lam=0.0, kappa=1.0)
+    assert_batch_equals_path_form(bad, 4.0, [[3.0, 1.0], [0.5, 5.0], [-1.0, 5.0]], 3)
+    with pytest.raises(ValueError, match="at least one hub"):
+        limit_pairs_batch(_params([], []), 4.0, np.zeros((2, 0)), 3)

@@ -47,19 +47,16 @@ def running_minimum_loop(self: CadlagPath) -> CadlagPath:
             if end < m:
                 tstar = a + (m - v) / s
                 out_t.append(a), out_v.append(m), out_s.append(0.0)
-                if tstar > a:
-                    out_t.append(tstar), out_v.append(m), out_s.append(s)
-                else:
+                if tstar <= a:
                     out_s[-1] = s
+                elif tstar < b:  # rounded onto b or past it: flat to b
+                    out_t.append(tstar), out_v.append(m), out_s.append(s)
                 m = end
             else:
                 out_t.append(a), out_v.append(m), out_s.append(0.0)
         else:
             out_t.append(a), out_v.append(m), out_s.append(0.0)
-    # collapse duplicate breakpoints introduced by tstar == a edge cases
-    t = np.asarray(out_t)
-    keep = np.concatenate(([True], np.diff(t) > 0))
-    return CadlagPath(t[keep], np.asarray(out_v)[keep], np.asarray(out_s)[keep], self.horizon)
+    return CadlagPath(np.asarray(out_t), np.asarray(out_v), np.asarray(out_s), self.horizon)
 
 
 def reflected_loop(f: CadlagPath) -> CadlagPath:
@@ -171,6 +168,19 @@ def test_sample_grid_hits_horizon():
     t, v = p.sample_grid(0.4)
     assert t[-1] == 1.0
     assert v[-1] == pytest.approx(1.0)
+
+
+def test_crossing_rounded_onto_the_next_breakpoint():
+    # on [a, b) the path falls from v to just below its minimum m, but the
+    # crossing time a + (m - v) / s rounds to b itself; the path rises after b
+    a, b = 1.7075043856180703, 3.419415570222811
+    s, v, m = -1.272988341563213, 0.9287020701322124, -1.2505409096612918
+    assert a + (m - v) / s == b and v + s * (b - a) < m
+    f = CadlagPath([0.0, a, b], [m, v, m + 1.0], [0.0, s, 1.0], b + 1.0)
+    assert f.running_minimum().slopes.tolist() == [0.0, 0.0, 0.0]
+    r = f.reflected()
+    assert same_bits(r, reflected_loop(f))
+    assert r.eval(b + 1.0) == pytest.approx(2.0)
 
 
 def test_invalid_paths_rejected():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hcmsim.core import stream_gen
+from hcmsim.core import InvariantError, stream_gen
 from hcmsim.stats import (
     ExperimentConfig,
     _sidx,
@@ -117,6 +117,28 @@ def test_limit_pairs_shape_and_padding():
     pairs = sample_limit_pairs(cfg)
     assert pairs.shape == (40, 13)  # top_j * 2 + tail mass
     assert np.all(pairs[:, -1] >= 0)
+
+
+def _off_by_one_ulp(monkeypatch):
+    """Make the array pass return row 0 one ulp away from the path form."""
+    import hcmsim.stats as stats
+
+    batch = stats.limit_pairs_batch
+
+    def nudged(*args):
+        rows = batch(*args)
+        rows[0, 0] = np.nextafter(rows[0, 0], np.inf)
+        return rows
+
+    monkeypatch.setattr(stats, "limit_pairs_batch", nudged)
+
+
+def test_limit_pairs_cross_check_replicate_zero(monkeypatch):
+    cfg = ExperimentConfig(n_grid=[200], replicates=5, limit_replicates=20, top_j=6, master_seed=1)
+    sample_limit_pairs(cfg)
+    _off_by_one_ulp(monkeypatch)
+    with pytest.raises(InvariantError, match="replicate 0"):
+        sample_limit_pairs(cfg)
 
 
 def test_thm16_smoke_and_determinism():
