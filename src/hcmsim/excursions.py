@@ -1,10 +1,12 @@
 """Excursions of cadlag paths above their running minimum.
 
 The decomposition and the ordered length/weight-increment vector used to
-compare finite walks with their limits. All interval endpoints are roots
-of linear equations on the jump-plus-drift representation, so the
-identities (disjointness, complement measure) are exact up to float
-rounding.
+compare finite walks with their limits. Each is computed on a stack of
+segment tables (``paths.jump_rows``), one path per row: a single path is
+the one-row case, and the limit replicates of ``levy.limit_pairs_batch``
+are many rows. All interval endpoints are roots of linear equations on
+the jump-plus-drift representation, so the identities (disjointness,
+complement measure) are exact up to float rounding.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import CadlagPath, _tol
+from .paths import CadlagPath, _segment_minima, _tol, eval_rows, raise_first
 
 
 @dataclass
@@ -29,25 +31,48 @@ def excursion_decompose(f: CadlagPath) -> list[ExcursionInterval]:
     Requires ``f`` to have no negative jumps. An excursion still open at
     the horizon is dropped (it has no right endpoint).
     """
-    return [ExcursionInterval(l, r, r - l) for l, r in zip(*_excursion_bounds(f))]
+    _, lefts, rights, check = excursion_rows(*f.rows())
+    raise_first(check)
+    return [ExcursionInterval(l, r, r - l) for l, r in zip(lefts, rights)]
 
 
-def _excursion_bounds(f: CadlagPath) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right endpoints of the excursions, read off the segments."""
-    a, v, s = f.times, f.values, f.slopes
-    end, m = f._segment_minima()
-    tol = _tol(np.max(np.abs(v)))
-    if f.has_negative_jumps(tol, end):
-        raise ValueError("path has negative jumps; excursion intervals undefined")
+def excursion_rows(a, v, s, b, real):
+    """The excursions of each row of a segment table: their rows, left and
+    right endpoints, by row and then in time order, and the ``raise_first``
+    check of the rows with a negative jump (their excursions are undefined)."""
+    end, m = _segment_minima(a, v, s, b)
+    tol = _tol(np.max(np.abs(v), axis=1, where=real, initial=0.0))[:, None]
     # lifted off the minimum by a jump, or by rising drift
-    above = (v > m + tol) | (s > 0.0)
+    above = real & ((v > m + tol) | (s > 0.0))
     close = above & (s < 0.0) & (end <= m + tol)
-    opens = np.flatnonzero(above & ~np.concatenate(([False], (above & ~close)[:-1])))
-    k = np.flatnonzero(close)
-    b = np.concatenate((a[1:], [f.horizon]))[k]
-    r = np.minimum(np.maximum(a[k] + (m[k] - v[k]) / s[k], a[k]), b)
+    opens = above & ~np.concatenate((np.zeros_like(above[:, :1]), (above & ~close)[:, :-1]), axis=1)
     # each excursion opens at the last opening segment up to its close
-    return a[opens[np.searchsorted(opens, k, side="right") - 1]], r
+    last_open = np.maximum.accumulate(np.where(opens, np.arange(a.shape[1]), 0), axis=1)
+    row, k = np.nonzero(close)
+    ak = a[row, k]
+    rights = np.minimum(np.maximum(ak + (m[row, k] - v[row, k]) / s[row, k], ak), b[row, k])
+    falls = _negative_jumps(v, end, real, tol)
+    return row, a[row, last_open[row, k]], rights, (falls, "path has negative jumps; excursion intervals undefined")
+
+
+def _negative_jumps(v, end, real, tol):
+    """Which rows have a jump below ``-tol``."""
+    return np.any(real[:, 1:] & (v[:, 1:] - end[:, :-1] < -tol), axis=1)
+
+
+def gamma_rows(f, g):
+    """``gamma_down`` of each row pair of the segment tables ``f`` and ``g``:
+    the rows of the pairs, the pairs in row order, and the checks for
+    ``paths.raise_first``, in the order ``gamma_down`` makes them."""
+    row, lefts, rights, f_check = excursion_rows(*f)
+    a, v, s, b, real = g
+    tol = _tol(np.max(np.abs(v), axis=1, where=real, initial=0.0))[:, None]
+    g_falls = np.any(real & ~(s >= -tol), axis=1) | _negative_jumps(v, v + s * (b - a), real, tol)
+    lengths = rights - lefts
+    # g(r) - g(l-): a jump of g at l counts for the excursion that l opens
+    pairs = np.column_stack((lengths, eval_rows(g, row, rights) - eval_rows(g, row, lefts, "left")))
+    order = np.lexsort((lefts, -lengths, row))
+    return row[order], pairs[order], ((g_falls, "g must be non-decreasing"), f_check)
 
 
 def gamma_down(f: CadlagPath, g: CadlagPath) -> np.ndarray:
@@ -59,21 +84,21 @@ def gamma_down(f: CadlagPath, g: CadlagPath) -> np.ndarray:
     the excursion it opens; on jointly good paths ``g`` is continuous at
     both endpoints and this coincides with ``g(r) - g(l)``.
     """
-    if not g.is_nondecreasing():
-        raise ValueError("g must be non-decreasing")
-    lefts, rights = _excursion_bounds(f)
-    if not lefts.size:
-        return np.zeros((0, 2))
-    g_left = _left_eval(g, lefts)
-    g_right = np.atleast_1d(g.eval(rights))
-    pairs = np.column_stack((rights - lefts, g_right - g_left))
-    idx = np.lexsort((lefts, -pairs[:, 0]))
-    return pairs[idx]
+    _, pairs, checks = gamma_rows(f.rows(), g.rows())
+    raise_first(*checks)
+    return pairs
 
 
-def _left_eval(g: CadlagPath, t):
-    """Left limits g(t-) for an array of times."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    idx = np.searchsorted(g.times, t, side="left") - 1
-    idx = np.clip(idx, 0, len(g.times) - 1)
-    return g.values[idx] + g.slopes[idx] * (t - g.times[idx])
+def pad_rows(row, pairs, R: int, top_j: int) -> np.ndarray:
+    """(R, 2 top_j + 1) rows: the first ``top_j`` pairs of each row, flat and
+    zero-padded, then the sum of squares of the rest. ``row`` is sorted."""
+    counts = np.bincount(row, minlength=R)
+    first = np.cumsum(counts) - counts
+    rank = np.arange(row.size) - first[row]
+    head = rank < top_j
+    out = np.zeros((R, top_j, 2))
+    out[row[head], rank[head]] = pairs[head]
+    tail = np.zeros(R)
+    for i in np.flatnonzero(counts > top_j):
+        tail[i] = np.sum(pairs[first[i] + top_j : first[i] + counts[i]] ** 2)
+    return np.column_stack((out.reshape(R, 2 * top_j), tail))

@@ -24,10 +24,15 @@ from .degrees import (
     tune_to_criticality,
 )
 from .dynamics import run_dynamic
-from .excursions import gamma_down
+from .excursions import gamma_down, pad_rows
 from .graphs import component_table, sample_white_matching
 from .levy import exploration_limit_params, limit_pairs_batch, sample_thinned_levy
 from .coalescent import mcmw_graphical
+
+
+def _check_ks_sizes(*sizes):
+    if min(sizes) < 10:
+        raise ValueError("need at least 10 samples per side")
 
 
 def ks_two_sample(a, b):
@@ -36,10 +41,7 @@ def ks_two_sample(a, b):
     # adds about half a second and 40 MB to every process that imports it
     from scipy.stats import ks_2samp
 
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size < 10 or b.size < 10:
-        raise ValueError("need at least 10 samples per side")
+    _check_ks_sizes(np.size(a), np.size(b))
     res = ks_2samp(a, b, method="asymp")
     return float(res.statistic), float(res.pvalue)
 
@@ -67,6 +69,8 @@ class ExperimentConfig:
         self.n_grid = sorted(int(n) for n in self.n_grid)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.limit_replicates < 1:
+            raise ValueError("limit_replicates must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         if self.top_j < 1:
@@ -146,12 +150,7 @@ def sample_limit_pairs(config: ExperimentConfig, code: int = 4):
 
 
 def _pad_pairs(pairs: np.ndarray, top_j: int):
-    out = np.zeros((top_j, 2))
-    k = min(top_j, pairs.shape[0])
-    out[:k] = pairs[:k]
-    tail = pairs[k:]
-    tail_mass = float(np.sum(tail**2)) if tail.size else 0.0
-    return np.concatenate((out.ravel(), [tail_mass]))
+    return pad_rows(np.zeros(pairs.shape[0], int), pairs, 1, top_j)[0]
 
 
 def trend_non_increasing(stats_by_n: dict) -> dict:
@@ -186,6 +185,7 @@ def _grid_report(config: ExperimentConfig, experiment: str, code: int, replicate
 
 def theorem_1_6_experiment(config: ExperimentConfig) -> dict:
     """Rescaled (size, black half-edge) pairs of G_n(0) against Gamma(X, Y)."""
+    _check_ks_sizes(config.limit_replicates, *map(config.reps_for, config.n_grid))
     limit = sample_limit_pairs(config)
 
     def replicate(seq, rng):
@@ -216,6 +216,7 @@ def percolation_time(seq, mu: float) -> float:
 
 def theorem_1_7_experiment(config: ExperimentConfig) -> dict:
     """Percolated component sizes at s = mu gamma_n / c_n against MC2(Gamma(X,Y), mu)."""
+    _check_ks_sizes(config.limit_replicates, *map(config.reps_for, config.n_grid))
     limit = sample_limit_pairs(config, 5)
 
     def limit_largest(r, rng):

@@ -31,7 +31,7 @@ from test_coalescent import scaling_transform
 from test_dynamics import modified_block_view, q_trajectory_check
 from test_exploration import components
 from test_graphs import percolate_black, relabel_table, sample_black_matching
-from test_levy import final_value, identity_residuals
+from test_levy import FixedClocks, final_value, identity_residuals, y_rows_at
 from test_mc2_engine import bipartite_bound_check
 
 
@@ -214,18 +214,18 @@ def test_c07_thinned_levy_identities():
     ts = np.array([0.5, 1.0, 2.0])
     reps = 100_000
     rng = stream_gen(707, 0)
-    acc = np.empty((reps, ts.size))
+    # the clocks of one sample_thinned_levy call per replicate, in draw order
+    xi = rng.exponential(1.0 / params.theta, size=(reps, params.theta.size))
+    acc = y_rows_at(params, 2.0, xi, ts)
     grid = np.linspace(0.0, 2.0, 33)
-    for r in range(reps):
-        real = sample_thinned_levy(params, T=2.0, rng_seed=rng)
-        acc[r] = np.atleast_1d(real.Y_path.eval(ts))
-        if r < 200:  # identity and jump-set checks on a prefix
-            rx, ry = identity_residuals(real, grid)
-            assert np.max(np.abs(rx)) < 1e-9
-            assert np.max(np.abs(ry)) < 1e-9
-            xt, _ = real.X_path.jumps()
-            yt, _ = real.Y_path.jumps()
-            assert set(yt.tolist()) <= set(xt.tolist())
+    for clocks in xi[:200]:  # identity and jump-set checks on a prefix
+        real = sample_thinned_levy(params, 2.0, FixedClocks(clocks))
+        rx, ry = identity_residuals(real, grid)
+        assert np.max(np.abs(rx)) < 1e-9
+        assert np.max(np.abs(ry)) < 1e-9
+        xt, _ = real.X_path.jumps()
+        yt, _ = real.Y_path.jumps()
+        assert set(yt.tolist()) <= set(xt.tolist())
     for j, t in enumerate(ts):
         target = params.alpha * t + float(np.sum(params.beta * (1 - np.exp(-params.theta * params.kappa * t))))
         se = acc[:, j].std(ddof=1) / np.sqrt(reps)

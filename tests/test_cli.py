@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,29 @@ def test_limit_replicate_zero_mismatch_exits_3(tmp_path, monkeypatch):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("which", ["thm16", "thm17"])
+@pytest.mark.parametrize("key,value,message", [
+    ("limit_replicates", 0, "limit_replicates must be >= 1"),
+    ("limit_replicates", -2, "limit_replicates must be >= 1"),
+    ("limit_replicates", 9, "need at least 10 samples per side"),
+    ("replicates", 9, "need at least 10 samples per side"),
+])
+def test_theorem_run_without_a_ks_exits_2_before_drawing(tmp_path, capsys, monkeypatch, which, key, value, message):
+    from hcmsim import stats
+
+    def no_draw(*args):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr(stats, "stream_gen", no_draw)
+    keys = {"experiment": which, "n_grid": "200,300", "replicates": 12, "limit_replicates": 12, "K_max": 5,
+            key: value, "out_dir": tmp_path}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in keys.items()))
+    assert run_cli(["--config", str(cfg)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_bad_mcmw_input_exits_2(tmp_path):
     for args in (["--masses", "1,2,3", "--weights", "1,1,1", "--time", "-1"],
                  ["--masses=-1,2,3", "--weights=-1,-1,1", "--time", "0.5"],
@@ -341,11 +365,27 @@ def test_bad_config_value_names_file_line_and_key(tmp_path, capsys, line, key):
     assert list((tmp_path / "out").glob("*")) == []
 
 
-@pytest.mark.parametrize("args", [["--grid-step", "0"], ["--tau", "1"], ["--tau", "2.5"], ["--tau", "3"],
-                                  ["--tau", "4"], ["--tau", "5"], ["--k-max", "0"]],
-                         ids=["grid_step_0", "tau_1", "tau_2.5", "tau_3", "tau_4", "tau_5", "k_max_0"])
-def test_bad_levy_input_exits_2(tmp_path, args):
-    assert run_cli(["--out-dir", str(tmp_path), "levy", "--k-max", "50", *args]) == EXIT_CONFIG
+_BAD_LEVY_INPUT = {
+    "grid_step_0": (["--grid-step", "0"], "grid step must be finite and > 0, got 0.0"),
+    "tau_1": (["--tau", "1"], "tau must lie in (3, 4), got 1.0"),
+    "tau_2.5": (["--tau", "2.5"], "tau must lie in (3, 4), got 2.5"),
+    "tau_3": (["--tau", "3"], "tau must lie in (3, 4), got 3.0"),
+    "tau_4": (["--tau", "4"], "tau must lie in (3, 4), got 4.0"),
+    "tau_5": (["--tau", "5"], "tau must lie in (3, 4), got 5.0"),
+    "k_max_0": (["--k-max", "0"], "K_max must be >= 1"),
+    **{f"horizon_{h}": (["--horizon", h], f"levy_horizon must be finite and > 0, got {float(h)}")
+       for h in ("0", "-1", "nan", "inf")},
+    **{f"grid_step_{h}": (["--grid-step", h], f"grid step must be finite and > 0, got {float(h)}")
+       for h in ("nan", "inf")},
+}
+
+
+@pytest.mark.parametrize("args,message", _BAD_LEVY_INPUT.values(), ids=_BAD_LEVY_INPUT.keys())
+def test_bad_levy_input_exits_2(tmp_path, capsys, args, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the message
+        assert run_cli(["--out-dir", str(tmp_path), "levy", "--k-max", "50", *args]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "limit_path.csv").exists()
 
 

@@ -12,7 +12,7 @@ from hcmsim.degrees import (
     make_limit_parameters,
     make_scaling,
 )
-from hcmsim.excursions import ExcursionInterval, _left_eval, excursion_decompose, gamma_down
+from hcmsim.excursions import ExcursionInterval, excursion_decompose, gamma_down
 from hcmsim.exploration import explore
 from hcmsim.graphs import sample_white_matching
 from hcmsim.levy import sample_thinned_levy
@@ -22,8 +22,8 @@ from test_paths import jump_drift_paths, linear_path, running_minimum_loop, same
 
 
 # The segment loop of the excursion decomposition, and gamma_down on top of
-# it: the reference that excursion_decompose and gamma_down are compared
-# against.
+# it with its own evaluation of g: the reference that excursion_decompose,
+# gamma_down and levy.limit_pairs_batch are compared against.
 def excursion_decompose_loop(f: CadlagPath) -> list[ExcursionInterval]:
     """Maximal excursion intervals of ``f`` above its running minimum.
 
@@ -64,6 +64,14 @@ def excursion_decompose_loop(f: CadlagPath) -> list[ExcursionInterval]:
                 in_exc = False
                 m = v + s * (b - a)  # path rides the minimum down afterwards
     return out
+
+
+def _left_eval(g: CadlagPath, t):
+    """Left limits g(t-) for an array of times."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    idx = np.searchsorted(g.times, t, side="left") - 1
+    idx = np.clip(idx, 0, len(g.times) - 1)
+    return g.values[idx] + g.slopes[idx] * (t - g.times[idx])
 
 
 def gamma_down_loop(f: CadlagPath, g: CadlagPath) -> np.ndarray:

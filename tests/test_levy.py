@@ -16,8 +16,10 @@ from hcmsim.levy import (
     sample_surplus_process,
     sample_thinned_levy,
 )
-from hcmsim.paths import CadlagPath
+from hcmsim.paths import CadlagPath, eval_rows, jump_rows
 from hcmsim.stats import _pad_pairs
+from test_excursions import gamma_down_loop
+from test_paths import from_jumps_unique
 
 
 def identity_residuals(real: ThinnedLevyRealization, times) -> tuple[np.ndarray, np.ndarray]:
@@ -96,15 +98,22 @@ def test_y_jump_times_subset_of_x():
     assert set(yt.tolist()) <= set(xt.tolist())
 
 
+def y_rows_at(params, T, xi, ts) -> np.ndarray:
+    """Y at ``ts`` of the pair that ``sample_thinned_levy`` builds from each
+    row of the clock matrix ``xi``, from one segment table of all rows."""
+    jump_times = xi / params.kappa
+    Y, _ = jump_rows(T, jump_times, params.beta, jump_times <= T, drift=params.alpha)
+    row = np.repeat(np.arange(xi.shape[0]), ts.size)
+    return eval_rows(Y, row, np.tile(ts, xi.shape[0])).reshape(-1, ts.size)
+
+
 def test_mean_of_y_matches_closed_form():
     p = _params([1.0, 0.6, 0.3], [0.5, 0.25, 0.1], alpha=0.4, kappa=1.7)
     reps = 20_000
     rng = stream_gen(21, 0)
     ts = np.array([0.5, 1.0, 2.0])
-    acc = np.zeros((reps, ts.size))
-    for r in range(reps):
-        real = sample_thinned_levy(p, T=2.0, rng_seed=rng)
-        acc[r] = np.atleast_1d(real.Y_path.eval(ts))
+    # the clocks of one sample_thinned_levy call per replicate, in draw order
+    acc = y_rows_at(p, 2.0, rng.exponential(1.0 / p.theta, size=(reps, p.theta.size)), ts)
     for j, t in enumerate(ts):
         target = p.alpha * t + np.sum(p.beta * (1.0 - np.exp(-p.theta * p.kappa * t)))
         se = acc[:, j].std(ddof=1) / np.sqrt(reps)
@@ -189,7 +198,7 @@ def test_thinned_levy_needs_a_seed():
 # -- the array pass over a clock matrix ------------------------------------------
 
 
-class _FixedClocks(np.random.Generator):
+class FixedClocks(np.random.Generator):
     """A generator whose exponential draw is a given clock row, so that
     sample_thinned_levy builds the paths of crafted clocks."""
 
@@ -206,15 +215,44 @@ def path_form_rows(params, T, xi, top_j) -> np.ndarray:
     the ValueError of the first row that the paths reject."""
     rows = []
     for clocks in xi:
-        real = sample_thinned_levy(params, T, _FixedClocks(clocks))
+        real = sample_thinned_levy(params, T, FixedClocks(clocks))
         rows.append(_pad_pairs(gamma_down(real.X_path, real.Y_path), top_j))
     return np.array(rows)
 
 
-def assert_batch_equals_path_form(params, T, xi, top_j):
+def pad_pairs_slice(pairs: np.ndarray, top_j: int) -> np.ndarray:
+    """stats._pad_pairs for one row by slicing: the first top_j pairs, then
+    the sum of squares of the rest."""
+    out = np.zeros((top_j, 2))
+    k = min(top_j, pairs.shape[0])
+    out[:k] = pairs[:k]
+    tail = pairs[k:]
+    tail_mass = float(np.sum(tail**2)) if tail.size else 0.0
+    return np.concatenate((out.ravel(), [tail_mass]))
+
+
+def oracle_rows(params, T, xi, top_j) -> np.ndarray:
+    """The rows of limit_pairs_batch from code that it does not share: the
+    unique-merge from_jumps, the segment loop of the excursions and the
+    slicing pad, one clock row at a time, with gamma_down's checks in
+    gamma_down's order."""
+    rows = []
+    for clocks in xi:
+        jump_times = clocks / params.kappa
+        inside = jump_times <= T
+        drift = params.lam - float(np.sum(params.theta**2)) / params.kappa
+        X = from_jumps_unique(T, jump_times[inside], params.theta[inside], drift=drift)
+        Y = from_jumps_unique(T, jump_times[inside], params.beta[inside], drift=params.alpha)
+        if not Y.is_nondecreasing():
+            raise ValueError("g must be non-decreasing")
+        rows.append(pad_pairs_slice(gamma_down_loop(X, Y), top_j))
+    return np.array(rows)
+
+
+def assert_batch_equals_path_form(params, T, xi, top_j, reference=path_form_rows):
     xi = np.asarray(xi, dtype=float)
     try:
-        expected = path_form_rows(params, T, xi, top_j)
+        expected = reference(params, T, xi, top_j)
     except ValueError as err:
         with pytest.raises(ValueError, match=re.escape(str(err))):
             limit_pairs_batch(params, T, xi, top_j)
@@ -294,6 +332,12 @@ def _clock_matrices(draw):
 @given(_clock_matrices())
 def test_batch_equals_path_form_row_by_row(case):
     assert_batch_equals_path_form(*case)
+
+
+@settings(max_examples=300)
+@given(_clock_matrices())
+def test_batch_equals_the_oracles_row_by_row(case):
+    assert_batch_equals_path_form(*case, reference=oracle_rows)
 
 
 def test_batch_raises_the_path_forms_errors():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,27 @@ def reflected_loop(f: CadlagPath) -> CadlagPath:
     vals = np.atleast_1d(f.eval(ts)) - np.atleast_1d(m.eval(ts))
     slopes = f.slope_at(ts) - m.slope_at(ts)
     return CadlagPath(ts, vals, slopes, f.horizon)
+
+
+def from_jumps_unique(horizon, jump_times, jump_sizes, drift=0.0, start=0.0) -> CadlagPath:
+    """``CadlagPath.from_jumps`` for one path by np.unique and np.add.at: the
+    reference that ``paths.jump_rows`` is compared against."""
+    jt = np.asarray(jump_times, dtype=float)
+    js = np.asarray(jump_sizes, dtype=float)
+    keep = js != 0.0
+    jt, js = jt[keep], js[keep]
+    if jt.size and (jt.min() <= 0.0 or jt.max() > horizon):
+        raise ValueError("jump times must lie in (0, horizon]")
+    order = np.argsort(jt, kind="stable")
+    jt, js = jt[order], js[order]
+    ut, inv = np.unique(jt, return_inverse=True)
+    us = np.zeros_like(ut)
+    np.add.at(us, inv, js)
+    times = np.concatenate(([0.0], ut))
+    cum = np.concatenate(([0.0], np.cumsum(us)))
+    values = start + drift * times + cum
+    slopes = np.full(times.shape, float(drift))
+    return CadlagPath(times, values, slopes, float(horizon))
 
 
 def same_bits(p: CadlagPath, q: CadlagPath) -> bool:
@@ -195,3 +218,26 @@ def test_invalid_paths_rejected():
 def test_running_minimum_equals_the_segment_loop(f):
     assert same_bits(f.running_minimum(), running_minimum_loop(f))
     assert same_bits(f.reflected(), reflected_loop(f))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_from_jumps_equals_the_unique_merge(data):
+    # quarter-grid times tie, sizes may be zero or negative, a path may have
+    # no jumps; a time at 0 or past the horizon must be refused alike
+    horizon = data.draw(st.sampled_from([1.0, 2.5, 4.0]))
+    k = data.draw(st.integers(0, 8))
+    time = st.one_of(st.sampled_from([0.25, 0.5, 1.0, horizon]), st.floats(0.01, horizon))
+    size = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_subnormal=False))
+    jt = data.draw(st.lists(time, min_size=k, max_size=k))
+    js = data.draw(st.lists(size, min_size=k, max_size=k))
+    if k and data.draw(st.integers(0, 3)) == 0:
+        jt[-1] = data.draw(st.sampled_from([0.0, horizon + 1.0]))
+    drift, start = data.draw(st.floats(-2.0, 2.0)), data.draw(st.sampled_from([0.0, 1.5]))
+    try:
+        want = from_jumps_unique(horizon, jt, js, drift=drift, start=start)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            CadlagPath.from_jumps(horizon, jt, js, drift=drift, start=start)
+        return
+    assert same_bits(CadlagPath.from_jumps(horizon, jt, js, drift=drift, start=start), want)
