@@ -283,8 +283,8 @@ def tune_to_criticality(seq: DegreeSequence, lambda_target: float) -> DegreeSequ
     S = float(white.sum())
     if abs(6.0 - 2.0 * target) < 1e-12:
         raise ValueError("target criticality 3 is not reachable by 1<->3 flips")
-    ones = list(np.flatnonzero(bulk & (white == 1)))
-    threes = list(np.flatnonzero(bulk & (white == 3)))
+    ones = np.flatnonzero(bulk & (white == 1))
+    threes = np.flatnonzero(bulk & (white == 3))
     m = int(np.rint((target * S - N2) / (6.0 - 2.0 * target)))
 
     def nu_after(k: int) -> float:

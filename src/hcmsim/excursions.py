@@ -71,7 +71,8 @@ def gamma_rows(f, g):
     lengths = rights - lefts
     # g(r) - g(l-): a jump of g at l counts for the excursion that l opens
     pairs = np.column_stack((lengths, eval_rows(g, row, rights) - eval_rows(g, row, lefts, "left")))
-    order = np.lexsort((lefts, -lengths, row))
+    # stable, so equal lengths keep the (row, left) order excursion_rows returns
+    order = np.lexsort((-lengths, row))
     return row[order], pairs[order], ((g_falls, "g must be non-decreasing"), f_check)
 
 

@@ -27,7 +27,7 @@ from .dynamics import run_dynamic
 from .excursions import gamma_down, pad_rows
 from .graphs import component_table, sample_white_matching
 from .levy import exploration_limit_params, limit_pairs_batch, sample_thinned_levy
-from .coalescent import mcmw_graphical
+from .coalescent import mcmw_graphical, mcmw_systems
 
 
 def _check_ks_sizes(*sizes):
@@ -103,13 +103,14 @@ def _sidx(code: int, n: int, r: int = 0) -> int:
 
 # Stream codes of _sidx(code, n, r): 1 the degree sequence of n (r = 0),
 # 2/3 the finite replicates of thm16/thm17, 4/5 their limit replicates
-# (n = 0), 6 thm17's MC2 run on limit replicate r (n = 0).
+# (n = 0), 6 thm17's MC2 run on limit replicate r (n = 0). Only 2/3 run
+# through _replicates; the limit replicates of one code are one array pass.
 def _replicates(config: ExperimentConfig, code: int, n: int, count: int, fn) -> list:
-    """``[fn(r, rng) for r in range(count)]`` with ``rng`` the stream
+    """``[fn(rng) for r in range(count)]`` with ``rng`` the stream
     (code, n, r), mapped over ``config.threads`` worker threads."""
 
     def one(r):
-        return fn(r, stream_gen(config.master_seed, _sidx(code, n, r)))
+        return fn(stream_gen(config.master_seed, _sidx(code, n, r)))
 
     if config.threads <= 1:
         return [one(r) for r in range(count)]
@@ -142,10 +143,9 @@ def sample_limit_pairs(config: ExperimentConfig, code: int = 4):
     for r in range(R):
         xi[r] = stream_gen(config.master_seed, _sidx(code, 0, r)).exponential(1.0 / params.theta)
     rows = limit_pairs_batch(params, T, xi, config.top_j)
-    if R:
-        real = sample_thinned_levy(params, T, stream_gen(config.master_seed, _sidx(code, 0, 0)))
-        if _pad_pairs(gamma_down(real.X_path, real.Y_path), config.top_j).tobytes() != rows[0].tobytes():
-            raise InvariantError("limit replicate 0: the array pass and the path form disagree")
+    real = sample_thinned_levy(params, T, stream_gen(config.master_seed, _sidx(code, 0, 0)))
+    if _pad_pairs(gamma_down(real.X_path, real.Y_path), config.top_j).tobytes() != rows[0].tobytes():
+        raise InvariantError("limit replicate 0: the array pass and the path form disagree")
     return rows
 
 
@@ -177,7 +177,7 @@ def _grid_report(config: ExperimentConfig, experiment: str, code: int, replicate
     records = []
     for n in config.n_grid:
         seq = build_critical_sequence(config, n)
-        rows = np.array(_replicates(config, code, n, config.reps_for(n), lambda r, rng: replicate(seq, rng)))
+        rows = np.array(_replicates(config, code, n, config.reps_for(n), lambda rng: replicate(seq, rng)))
         records.append({"experiment": experiment, "n": n, **record(rows), "seed": config.master_seed})
     size_stats = {rec["n"]: rec["statistic"] for rec in records}
     return {"records": records, "trend": trend_non_increasing(size_stats), "size_stats": size_stats}
@@ -218,16 +218,16 @@ def theorem_1_7_experiment(config: ExperimentConfig) -> dict:
     """Percolated component sizes at s = mu gamma_n / c_n against MC2(Gamma(X,Y), mu)."""
     _check_ks_sizes(config.limit_replicates, *map(config.reps_for, config.n_grid))
     limit = sample_limit_pairs(config, 5)
-
-    def limit_largest(r, rng):
-        pairs = limit[r][:-1].reshape(-1, 2)
-        keep = pairs[:, 0] > 0
-        if not keep.any():
-            return 0.0
-        masses, _ = mcmw_graphical(pairs[keep, 0], pairs[keep, 1], config.mu, rng)
-        return float(masses[0])
-
-    limit_top = np.array(_replicates(config, 6, 0, limit.shape[0], limit_largest))
+    # the blocks of replicate r are its pairs of positive length: the first
+    # k_r, as the rows are ordered by decreasing length
+    x, y = limit[:, :-1:2], limit[:, 1:-1:2]
+    k = np.count_nonzero(x > 0, axis=1)
+    streams = [stream_gen(config.master_seed, _sidx(6, 0, r)) for r in range(k.size)]
+    limit_top = mcmw_systems(x, y, config.mu, k, streams)[:, 0]
+    # replicate 0 once more on its own graph: the stacked systems must stay independent
+    masses0, _ = mcmw_graphical(x[0, : k[0]], y[0, : k[0]], config.mu, stream_gen(config.master_seed, _sidx(6, 0, 0)))
+    if masses0.max(initial=0.0).tobytes() != limit_top[0].tobytes():
+        raise InvariantError("limit replicate 0: the MC2 batch and mcmw_graphical disagree")
 
     def replicate(seq, rng):
         sizes = run_dynamic(sample_white_matching(seq, rng), percolation_time(seq, config.mu), rng).component_sizes()

@@ -11,8 +11,10 @@ order of floating-point mass sums.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hcmsim.coalescent import _root_masses, mcmw_batch, mcmw_graphical, sample_xi_batch
+from hcmsim.coalescent import _root_masses, mcmw_batch, mcmw_graphical, mcmw_systems, sample_xi_batch
 from hcmsim.core import InvariantError, as_generator, stream_gen
 from hcmsim.graphs import labels_from_edges
 
@@ -255,6 +257,63 @@ def test_batch_detects_a_labelling_that_leaks_across_replicates(monkeypatch):
     monkeypatch.setattr(coalescent, "labels_from_edges", lambda rows, cols, n: np.zeros(n, dtype=np.int64))
     with pytest.raises(InvariantError):
         mcmw_batch([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], 0.5, 4, 0)
+
+
+def test_thm17_detects_a_labelling_that_joins_two_limit_replicates(monkeypatch):
+    import hcmsim.coalescent as coalescent
+    from hcmsim.stats import ExperimentConfig, theorem_1_7_experiment
+
+    # top_j = 2 fills many replicates' systems to the brim, so that a batch
+    # whose systems overlap by one vertex fails the first, unpatched run
+    cfg = ExperimentConfig(n_grid=[200], replicates=10, limit_replicates=12, top_j=2, master_seed=3, K_max=5)
+    theorem_1_7_experiment(cfg)
+    labels = coalescent.labels_from_edges
+
+    def joined(rows, cols, n):
+        # the batch's graph (not replicate 0's own) gains the edge between
+        # the first blocks of replicates 0 and 1
+        if n > cfg.top_j:
+            rows, cols = np.append(rows, 0), np.append(cols, cfg.top_j)
+        return labels(rows, cols, n)
+
+    monkeypatch.setattr(coalescent, "labels_from_edges", joined)
+    with pytest.raises(InvariantError):
+        theorem_1_7_experiment(cfg)
+
+
+@st.composite
+def _ragged_systems(draw):
+    """Systems of every size 0..J in a drawn order, on masses and weights
+    from a few values, so that masses repeat; the columns past a system's
+    size hold values it must ignore."""
+    J = draw(st.integers(1, 7))
+    values = st.lists(st.sampled_from([0.25, 1.0, 2.0, 3.5]), min_size=(J + 1) * J, max_size=(J + 1) * J)
+    x = np.reshape(draw(values), (J + 1, J))
+    y = np.reshape(draw(values), (J + 1, J))
+    sizes = np.array(draw(st.permutations(range(J + 1))))
+    return x, y, draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])), sizes, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=300)
+@given(_ragged_systems())
+def test_systems_equal_the_one_system_path(case):
+    x, y, t, sizes, seed = case
+    got = mcmw_systems(x, y, t, sizes, [stream_gen(seed, r) for r in range(sizes.size)])
+    assert got.shape == x.shape
+    for r, k in enumerate(sizes):
+        masses, _ = mcmw_graphical(x[r, :k], y[r, :k], t, stream_gen(seed, r))
+        want = np.zeros(x.shape[1])
+        want[: masses.size] = masses
+        assert got[r].tobytes() == want.tobytes(), r
+
+
+def test_systems_reject_bad_sizes_and_stream_counts():
+    x = np.ones((2, 3))
+    for sizes, streams in [([1, 4], [0, 1]), ([-1, 2], [0, 1]), ([1, 2, 3], [0, 1]), ([1, 2], [0])]:
+        with pytest.raises(ValueError):
+            mcmw_systems(x, x, 0.5, sizes, streams)
+    with pytest.raises(ValueError):
+        mcmw_systems(np.ones(3), np.ones(3), 0.5, [3], [0])
 
 
 def test_batch_empty_shapes():

@@ -205,3 +205,20 @@ def test_subcritical_lambda_shrinks_largest_component():
             vals.append(sizes[0] / b_n)
         tops[lam] = np.mean(vals)
     assert tops[-2.0] < 0.5 * tops[0.0]
+
+
+def test_thm17_cross_checks_limit_mc2_replicate_zero(monkeypatch):
+    import hcmsim.stats as stats
+
+    cfg = ExperimentConfig(n_grid=[200], replicates=10, limit_replicates=12, master_seed=1, K_max=5)
+    theorem_1_7_experiment(cfg)
+    batch = stats.mcmw_systems
+
+    def nudged(*args):
+        masses = batch(*args)
+        masses[0, 0] = np.nextafter(masses[0, 0], np.inf)
+        return masses
+
+    monkeypatch.setattr(stats, "mcmw_systems", nudged)
+    with pytest.raises(InvariantError, match="replicate 0"):
+        theorem_1_7_experiment(cfg)
