@@ -6,9 +6,10 @@ xi_ij <= y_i y_j t, component masses read off in decreasing order. Rows of
 shared clocks (``sample_xi_batch``) give the xi-coupling across inputs; a
 per-pair Bernoulli shortcut is used when only one fixed time is needed.
 One engine draws and labels every system, many systems as one
-block-diagonal graph: ``mcmw_batch`` runs replicates of one system on one
-stream, ``mcmw_systems`` systems of different sizes on a stream each, and
-``mcmw_graphical`` is their one-system case.
+block-diagonal graph on one stream: ``mcmw_batch`` runs replicates of one
+system or one system per row, and ``mcmw_graphical`` is its one-system
+case. Systems with fewer blocks are rows padded with blocks of zero mass
+and weight, which never join anything.
 """
 
 from __future__ import annotations
@@ -57,46 +58,35 @@ class BlockSystem:
         return np.sort(self.mass[self._roots])[::-1]
 
 
-def _sample_labels(x, y, t: float, sizes, rng_seed, xi_batch=None):
-    """Draw the edges of independent graphical constructions of MC2 and
-    label them as one block-diagonal graph, system r owning vertices
+def _sample_labels(x, y, t: float, reps: int, rng_seed, xi_batch=None):
+    """Draw the edges of ``reps`` independent graphical constructions of MC2
+    and label them as one block-diagonal graph, system r owning vertices
     r*J .. r*J + J - 1.
 
-    With 1-D x and y (J = n), the systems are ``sizes`` replicates of
-    MC2(x, y, t). Their edges are per-pair Bernoullis drawn from the one
-    stream ``rng_seed`` as ``random((R, pairs)) < p``, or ``xi <= y_i y_j t``
-    on shared clock rows ``xi_batch`` (R, pairs).
-
-    With (R, J) x and y, system r is MC2(x[r, :k], y[r, :k], t) with
-    k = sizes[r] <= J and draws ``random(k(k-1)/2) < p`` from its own stream
-    ``rng_seed[r]``. Its pairs, in np.triu_indices(k, 1) order, are the
-    ju < k subset of the J-vertex order; its vertices from k on stay single,
-    with mass 0.
+    x and y are 1-D (J,), shared by every system, or (reps, J), system r
+    being MC2(x[r], y[r], t). The edges are per-pair Bernoullis drawn from
+    the one stream ``rng_seed`` as ``random((reps, pairs)) < p``, or
+    ``xi <= y_i y_j t`` on shared clock rows ``xi_batch`` (reps, pairs),
+    pairs in np.triu_indices(J, 1) order.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim != np.ndim(sizes) + 1 or x.shape != y.shape:
-        raise ValueError("masses and weights must be 1-D (or one row per system) and of equal shape")
+    if x.ndim not in (1, 2) or x.shape != y.shape or x.shape[:-1] not in ((), (reps,)):
+        raise ValueError("masses and weights must be 1-D (or one row per replicate) and of equal shape")
     if not (np.all(np.isfinite(x) & (x >= 0)) and np.all(np.isfinite(y) & (y >= 0)) and 0 <= t < np.inf):
         raise ValueError("masses, weights and time must be finite and non-negative")
-    R, J = (sizes, x.size) if x.ndim == 1 else (len(sizes), x.shape[1])
+    J = x.shape[-1]
     # the pairs i < j in np.triu_indices(J, 1) order; that call is slower at small J
     iu, ju = np.nonzero(np.arange(J)[:, None] < np.arange(J))
-    w = (y[iu] * y[ju] if x.ndim == 1 else y[:, iu] * y[:, ju]) * t
+    w = (y[iu] * y[ju] if y.ndim == 1 else y[:, iu] * y[:, ju]) * t
     if xi_batch is not None:
-        if np.shape(xi_batch) != (R, iu.size):
-            raise ValueError(f"xi_batch must have shape {(R, iu.size)}")
+        if np.shape(xi_batch) != (reps, iu.size):
+            raise ValueError(f"xi_batch must have shape {(reps, iu.size)}")
         E = xi_batch <= w
-    elif x.ndim == 1:
-        E = as_generator(rng_seed).random((R, iu.size)) < -np.expm1(-w)
     else:
-        keep = ju < sizes[:, None]
-        u = [as_generator(g).random(k * (k - 1) // 2) for g, k in zip(rng_seed, sizes.tolist())]
-        E = np.zeros(keep.shape, dtype=bool)
-        E[keep] = np.concatenate([np.empty(0), *u]) < -np.expm1(-w[keep])
-        x = np.where(np.arange(J) < sizes[:, None], x, 0.0)
+        E = as_generator(rng_seed).random((reps, iu.size)) < -np.expm1(-w)
     r, k = np.nonzero(E)
-    return x, y, labels_from_edges(r * J + iu[k], r * J + ju[k], R * J)
+    return x, y, labels_from_edges(r * J + iu[k], r * J + ju[k], reps * J)
 
 
 def mcmw_graphical(x, y, t: float, rng_seed, xi_batch: np.ndarray | None = None):
@@ -137,6 +127,9 @@ def _ordered_masses(x: np.ndarray, labels: np.ndarray, reps: int) -> np.ndarray:
 def mcmw_batch(x, y, t: float, reps: int, rng_seed, xi_batch: np.ndarray | None = None) -> np.ndarray:
     """(reps, n) ordered component masses of MC2(x, y, t), zero-padded.
 
+    x and y are shared by all replicates (n,), or give each its own row
+    (reps, n); every replicate draws its row of one ``random((reps, pairs))``
+    from ``rng_seed``, so row r is the same for every ``reps`` > r.
     ``xi_batch`` (reps, n_pairs) reuses clocks across calls for coupled
     comparisons; otherwise per-pair Bernoulli edges are drawn. All
     replicates are labelled in a single sparse pass. MC1(x, t), the
@@ -144,22 +137,6 @@ def mcmw_batch(x, y, t: float, reps: int, rng_seed, xi_batch: np.ndarray | None 
     """
     x, _, labels = _sample_labels(x, y, t, reps, rng_seed, xi_batch)
     return _ordered_masses(x, labels, reps)
-
-
-def mcmw_systems(x, y, t: float, sizes, rng_seeds) -> np.ndarray:
-    """(R, J) ordered component masses of the R systems
-    MC2(x[r, :k], y[r, :k], t), k = sizes[r], zero-padded.
-
-    System r draws its edges from its own stream ``rng_seeds[r]``, the same
-    as ``mcmw_graphical(x[r, :k], y[r, :k], t, rng_seeds[r])``; all systems
-    are labelled in a single sparse pass.
-    """
-    x, sizes = np.asarray(x, dtype=float), np.asarray(sizes, dtype=np.int64)
-    shapes = x.ndim == 2 and sizes.shape == x.shape[:1] and len(rng_seeds) == sizes.size
-    if not shapes or np.any((sizes < 0) | (sizes > x.shape[1])):
-        raise ValueError("need (R, J) masses and weights, R streams and R block counts in [0, J]")
-    x, _, labels = _sample_labels(x, y, t, sizes, rng_seeds)
-    return _ordered_masses(x, labels, sizes.size)
 
 
 def sample_xi_batch(n: int, reps: int, rng_seed) -> np.ndarray:

@@ -19,7 +19,6 @@ from .core import InvariantError, as_generator, cached_property, write_int_rows
 class ScalingConstants:
     n: int
     tau: float
-    slowly_varying_at_n: float
     a_n: float
     b_n: float
     c_n: float
@@ -42,7 +41,7 @@ def make_scaling(n: int, tau: float, L_value: float = 1.0) -> ScalingConstants:
     a = n**e * L_value
     b = n ** ((tau - 2.0) * e) / L_value
     c = n ** ((tau - 3.0) * e) / L_value**2
-    return ScalingConstants(n=int(n), tau=float(tau), slowly_varying_at_n=float(L_value), a_n=a, b_n=b, c_n=c)
+    return ScalingConstants(n=int(n), tau=float(tau), a_n=a, b_n=b, c_n=c)
 
 
 @dataclass(frozen=True)

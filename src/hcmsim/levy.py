@@ -79,24 +79,14 @@ def sample_surplus_process(x: CadlagPath, rng_seed) -> CadlagPath:
     R = x.reflected()
     if float(np.min(R.values)) < -1e-9:
         raise InvariantError("reflected path went negative")
+    a, v, s, b, _ = (c[0] for c in R.rows())
+    hi = np.maximum(v, v + s * (b - a))
+    cells = (b > a) & (hi > 0)
     events = []
-    K = len(R.times)
-    for k in range(K):
-        a = R.times[k]
-        b = R.times[k + 1] if k + 1 < K else R.horizon
-        if b <= a:
-            continue
-        v, s = float(R.values[k]), float(R.slopes[k])
-        hi = max(v, v + s * (b - a))
-        if hi <= 0:
-            continue
+    for a, b, v, s, hi in zip(*(c[cells].tolist() for c in (a, b, v, s, hi))):
         n_cand = rng.poisson(hi * (b - a))
-        if n_cand == 0:
-            continue
         u = a + (b - a) * rng.random(n_cand)
-        rate = v + s * (u - a)
-        accept = rng.random(n_cand) * hi < rate
-        events.extend(u[accept])
+        events.extend(u[rng.random(n_cand) * hi < v + s * (u - a)])
     events.sort()
     times = np.concatenate(([0.0], np.asarray(events)))
     values = np.arange(times.size, dtype=float)

@@ -27,7 +27,7 @@ from .dynamics import run_dynamic
 from .excursions import gamma_down, pad_rows
 from .graphs import component_table, sample_white_matching
 from .levy import exploration_limit_params, limit_pairs_batch, sample_thinned_levy
-from .coalescent import mcmw_graphical, mcmw_systems
+from .coalescent import mcmw_batch, mcmw_graphical
 
 
 def _check_ks_sizes(*sizes):
@@ -103,8 +103,9 @@ def _sidx(code: int, n: int, r: int = 0) -> int:
 
 # Stream codes of _sidx(code, n, r): 1 the degree sequence of n (r = 0),
 # 2/3 the finite replicates of thm16/thm17, 4/5 their limit replicates
-# (n = 0), 6 thm17's MC2 run on limit replicate r (n = 0). Only 2/3 run
-# through _replicates; the limit replicates of one code are one array pass.
+# (n = 0), 6 thm17's limit MC2 (n = r = 0: one stream, one row of its
+# draw per limit replicate). Only 2/3 run through _replicates; the limit
+# replicates of one code are one array pass.
 def _replicates(config: ExperimentConfig, code: int, n: int, count: int, fn) -> list:
     """``[fn(rng) for r in range(count)]`` with ``rng`` the stream
     (code, n, r), mapped over ``config.threads`` worker threads."""
@@ -218,15 +219,15 @@ def theorem_1_7_experiment(config: ExperimentConfig) -> dict:
     """Percolated component sizes at s = mu gamma_n / c_n against MC2(Gamma(X,Y), mu)."""
     _check_ks_sizes(config.limit_replicates, *map(config.reps_for, config.n_grid))
     limit = sample_limit_pairs(config, 5)
-    # the blocks of replicate r are its pairs of positive length: the first
-    # k_r, as the rows are ordered by decreasing length
-    x, y = limit[:, :-1:2], limit[:, 1:-1:2]
-    k = np.count_nonzero(x > 0, axis=1)
-    streams = [stream_gen(config.master_seed, _sidx(6, 0, r)) for r in range(k.size)]
-    limit_top = mcmw_systems(x, y, config.mu, k, streams)[:, 0]
-    # replicate 0 once more on its own graph: the stacked systems must stay independent
-    masses0, _ = mcmw_graphical(x[0, : k[0]], y[0, : k[0]], config.mu, stream_gen(config.master_seed, _sidx(6, 0, 0)))
-    if masses0.max(initial=0.0).tobytes() != limit_top[0].tobytes():
+    # the blocks of replicate r are its pairs of positive length; its other
+    # pairs of the top_j row get weight 0 as well, so they stay inert
+    x = limit[:, :-1:2]
+    y = np.where(x > 0, limit[:, 1:-1:2], 0.0)
+    limit_top = mcmw_batch(x, y, config.mu, x.shape[0], stream_gen(config.master_seed, _sidx(6, 0)))[:, 0]
+    # replicate 0 once more on its own graph, from row 0 of the same draw:
+    # the rows of the batch must stay independent
+    masses0, _ = mcmw_graphical(x[0], y[0], config.mu, stream_gen(config.master_seed, _sidx(6, 0)))
+    if masses0[0].tobytes() != limit_top[0].tobytes():
         raise InvariantError("limit replicate 0: the MC2 batch and mcmw_graphical disagree")
 
     def replicate(seq, rng):

@@ -300,7 +300,7 @@ def test_modified_matches_mcmw_at_matched_time():
     reps = 5000
     mod = np.array([run_modified(g, s, rng).component_sizes()[0] for _ in range(reps)])
     ref = mcmw_batch(x, y, s / (2 * q0 - 1), reps, rng)[:, 0]
-    assert ks_2samp(mod, ref).pvalue > 1e-3
+    assert ks_2samp(mod, ref, method="asymp").pvalue > 1e-3
 
 
 def test_coupled_subset_and_refinement():

@@ -429,7 +429,7 @@ def test_rescale_trace_arithmetic():
     )
     from hcmsim.degrees import ScalingConstants
 
-    sc = ScalingConstants(n=8, tau=3.5, slowly_varying_at_n=1.0, a_n=2.0, b_n=4.0, c_n=2.0)
+    sc = ScalingConstants(n=8, tau=3.5, a_n=2.0, b_n=4.0, c_n=2.0)
     Xp, Yp, Np = rescale_trace(tr, sc, T=2.0)
     # step function through (-2 * floor(4t)) / 2 = -floor(4t): slope -4 on grid points
     assert float(Xp.eval(1.0)) == pytest.approx(-4.0)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcmsim.coalescent import _root_masses, mcmw_batch, mcmw_graphical, mcmw_systems, sample_xi_batch
+from hcmsim.coalescent import _root_masses, mcmw_batch, mcmw_graphical, sample_xi_batch
 from hcmsim.core import InvariantError, as_generator, stream_gen
 from hcmsim.graphs import labels_from_edges
 
@@ -263,8 +263,8 @@ def test_thm17_detects_a_labelling_that_joins_two_limit_replicates(monkeypatch):
     import hcmsim.coalescent as coalescent
     from hcmsim.stats import ExperimentConfig, theorem_1_7_experiment
 
-    # top_j = 2 fills many replicates' systems to the brim, so that a batch
-    # whose systems overlap by one vertex fails the first, unpatched run
+    # every limit replicate is a row of top_j vertices in the batch, so that
+    # vertex top_j is replicate 1's first block
     cfg = ExperimentConfig(n_grid=[200], replicates=10, limit_replicates=12, top_j=2, master_seed=3, K_max=5)
     theorem_1_7_experiment(cfg)
     labels = coalescent.labels_from_edges
@@ -282,38 +282,44 @@ def test_thm17_detects_a_labelling_that_joins_two_limit_replicates(monkeypatch):
 
 
 @st.composite
-def _ragged_systems(draw):
-    """Systems of every size 0..J in a drawn order, on masses and weights
-    from a few values, so that masses repeat; the columns past a system's
-    size hold values it must ignore."""
-    J = draw(st.integers(1, 7))
-    values = st.lists(st.sampled_from([0.25, 1.0, 2.0, 3.5]), min_size=(J + 1) * J, max_size=(J + 1) * J)
-    x = np.reshape(draw(values), (J + 1, J))
-    y = np.reshape(draw(values), (J + 1, J))
-    sizes = np.array(draw(st.permutations(range(J + 1))))
-    return x, y, draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])), sizes, draw(st.integers(0, 2**16))
+def _systems(draw):
+    """One system per row, on masses and weights from a few values, 0.0
+    included, so that masses repeat and some blocks are inert."""
+    R, J = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    values = st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0, 3.5]), min_size=R * J, max_size=R * J)
+    x = np.reshape(draw(values), (R, J))
+    y = np.reshape(draw(values), (R, J))
+    return x, y, draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])), draw(st.integers(0, 2**16))
 
 
 @settings(max_examples=300)
-@given(_ragged_systems())
-def test_systems_equal_the_one_system_path(case):
-    x, y, t, sizes, seed = case
-    got = mcmw_systems(x, y, t, sizes, [stream_gen(seed, r) for r in range(sizes.size)])
+@given(_systems())
+def test_per_row_batch_equals_each_systems_shared_batch(case):
+    x, y, t, seed = case
+    R = x.shape[0]
+    got = mcmw_batch(x, y, t, R, stream_gen(seed, 0))
     assert got.shape == x.shape
-    for r, k in enumerate(sizes):
-        masses, _ = mcmw_graphical(x[r, :k], y[r, :k], t, stream_gen(seed, r))
-        want = np.zeros(x.shape[1])
-        want[: masses.size] = masses
+    for r in range(R):
+        want = mcmw_batch(x[r], y[r], t, R, stream_gen(seed, 0))[r]
         assert got[r].tobytes() == want.tobytes(), r
+    # row 0 of the draw is the one-system path's draw
+    masses, _ = mcmw_graphical(x[0], y[0], t, stream_gen(seed, 0))
+    want = np.zeros(x.shape[1])
+    want[: masses.size] = masses
+    assert got[0].tobytes() == want.tobytes()
 
 
-def test_systems_reject_bad_sizes_and_stream_counts():
+def test_per_row_batch_rejects_a_row_count_other_than_reps():
     x = np.ones((2, 3))
-    for sizes, streams in [([1, 4], [0, 1]), ([-1, 2], [0, 1]), ([1, 2, 3], [0, 1]), ([1, 2], [0])]:
+    for reps in (0, 1, 3):
         with pytest.raises(ValueError):
-            mcmw_systems(x, x, 0.5, sizes, streams)
+            mcmw_batch(x, x, 0.5, reps, 0)
     with pytest.raises(ValueError):
-        mcmw_systems(np.ones(3), np.ones(3), 0.5, [3], [0])
+        mcmw_batch(x, np.ones(3), 0.5, 2, 0)
+    with pytest.raises(ValueError):
+        mcmw_graphical(x, x, 0.5, 0)
+    with pytest.raises(ValueError):
+        mcmw_batch(np.ones((2, 2, 3)), np.ones((2, 2, 3)), 0.5, 2, 0)
 
 
 def test_batch_empty_shapes():

@@ -158,7 +158,10 @@ def test_running_minimum_with_jumps_and_drift():
     m = p.running_minimum()
     for t, want in [(0.5, -0.5), (1.0, -1.0), (2.0, -1.0), (3.0, -1.0), (3.5, -1.5), (4.0, -2.0)]:
         assert float(m.eval(t)) == pytest.approx(want)
-    assert m.is_nondecreasing() is False or True  # non-increasing path; just evaluable
+    # the running minimum never rises: no positive slope, no upward jump
+    assert np.all(m.slopes <= 0)
+    assert np.all(m.jumps()[1] < 0)
+    assert not m.is_nondecreasing()
 
 
 def test_reflected_sawtooth_hand_values():

@@ -212,13 +212,13 @@ def test_thm17_cross_checks_limit_mc2_replicate_zero(monkeypatch):
 
     cfg = ExperimentConfig(n_grid=[200], replicates=10, limit_replicates=12, master_seed=1, K_max=5)
     theorem_1_7_experiment(cfg)
-    batch = stats.mcmw_systems
+    batch = stats.mcmw_batch
 
     def nudged(*args):
         masses = batch(*args)
         masses[0, 0] = np.nextafter(masses[0, 0], np.inf)
         return masses
 
-    monkeypatch.setattr(stats, "mcmw_systems", nudged)
+    monkeypatch.setattr(stats, "mcmw_batch", nudged)
     with pytest.raises(InvariantError, match="replicate 0"):
         theorem_1_7_experiment(cfg)
