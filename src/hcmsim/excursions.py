@@ -11,29 +11,9 @@ complement measure) are exact up to float rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .paths import CadlagPath, _segment_minima, _tol, eval_rows, raise_first
-
-
-@dataclass
-class ExcursionInterval:
-    l: float
-    r: float
-    length: float
-
-
-def excursion_decompose(f: CadlagPath) -> list[ExcursionInterval]:
-    """Maximal excursion intervals of ``f`` above its running minimum.
-
-    Requires ``f`` to have no negative jumps. An excursion still open at
-    the horizon is dropped (it has no right endpoint).
-    """
-    _, lefts, rights, check = excursion_rows(*f.rows())
-    raise_first(check)
-    return [ExcursionInterval(l, r, r - l) for l, r in zip(lefts, rights)]
 
 
 def excursion_rows(a, v, s, b, real):

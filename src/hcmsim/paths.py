@@ -139,33 +139,6 @@ class CadlagPath:
         out = self.values[k] + self.slopes[k] * (t - self.times[k])
         return out if out.ndim else float(out)
 
-    def slope_at(self, t):
-        return self.slopes[self.segment_index(t)]
-
-    def left_limits(self):
-        """Left limit of the path at each breakpoint (= value at t=0 for k=0)."""
-        return np.concatenate((self.values[:1], self._segment_ends()[:-1]))
-
-    def _segment_ends(self):
-        """Left limit at each segment's right end, the horizon for the last."""
-        return self.values + self.slopes * (np.concatenate((self.times[1:], [self.horizon])) - self.times)
-
-    def jumps(self):
-        """(times, sizes) of the nonzero jumps."""
-        sizes = self.values - self.left_limits()
-        keep = sizes != 0.0
-        return self.times[keep], sizes[keep]
-
-    def has_negative_jumps(self, tol=None):
-        """Whether a jump falls below ``-tol``."""
-        if tol is None:
-            tol = _tol(np.max(np.abs(self.values)))
-        return bool(np.any(self.values[1:] - self._segment_ends()[:-1] < -tol))
-
-    def is_nondecreasing(self):
-        tol = _tol(np.max(np.abs(self.values)))
-        return bool(np.all(self.slopes >= -tol)) and not self.has_negative_jumps(tol)
-
     # -- derived paths ---------------------------------------------------
 
     def _minimum_points(self):
@@ -186,10 +159,6 @@ class CadlagPath:
         pts[:, at] = a, m, np.where(down & (tstar <= a), s, 0.0)
         pts[:, at[cross] + 1] = tstar[cross], m[cross], s[cross]
         return pts, seg
-
-    def running_minimum(self) -> "CadlagPath":
-        """Continuous non-increasing path ``t -> inf_{s<=t} f(s)``."""
-        return CadlagPath(*self._minimum_points()[0], self.horizon)
 
     def reflected(self) -> "CadlagPath":
         """Pathwise ``f - running minimum``; non-negative everywhere.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -102,10 +103,10 @@ def _sidx(code: int, n: int, r: int = 0) -> int:
 
 
 # Stream codes of _sidx(code, n, r): 1 the degree sequence of n (r = 0),
-# 2/3 the finite replicates of thm16/thm17, 4/5 their limit replicates
-# (n = 0), 6 thm17's limit MC2 (n = r = 0: one stream, one row of its
-# draw per limit replicate). Only 2/3 run through _replicates; the limit
-# replicates of one code are one array pass.
+# 2/3 the finite replicates of thm16/thm17, one stream per (n, r), run
+# through _replicates. The limit codes, 4/5 the hub clocks of thm16/thm17
+# and 6 thm17's limit MC2, have one stream each (n = r = 0), and limit
+# replicate r is row r of its one draw.
 def _replicates(config: ExperimentConfig, code: int, n: int, count: int, fn) -> list:
     """``[fn(rng) for r in range(count)]`` with ``rng`` the stream
     (code, n, r), mapped over ``config.threads`` worker threads."""
@@ -132,19 +133,17 @@ def build_critical_sequence(config: ExperimentConfig, n: int, rng_seed=None):
 
 def sample_limit_pairs(config: ExperimentConfig, code: int = 4):
     """``config.limit_replicates`` replicates of the ordered limit vector
-    Gamma(X, Y), top_j rows each, on the streams of ``code``.
+    Gamma(X, Y), one row each, on the stream (code, 0, 0).
 
-    Replicate r draws its hub clocks from stream (code, 0, r); the rows are
-    then computed together by ``levy.limit_pairs_batch``. Replicate 0 is
-    computed once more through the paths (``sample_thinned_levy`` and
-    ``gamma_down``), and the two must agree bit for bit."""
+    Replicate r's hub clocks are row r of one (R, K) draw from that stream,
+    and ``levy.limit_pairs_batch`` computes all rows together. Replicate 0
+    is computed once more through the paths (``sample_thinned_levy`` on the
+    same stream, and ``gamma_down``), and the two must agree bit for bit."""
     params = exploration_limit_params(make_limit_parameters(config.tau, config.K_max, lam=config.lam))
     T, R = config.levy_horizon, config.limit_replicates
-    xi = np.empty((R, params.theta.size))
-    for r in range(R):
-        xi[r] = stream_gen(config.master_seed, _sidx(code, 0, r)).exponential(1.0 / params.theta)
+    xi = stream_gen(config.master_seed, _sidx(code, 0)).exponential(1.0 / params.theta, size=(R, params.theta.size))
     rows = limit_pairs_batch(params, T, xi, config.top_j)
-    real = sample_thinned_levy(params, T, stream_gen(config.master_seed, _sidx(code, 0, 0)))
+    real = sample_thinned_levy(params, T, stream_gen(config.master_seed, _sidx(code, 0)))
     if _pad_pairs(gamma_down(real.X_path, real.Y_path), config.top_j).tobytes() != rows[0].tobytes():
         raise InvariantError("limit replicate 0: the array pass and the path form disagree")
     return rows
@@ -156,17 +155,10 @@ def _pad_pairs(pairs: np.ndarray, top_j: int):
 
 def trend_non_increasing(stats_by_n: dict) -> dict:
     """Pairwise comparisons of the KS statistic along the grid."""
-    ns = sorted(stats_by_n)
-    comparisons = []
-    for i in range(len(ns)):
-        for j in range(i + 1, len(ns)):
-            comparisons.append(
-                {
-                    "n_small": ns[i],
-                    "n_large": ns[j],
-                    "ok": bool(stats_by_n[ns[j]] <= stats_by_n[ns[i]] + 1e-12),
-                }
-            )
+    comparisons = [
+        {"n_small": a, "n_large": b, "ok": bool(stats_by_n[b] <= stats_by_n[a] + 1e-12)}
+        for a, b in combinations(sorted(stats_by_n), 2)
+    ]
     passed = sum(c["ok"] for c in comparisons)
     return {"comparisons": comparisons, "passed": passed, "required": 2, "ok": passed >= 2}
 
@@ -223,12 +215,17 @@ def theorem_1_7_experiment(config: ExperimentConfig) -> dict:
     # pairs of the top_j row get weight 0 as well, so they stay inert
     x = limit[:, :-1:2]
     y = np.where(x > 0, limit[:, 1:-1:2], 0.0)
-    limit_top = mcmw_batch(x, y, config.mu, x.shape[0], stream_gen(config.master_seed, _sidx(6, 0)))[:, 0]
-    # replicate 0 once more on its own graph, from row 0 of the same draw:
-    # the rows of the batch must stay independent
-    masses0, _ = mcmw_graphical(x[0], y[0], config.mu, stream_gen(config.master_seed, _sidx(6, 0)))
-    if masses0[0].tobytes() != limit_top[0].tobytes():
-        raise InvariantError("limit replicate 0: the MC2 batch and mcmw_graphical disagree")
+    masses = mcmw_batch(x, y, config.mu, x.shape[0], stream_gen(config.master_seed, _sidx(6, 0)))
+    # replicate r once more on its own graph, from row r of the same draw: the
+    # first whose masses depend on its edges, as it merged a pair and still
+    # ended in two or more blocks (row 0 if none did)
+    blocks = np.count_nonzero(masses, axis=1)
+    r = int(np.argmax((blocks >= 2) & (blocks < np.count_nonzero(x, axis=1))))
+    rng = stream_gen(config.master_seed, _sidx(6, 0))
+    rng.random((r, x.shape[1] * (x.shape[1] - 1) // 2))  # rows 0 .. r-1
+    own, _ = mcmw_graphical(x[r], y[r], config.mu, rng)
+    if np.pad(own, (0, x.shape[1] - own.size)).tobytes() != masses[r].tobytes():
+        raise InvariantError(f"limit replicate {r}: the MC2 batch and mcmw_graphical disagree")
 
     def replicate(seq, rng):
         sizes = run_dynamic(sample_white_matching(seq, rng), percolation_time(seq, config.mu), rng).component_sizes()
@@ -236,14 +233,14 @@ def theorem_1_7_experiment(config: ExperimentConfig) -> dict:
         return sizes[0] / b_n, sizes[0] / seq.n, float(np.sum((sizes[config.top_j :] / b_n) ** 2))
 
     def record(rows):
-        ks, p = ks_two_sample(rows[:, 0], limit_top)
+        ks, p = ks_two_sample(rows[:, 0], masses[:, 0])
         return {
             "statistic": ks,
             "p_value": p,
             "tail_mass": float(np.mean(rows[:, 2])),
             "largest_over_bn_mean": float(np.mean(rows[:, 0])),
             "giant_fraction": float(np.mean(rows[:, 1])),
-            "limit_largest_mean": float(np.mean(limit_top)),
+            "limit_largest_mean": float(np.mean(masses[:, 0])),
         }
 
     report = _grid_report(config, "thm17", 3, replicate, record)

@@ -33,6 +33,7 @@ from test_exploration import components
 from test_graphs import percolate_black, relabel_table, sample_black_matching
 from test_levy import FixedClocks, final_value, identity_residuals, y_rows_at
 from test_mc2_engine import bipartite_bound_check
+from test_paths import jumps
 
 
 def _report(num, text):
@@ -223,8 +224,8 @@ def test_c07_thinned_levy_identities():
         rx, ry = identity_residuals(real, grid)
         assert np.max(np.abs(rx)) < 1e-9
         assert np.max(np.abs(ry)) < 1e-9
-        xt, _ = real.X_path.jumps()
-        yt, _ = real.Y_path.jumps()
+        xt, _ = jumps(real.X_path)
+        yt, _ = jumps(real.Y_path)
         assert set(yt.tolist()) <= set(xt.tolist())
     for j, t in enumerate(ts):
         target = params.alpha * t + float(np.sum(params.beta * (1 - np.exp(-params.theta * params.kappa * t))))

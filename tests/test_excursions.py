@@ -12,13 +12,40 @@ from hcmsim.degrees import (
     make_limit_parameters,
     make_scaling,
 )
-from hcmsim.excursions import ExcursionInterval, excursion_decompose, gamma_down
+from hcmsim.excursions import excursion_rows, gamma_down
 from hcmsim.exploration import explore
 from hcmsim.graphs import sample_white_matching
 from hcmsim.levy import sample_thinned_levy
-from hcmsim.paths import CadlagPath, _tol
+from hcmsim.paths import CadlagPath, _tol, raise_first
 from test_exploration import components, vertex_time_walks
-from test_paths import jump_drift_paths, linear_path, running_minimum_loop, same_bits, step_path
+from test_paths import (
+    has_negative_jumps,
+    jump_drift_paths,
+    linear_path,
+    running_minimum,
+    running_minimum_loop,
+    same_bits,
+    step_path,
+)
+
+
+@dataclass
+class ExcursionInterval:
+    l: float
+    r: float
+    length: float
+
+
+def excursion_decompose(f: CadlagPath) -> list[ExcursionInterval]:
+    """Maximal excursion intervals of ``f`` above its running minimum: the
+    one-row case of ``excursions.excursion_rows``.
+
+    Requires ``f`` to have no negative jumps. An excursion still open at
+    the horizon is dropped (it has no right endpoint).
+    """
+    _, lefts, rights, check = excursion_rows(*f.rows())
+    raise_first(check)
+    return [ExcursionInterval(l, r, r - l) for l, r in zip(lefts, rights)]
 
 
 # The segment loop of the excursion decomposition, and gamma_down on top of
@@ -30,7 +57,7 @@ def excursion_decompose_loop(f: CadlagPath) -> list[ExcursionInterval]:
     Requires ``f`` to have no negative jumps. An excursion still open at
     the horizon is dropped (it has no right endpoint).
     """
-    if f.has_negative_jumps():
+    if has_negative_jumps(f):
         raise ValueError("path has negative jumps; excursion intervals undefined")
     scale = max(1.0, float(np.max(np.abs(f.values))))
     tol = _tol(scale)
@@ -119,7 +146,7 @@ def point_process_from_hitting_times(f: CadlagPath, g: CadlagPath, t_list) -> Ex
     t = np.asarray(t_list, dtype=float)
     if np.any(np.diff(t) <= 0):
         raise ValueError("hitting times must be strictly increasing")
-    m = f.running_minimum()
+    m = running_minimum(f)
     fv = np.atleast_1d(f.eval(t))
     mv = np.atleast_1d(m.eval(t))
     tol = _tol(float(np.max(np.abs(f.values))))
@@ -490,7 +517,7 @@ def test_piecewise_linear_walks_vs_dense_oracle():
         p = linear_path(np.arange(walk.size, dtype=float), walk)
         exc = excursion_decompose(p)
         assert_same_excursions(p)
-        assert same_bits(p.running_minimum(), running_minimum_loop(p))
+        assert same_bits(running_minimum(p), running_minimum_loop(p))
 
         def merge(intervals, gap_tol):
             out = []

@@ -19,7 +19,7 @@ from hcmsim.levy import (
 from hcmsim.paths import CadlagPath, eval_rows, jump_rows
 from hcmsim.stats import _pad_pairs
 from test_excursions import gamma_down_loop
-from test_paths import from_jumps_unique
+from test_paths import from_jumps_unique, is_nondecreasing, jumps
 
 
 def identity_residuals(real: ThinnedLevyRealization, times) -> tuple[np.ndarray, np.ndarray]:
@@ -86,14 +86,14 @@ def test_identity_residuals_below_1e9():
         rx, ry = identity_residuals(real, np.linspace(0, 6, 257))
         assert np.max(np.abs(rx)) < 1e-9
         assert np.max(np.abs(ry)) < 1e-9
-        assert real.Y_path.is_nondecreasing()
+        assert is_nondecreasing(real.Y_path)
 
 
 def test_y_jump_times_subset_of_x():
     p = make_limit_parameters(3.5, 100)
     real = sample_thinned_levy(p, T=4.0, rng_seed=11)
-    xt, _ = real.X_path.jumps()
-    yt, ys = real.Y_path.jumps()
+    xt, _ = jumps(real.X_path)
+    yt, ys = jumps(real.Y_path)
     assert np.all(ys > 0)
     assert set(yt.tolist()) <= set(xt.tolist())
 
@@ -243,7 +243,7 @@ def oracle_rows(params, T, xi, top_j) -> np.ndarray:
         drift = params.lam - float(np.sum(params.theta**2)) / params.kappa
         X = from_jumps_unique(T, jump_times[inside], params.theta[inside], drift=drift)
         Y = from_jumps_unique(T, jump_times[inside], params.beta[inside], drift=params.alpha)
-        if not Y.is_nondecreasing():
+        if not is_nondecreasing(Y):
             raise ValueError("g must be non-decreasing")
         rows.append(pad_pairs_slice(gamma_down_loop(X, Y), top_j))
     return np.array(rows)

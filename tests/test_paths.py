@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcmsim.paths import CadlagPath
+from hcmsim.paths import CadlagPath, _tol
 
 
-# Path builders and the segment loop of the running minimum, kept as the
-# reference that CadlagPath.running_minimum is compared against.
+# Path builders, the path members that only tests read, and the segment
+# loop of the running minimum, kept as the reference that running_minimum
+# is compared against.
 def step_path(values, horizon=None, dt=1.0):
     """Right-continuous step path through ``values`` at spacing ``dt``."""
     values = np.asarray(values, dtype=float)
@@ -28,6 +29,45 @@ def linear_path(times, values, horizon=None):
     dt = np.diff(times)
     slopes = np.concatenate((np.diff(values) / dt, [0.0]))
     return CadlagPath(times, values, slopes, float(horizon))
+
+
+def slope_at(f: CadlagPath, t):
+    return f.slopes[f.segment_index(t)]
+
+
+def segment_ends(f: CadlagPath) -> np.ndarray:
+    """Left limit at each segment's right end, the horizon for the last."""
+    return f.values + f.slopes * (np.concatenate((f.times[1:], [f.horizon])) - f.times)
+
+
+def left_limits(f: CadlagPath) -> np.ndarray:
+    """Left limit of the path at each breakpoint (= value at t=0 for k=0)."""
+    return np.concatenate((f.values[:1], segment_ends(f)[:-1]))
+
+
+def jumps(f: CadlagPath):
+    """(times, sizes) of the nonzero jumps."""
+    sizes = f.values - left_limits(f)
+    keep = sizes != 0.0
+    return f.times[keep], sizes[keep]
+
+
+def has_negative_jumps(f: CadlagPath, tol=None) -> bool:
+    """Whether a jump falls below ``-tol``."""
+    if tol is None:
+        tol = _tol(np.max(np.abs(f.values)))
+    return bool(np.any(f.values[1:] - segment_ends(f)[:-1] < -tol))
+
+
+def is_nondecreasing(f: CadlagPath) -> bool:
+    tol = _tol(np.max(np.abs(f.values)))
+    return bool(np.all(f.slopes >= -tol)) and not has_negative_jumps(f, tol)
+
+
+def running_minimum(f: CadlagPath) -> CadlagPath:
+    """Continuous non-increasing path ``t -> inf_{s<=t} f(s)``, from the
+    breakpoints that ``CadlagPath.reflected`` subtracts."""
+    return CadlagPath(*f._minimum_points()[0], f.horizon)
 
 
 def running_minimum_loop(self: CadlagPath) -> CadlagPath:
@@ -66,7 +106,7 @@ def reflected_loop(f: CadlagPath) -> CadlagPath:
     m = running_minimum_loop(f)
     ts = np.union1d(f.times, m.times)
     vals = np.atleast_1d(f.eval(ts)) - np.atleast_1d(m.eval(ts))
-    slopes = f.slope_at(ts) - m.slope_at(ts)
+    slopes = slope_at(f, ts) - slope_at(m, ts)
     return CadlagPath(ts, vals, slopes, f.horizon)
 
 
@@ -138,7 +178,7 @@ def test_from_jumps_eval_exact():
 
 def test_zero_jumps_dropped_and_merged():
     p = CadlagPath.from_jumps(5.0, [1.0, 1.0, 2.0], [1.0, 2.0, 0.0], drift=0.0)
-    jt, js = p.jumps()
+    jt, js = jumps(p)
     assert list(jt) == [1.0]
     assert list(js) == [3.0]
 
@@ -147,21 +187,21 @@ def test_step_function_and_left_limits():
     p = step_path([0.0, 3.0, 1.0])
     assert p.eval(0.5) == 0.0
     assert p.eval(1.0) == 3.0
-    ll = p.left_limits()
+    ll = left_limits(p)
     assert list(ll) == [0.0, 0.0, 3.0]
-    assert p.has_negative_jumps()
+    assert has_negative_jumps(p)
 
 
 def test_running_minimum_with_jumps_and_drift():
     # down to -1 at t=1, jump to +1, back down to -1 at t=3, on to -2 at t=4
     p = CadlagPath.from_jumps(4.0, [1.0], [2.0], drift=-1.0)
-    m = p.running_minimum()
+    m = running_minimum(p)
     for t, want in [(0.5, -0.5), (1.0, -1.0), (2.0, -1.0), (3.0, -1.0), (3.5, -1.5), (4.0, -2.0)]:
         assert float(m.eval(t)) == pytest.approx(want)
     # the running minimum never rises: no positive slope, no upward jump
     assert np.all(m.slopes <= 0)
-    assert np.all(m.jumps()[1] < 0)
-    assert not m.is_nondecreasing()
+    assert np.all(jumps(m)[1] < 0)
+    assert not is_nondecreasing(m)
 
 
 def test_reflected_sawtooth_hand_values():
@@ -186,7 +226,7 @@ def test_piecewise_linear_interpolates():
     p = linear_path([0.0, 1.0, 2.0], [0.0, 2.0, -1.0])
     assert float(p.eval(0.5)) == pytest.approx(1.0)
     assert float(p.eval(1.5)) == pytest.approx(0.5)
-    assert not p.has_negative_jumps()
+    assert not has_negative_jumps(p)
 
 
 def test_sample_grid_hits_horizon():
@@ -203,7 +243,7 @@ def test_crossing_rounded_onto_the_next_breakpoint():
     s, v, m = -1.272988341563213, 0.9287020701322124, -1.2505409096612918
     assert a + (m - v) / s == b and v + s * (b - a) < m
     f = CadlagPath([0.0, a, b], [m, v, m + 1.0], [0.0, s, 1.0], b + 1.0)
-    assert f.running_minimum().slopes.tolist() == [0.0, 0.0, 0.0]
+    assert running_minimum(f).slopes.tolist() == [0.0, 0.0, 0.0]
     r = f.reflected()
     assert same_bits(r, reflected_loop(f))
     assert r.eval(b + 1.0) == pytest.approx(2.0)
@@ -219,7 +259,7 @@ def test_invalid_paths_rejected():
 @settings(max_examples=500)
 @given(jump_drift_paths(negative_jumps=True))
 def test_running_minimum_equals_the_segment_loop(f):
-    assert same_bits(f.running_minimum(), running_minimum_loop(f))
+    assert same_bits(running_minimum(f), running_minimum_loop(f))
     assert same_bits(f.reflected(), reflected_loop(f))
 
 

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from hcmsim.core import InvariantError, stream_gen
+from hcmsim.degrees import make_limit_parameters
+from hcmsim.excursions import gamma_down
+from hcmsim.levy import exploration_limit_params, sample_thinned_levy
 from hcmsim.stats import (
     ExperimentConfig,
+    _pad_pairs,
     _sidx,
     build_critical_sequence,
     ks_two_sample,
@@ -119,6 +123,37 @@ def test_limit_pairs_shape_and_padding():
     assert np.all(pairs[:, -1] >= 0)
 
 
+def test_limit_pairs_open_the_same_streams_at_any_replicate_count(monkeypatch):
+    import hcmsim.stats as stats
+
+    opened = []
+
+    def spy(*args):
+        opened.append(args)
+        return stream_gen(*args)
+
+    monkeypatch.setattr(stats, "stream_gen", spy)
+    by_count = {}
+    for R in (10, 40):
+        opened.clear()
+        cfg = ExperimentConfig(limit_replicates=R, top_j=6, master_seed=1, K_max=5, levy_horizon=16.0)
+        by_count[R] = sample_limit_pairs(cfg), list(opened)
+    assert by_count[10][1] == by_count[40][1]
+    # row r does not depend on the replicate count
+    assert by_count[10][0].tobytes() == by_count[40][0][:10].tobytes()
+
+
+def test_limit_row_r_is_the_rth_path_draw_on_one_stream():
+    cfg = ExperimentConfig(limit_replicates=30, top_j=6, master_seed=1, K_max=5, levy_horizon=16.0)
+    rows = sample_limit_pairs(cfg)
+    params = exploration_limit_params(make_limit_parameters(cfg.tau, cfg.K_max, lam=cfg.lam))
+    rng = stream_gen(cfg.master_seed, _sidx(4, 0))
+    for r in range(cfg.limit_replicates):
+        real = sample_thinned_levy(params, cfg.levy_horizon, rng)
+        if r in (0, 1, 7, 29):
+            assert rows[r].tobytes() == _pad_pairs(gamma_down(real.X_path, real.Y_path), cfg.top_j).tobytes(), r
+
+
 def _off_by_one_ulp(monkeypatch):
     """Make the array pass return row 0 one ulp away from the path form."""
     import hcmsim.stats as stats
@@ -221,4 +256,18 @@ def test_thm17_cross_checks_limit_mc2_replicate_zero(monkeypatch):
 
     monkeypatch.setattr(stats, "mcmw_batch", nudged)
     with pytest.raises(InvariantError, match="replicate 0"):
+        theorem_1_7_experiment(cfg)
+
+
+def test_thm17_cross_check_sees_the_edges_of_a_merging_replicate(monkeypatch):
+    import hcmsim.stats as stats
+
+    # at mu = 1 most limit replicates end as one block, whose mass is the
+    # row's total whatever edges were drawn; the checked replicate merged a
+    # pair and kept two or more blocks, so weights from the wrong row show
+    cfg = ExperimentConfig(n_grid=[200], replicates=10, limit_replicates=12, master_seed=1, K_max=5)
+    theorem_1_7_experiment(cfg)
+    batch = stats.mcmw_batch
+    monkeypatch.setattr(stats, "mcmw_batch", lambda x, y, *args: batch(x, y[::-1], *args))
+    with pytest.raises(InvariantError, match="limit replicate"):
         theorem_1_7_experiment(cfg)
