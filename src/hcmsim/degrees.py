@@ -174,8 +174,8 @@ class DegreeSequence:
         return int(self.black.sum())
 
     @cached_property
-    def white_owner(self) -> np.ndarray:  # vertex of each white half-edge
-        return _owners(self.white)
+    def white_owner(self) -> np.ndarray:  # vertex of each white half-edge, in the CSR's index type
+        return _owners(self.white, self.white_indptr.dtype)
 
     @cached_property
     def black_owner(self) -> np.ndarray:
@@ -206,8 +206,8 @@ class DegreeSequence:
         )
 
 
-def _owners(degrees: np.ndarray) -> np.ndarray:
-    owner = np.repeat(np.arange(degrees.size), degrees)
+def _owners(degrees: np.ndarray, dtype=np.int64) -> np.ndarray:
+    owner = np.repeat(np.arange(degrees.size, dtype=dtype), degrees)
     owner.flags.writeable = False  # shared by every graph on the sequence
     return owner
 

@@ -72,7 +72,7 @@ def _walk(g: ColoredMultigraph, seeds: np.ndarray) -> ExplorationTrace:
     """The walk of the exploration that starts its components at ``seeds``."""
     seq = g.seq
     order = _discovery_order(g, seeds)
-    edges = g.blocks.edges[g.blocks.label[seeds]]
+    edges = g.block_edges[g.blocks.label[seeds]]
     tau = np.cumsum(1 + edges)
     # steps that discover a vertex: each seed step, just before its
     # component's edge steps, and the edge steps that reach a new vertex
@@ -144,9 +144,10 @@ def _discovery_edge_steps(g: ColoredMultigraph, order: np.ndarray) -> np.ndarray
     n_half = g.seq.white_owner.size
     starts = np.cumsum(d) - d
     layout = np.repeat(g.seq.white_indptr[order] - starts, d) + np.arange(n_half)
-    position = np.empty(n_half, dtype=np.int32)
-    position[layout] = np.arange(n_half, dtype=np.int32)
-    partner = position[g.white_match[layout]]
+    partner = np.empty(n_half, dtype=np.int32)  # first the position of each half-edge in the layout
+    partner[layout] = np.arange(n_half, dtype=np.int32)
+    a, b = partner[g.pairs[0::2]], partner[g.pairs[1::2]]
+    partner[a], partner[b] = b, a  # then, per position, the position of its half-edge's partner
     into = np.minimum.reduceat(partner, starts)
     discovers = np.zeros(n_half, dtype=bool)
     discovers[into[into < starts]] = True

@@ -23,7 +23,6 @@ class Blocks(NamedTuple):
     label: np.ndarray  # block of each vertex
     size: np.ndarray  # vertices per block
     black: np.ndarray  # black half-edges per block
-    edges: np.ndarray  # white edges per block
     order: np.ndarray  # blocks largest first, ties by least member vertex
 
 
@@ -33,29 +32,37 @@ class ColoredMultigraph:
     white half-edges matched and the black ones unpaired.
 
     Half-edges of each colour are numbered consecutively by vertex; the
-    white matching is a perfect matching as an involution array
-    (match[h] = partner), fixed when the graph is built.
+    white matching is a permutation of the white half-edges in which
+    pairs[2k] and pairs[2k + 1] are matched, checked when the graph is built.
     """
 
     seq: DegreeSequence
-    white_match: np.ndarray
+    pairs: np.ndarray
 
     def __post_init__(self):
-        self.assert_matching(self.white_match)
+        self.partner_owner  # built, and so checked, with the graph
 
     @property
     def n(self) -> int:
         return self.seq.n
 
-    def assert_matching(self, match: np.ndarray):
-        # the exploration follows every white half-edge to its partner
-        if match.size != self.seq.total_white or np.any((match < 0) | (match >= match.size)):
+    @cached_property
+    def partner_owner(self) -> np.ndarray:  # over seq.white_indptr, the CSR indices of G_n(0)'s adjacency
+        p, owner = self.pairs, self.seq.white_owner
+        # each white half-edge exactly once; numpy wraps a negative index, so the sign is checked
+        if p.size != owner.size or p.size % 2 or p.size and (p.min() < 0 or p.max() >= p.size):
             raise InvariantError("matching does not pair every white half-edge")
-        half_edges = np.arange(match.size)
-        if np.any(match[match] != half_edges):
-            raise InvariantError("matching is not an involution")
-        if np.any(match == half_edges):
-            raise InvariantError("matching has a fixed point")
+        partner = np.full(p.size, -1, dtype=owner.dtype)
+        partner[p[0::2]], partner[p[1::2]] = owner[p[1::2]], owner[p[0::2]]
+        if np.any(partner < 0):  # a half-edge listed twice leaves another out
+            raise InvariantError("matching is not a permutation of the white half-edges")
+        return partner
+
+    @cached_property
+    def white_match(self) -> np.ndarray:  # partner of each white half-edge
+        p, match = self.pairs, np.empty(self.pairs.size, dtype=self.seq.white_indptr.dtype)
+        match[p[0::2]], match[p[1::2]] = p[1::2], p[0::2]
+        return match
 
     def white_pairs(self) -> np.ndarray:
         """(m, 2) array of matched white half-edge pairs, first id smaller."""
@@ -63,38 +70,30 @@ class ColoredMultigraph:
         return np.column_stack((a, self.white_match[a]))
 
     @cached_property
-    def partner_owner(self) -> np.ndarray:  # over seq.white_indptr, the CSR indices of G_n(0)'s adjacency
-        return self.seq.white_owner[self.white_match].astype(self.seq.white_indptr.dtype)
-
-    @cached_property
     def blocks(self) -> Blocks:
         """The components of G_n(0), labelled once per graph."""
         indices, indptr = self.partner_owner, self.seq.white_indptr
         label = _component_labels(indices, indptr, indices, indptr)  # symmetric: its own transpose
         size = np.bincount(label)
-        black = np.bincount(label, weights=self.seq.black).astype(np.int64)
-        edges = np.bincount(label, weights=self.seq.white).astype(np.int64) // 2  # a white edge's ends share a block
-        # labels number the blocks by least member vertex, so a stable sort
-        # breaks size ties by it
-        table = Blocks(label, size, black, edges, np.argsort(-size, kind="stable"))
+        black = np.zeros(size.size, dtype=np.int64)
+        np.add.at(black, label, self.seq.black)
+        # labels number the blocks by least member vertex, so a stable sort breaks size ties by it
+        table = Blocks(label, size, black, np.argsort(-size, kind="stable"))
         for column in table:  # every caller shares the cached arrays
             column.flags.writeable = False
         return table
 
+    @cached_property
+    def block_edges(self) -> np.ndarray:  # white edges per block; a white edge's ends share a block
+        edges = np.bincount(self.blocks.label, weights=self.seq.white).astype(np.int64) // 2
+        edges.flags.writeable = False  # shared like the block table
+        return edges
+
 
 def _uniform_matching(n_half: int, rng) -> np.ndarray:
-    """Uniform perfect matching as an involution array.
-
-    A uniform shuffle paired off consecutively is exchangeable over the
-    half-edge labels, hence uniform over all (n-1)!! matchings.
-    """
-    if n_half % 2:
-        raise ValueError("cannot match an odd number of half-edges")
-    perm = rng.permutation(n_half)
-    match = np.empty(n_half, dtype=np.int64)
-    match[perm[0::2]] = perm[1::2]
-    match[perm[1::2]] = perm[0::2]
-    return match
+    """Uniform perfect matching of an even number of half-edges as a permutation paired off
+    consecutively: a uniform shuffle is exchangeable over the labels, hence uniform over all (n-1)!! matchings."""
+    return rng.permutation(n_half)
 
 
 def sample_white_matching(seq: DegreeSequence, rng_seed) -> ColoredMultigraph:
@@ -130,12 +129,12 @@ def _component_labels(indices, indptr, indices_t, indptr_t) -> np.ndarray:
 
 
 def component_table(g: ColoredMultigraph):
-    """Arrays (sizes, black_half_edges, white_edges, surplus, labels, order)
-    of G_n(0)'s components, largest first with ties by least member vertex;
+    """Arrays (sizes, black_half_edges, labels, order) of G_n(0)'s
+    components, largest first with ties by least member vertex;
     ``labels[v]`` is the component of vertex v and ``order[k]`` the label of
     row k."""
     b = g.blocks
-    return b.size[b.order], b.black[b.order], b.edges[b.order], (b.edges + 1 - b.size)[b.order], b.label, b.order
+    return b.size[b.order], b.black[b.order], b.label, b.order
 
 
 def merged_sizes(g: ColoredMultigraph, u, v) -> np.ndarray:
@@ -145,7 +144,7 @@ def merged_sizes(g: ColoredMultigraph, u, v) -> np.ndarray:
     An added edge merges the blocks of its ends, so the blocks are labelled
     instead of the n vertices.
     """
-    sizes, blacks, *_, labels, order = component_table(g)
+    sizes, blacks, labels, order = component_table(g)
     merged = labels_from_edges(labels[u], labels[v], order.size)[order]  # merged label of each row
     size = np.bincount(merged, weights=sizes)
     black = np.bincount(merged, weights=blacks)

@@ -185,9 +185,9 @@ def test_corrupted_matching_exits_3(tmp_path, monkeypatch):
     uniform = graphs._uniform_matching
 
     def corrupted(n_half, rng):
-        match = uniform(n_half, rng)
-        match[0] = 0  # a fixed point breaks the involution
-        return match
+        pairs = uniform(n_half, rng)
+        pairs[1] = pairs[0]  # a half-edge paired with itself leaves another unpaired
+        return pairs
 
     monkeypatch.setattr(graphs, "_uniform_matching", corrupted)
     assert run_cli(["--out-dir", str(tmp_path), "--seed", "2", "percolate", "--n", "80", "--mu", "0.5"]) == EXIT_INVARIANT

@@ -111,14 +111,14 @@ def modified_block_view(g: ColoredMultigraph) -> BlockSystem:
     return BlockSystem(sizes.astype(float), blacks.astype(float))
 
 
-def _graph(white, black, seed=0, match=None):
-    """Graph on the degrees with its white matching sampled, or ``match``."""
+def _graph(white, black, seed=0, pairs=None):
+    """Graph on the degrees with its white matching sampled, or ``pairs``."""
     white = np.asarray(white, dtype=np.int64)
     black = np.asarray(black, dtype=np.int64)
     sc = make_scaling(white.size, 3.5)
     lim = make_limit_parameters(3.5, 2)
     seq = DegreeSequence(white, black, sc, lim, np.zeros(white.size, bool))
-    return sample_white_matching(seq, seed) if match is None else ColoredMultigraph(seq, np.array(match))
+    return sample_white_matching(seq, seed) if pairs is None else ColoredMultigraph(seq, np.array(pairs))
 
 
 def test_zero_horizon_no_events():
@@ -200,7 +200,7 @@ def test_dynamic_first_pick_uniform_on_a_sparse_sample():
     # draws the picks by Floyd's method, whose raw order is not exchangeable;
     # the first pick must still be uniform over the half-edges
     n_he = 10_050
-    g = _graph([1, 1], [n_he // 2, n_he // 2], match=[1, 0])
+    g = _graph([1, 1], [n_he // 2, n_he // 2], pairs=[0, 1])
     s = -np.log1p(-70 / (n_he // 2))  # 70 events on average
     rng = stream_gen(53, 0)
     first = np.array([run_dynamic(g, s, rng).event_log["a"][0] for _ in range(10_000)])
@@ -276,7 +276,7 @@ def test_dynamic_marginal_equals_static_percolation():
 def test_modified_two_block_merge_probability():
     # two white components with black half-edge counts (2, 2): merge by s
     # with probability 1 - exp(-y1 y2 s / (2 Q0 - 1))
-    g = _graph([1, 1, 1, 1], [2, 0, 0, 2], match=[1, 0, 3, 2])  # components {0,1}, {2,3}
+    g = _graph([1, 1, 1, 1], [2, 0, 0, 2], pairs=[0, 1, 2, 3])  # components {0,1}, {2,3}
     rng = stream_gen(15, 0)
     reps = 60_000
     s = 1.5
@@ -383,7 +383,7 @@ def test_q_trajectory_check_equals_loop_oracle(n, T, t_mean):
 
 
 def test_edge_probability_zero_time():
-    g = _graph([1, 1, 1, 1], [1, 1, 1, 1], match=[1, 0, 3, 2])
+    g = _graph([1, 1, 1, 1], [1, 1, 1, 1], pairs=[0, 1, 2, 3])
     p = edge_probability_estimate(g, [0, 1], [2, 3], 0.0, 200, 5)
     assert p == 0.0
 
@@ -397,7 +397,7 @@ def test_edge_probability_two_singletons_closed_form():
     sc = make_scaling(3, 3.5)
     lim = make_limit_parameters(3.5, 2)
     seq = DegreeSequence(white, black, sc, lim, np.zeros(3, bool))
-    g = ColoredMultigraph(seq, np.array([1, 0, 3, 2, 5, 4]))  # three self-loop singletons
+    g = ColoredMultigraph(seq, np.array([0, 1, 2, 3, 4, 5]))  # three self-loop singletons
     # horizon: edge_probability_estimate works at s * gamma_n / c_n; invert so
     # the effective horizon is exactly 0.7
     horizon = 0.7
@@ -434,7 +434,7 @@ def test_edge_probability_tracks_limit_formula_at_scale():
     cfg = ExperimentConfig(n_grid=[n], master_seed=3)
     seq = build_critical_sequence(cfg, n)
     g = sample_white_matching(seq, stream_gen(3, 1))
-    sizes, blacks, _, _, labels, order = component_table(g)
+    sizes, blacks, labels, order = component_table(g)
     comp_i = np.flatnonzero(labels == order[0])
     comp_j = np.flatnonzero(labels == order[1])
     b_n = seq.scaling.b_n
@@ -693,7 +693,7 @@ def test_component_sizes_rejects_a_broken_block_table(field, monkeypatch):
 
 def test_block_table_is_read_only():
     g = _graph([1, 1, 2, 2], [2, 2, 1, 1], seed=0)
-    for column in g.blocks:
+    for column in (*g.blocks, g.block_edges):
         with pytest.raises(ValueError):
             column[0] += 1
 

@@ -24,9 +24,9 @@ from hcmsim.exploration import (
     explore,
     write_trace_csv,
 )
-from hcmsim.graphs import ColoredMultigraph, component_table, labels_from_edges, sample_white_matching
+from hcmsim.graphs import ColoredMultigraph, labels_from_edges, sample_white_matching
 from hcmsim.paths import CadlagPath
-from test_graphs import relabel_table
+from test_graphs import full_table, relabel_table
 from test_paths import step_path
 
 
@@ -141,10 +141,7 @@ def _seq(white, black=None, n_scale=None):
 
 def _matched(white, pairs, black=None):
     """Graph with the white matching given as half-edge pairs."""
-    match = np.full(sum(white), -1, dtype=np.int64)
-    for a, b in pairs:
-        match[a], match[b] = b, a
-    return ColoredMultigraph(_seq(white, black), match)
+    return ColoredMultigraph(_seq(white, black), np.array(pairs, dtype=np.int64).reshape(-1))
 
 
 def _labels(g):
@@ -550,7 +547,7 @@ def test_walk_first_hits_minus_2k_at_tau(walk):
 def test_walk_multiset_equals_component_table(walk):
     g, tr = walk
     walk_rows = sorted((c.size, c.black_half_edges, c.surplus, c.edge_count) for c in components(tr))
-    sizes, blacks, white_edges, surplus, *_ = component_table(g)
+    sizes, blacks, white_edges, surplus, *_ = full_table(g)
     assert walk_rows == sorted(zip(sizes.tolist(), blacks.tolist(), surplus.tolist(), white_edges.tolist()))
 
 

@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -21,10 +21,38 @@ from hcmsim.graphs import (
 )
 
 
-# Reference code, imported by the other test modules: the full relabel of
-# all n vertices that block merging replaced, and the static black model
-# (a uniform black matching with each edge kept independently) whose law
-# the dynamic process must reproduce.
+# Reference code, imported by the other test modules: the involution check
+# that the permutation check replaced, the full relabel of all n vertices
+# that block merging replaced, and the static black model (a uniform black
+# matching with each edge kept independently) whose law the dynamic process
+# must reproduce.
+
+
+def assert_matching(seq, match: np.ndarray):
+    """Raise InvariantError unless ``match`` (match[h] = partner) pairs every
+    white half-edge of ``seq`` with another."""
+    if match.size != seq.total_white or np.any((match < 0) | (match >= match.size)):
+        raise InvariantError("matching does not pair every white half-edge")
+    half_edges = np.arange(match.size)
+    if np.any(match[match] != half_edges):
+        raise InvariantError("matching is not an involution")
+    if np.any(match == half_edges):
+        raise InvariantError("matching has a fixed point")
+
+
+def involution(pairs: np.ndarray) -> np.ndarray:
+    """match[h] = partner of h, for the permutation ``pairs`` paired off consecutively."""
+    match = np.empty_like(pairs)
+    match[pairs[0::2]], match[pairs[1::2]] = pairs[1::2], pairs[0::2]
+    return match
+
+
+def full_table(g):
+    """component_table with the white edges and surplus of each row:
+    (sizes, black_half_edges, white_edges, surplus, labels, order)."""
+    sizes, blacks, labels, order = component_table(g)
+    white_edges = g.block_edges[order]
+    return sizes, blacks, white_edges, white_edges + 1 - sizes, labels, order
 
 
 def _vertex_pairs(g, extra_edges=None) -> np.ndarray:
@@ -80,7 +108,7 @@ def sample_black_matching(g, rng_seed) -> StaticPercolation:
     """The black half-edges uniformly paired, all edges retained."""
     if g.seq.total_black % 2:
         raise ValueError("black parity violated")
-    match = _uniform_matching(g.seq.total_black, as_generator(rng_seed))
+    match = involution(_uniform_matching(g.seq.total_black, as_generator(rng_seed)))
     return StaticPercolation(g, match, np.ones(match.size // 2, dtype=bool))
 
 
@@ -103,7 +131,7 @@ def _seq(white, black=None, n_scale=None):
 def test_single_vertex_self_loop():
     seq = _seq([2])
     g = sample_white_matching(seq, 0)
-    sizes, _, white_edges, surplus, *_ = component_table(g)
+    sizes, _, white_edges, surplus, *_ = full_table(g)
     assert sizes.tolist() == [1]
     assert white_edges.tolist() == [1]
     assert surplus.tolist() == [1]  # Euler: 1 = 1 + 1 - 1
@@ -113,7 +141,7 @@ def test_two_degree_one_vertices_single_edge():
     seq = _seq([1, 1])
     g = sample_white_matching(seq, 0)
     assert g.seq.white_owner[g.white_match[0]] == 1
-    sizes, _, _, surplus, *_ = component_table(g)
+    sizes, _, _, surplus, *_ = full_table(g)
     assert sizes.tolist() == [2] and surplus.tolist() == [0]
 
 
@@ -142,12 +170,16 @@ def test_matching_uniformity_six_half_edges():
     seq = _seq([2, 2, 2])
     for s in range(4):  # a graph's matching is this draw from its stream
         want = _uniform_matching(6, stream_gen(7, s))
-        assert np.array_equal(sample_white_matching(seq, stream_gen(7, s)).white_match, want)
+        assert np.array_equal(sample_white_matching(seq, stream_gen(7, s)).pairs, want)
     rng = stream_gen(7, 0)
     reps = 1_000_000
-    draws = np.empty((reps, 6), dtype=np.int8)
-    for r in range(reps):
-        draws[r] = _uniform_matching(6, rng)
+    # row r is the r-th _uniform_matching(6, rng) draw, all in one call
+    perms = rng.permuted(np.tile(np.arange(6, dtype=np.int8), (reps, 1)), axis=1)
+    first = stream_gen(7, 0)
+    assert all(np.array_equal(perms[r], _uniform_matching(6, first)) for r in range(100))
+    rows = np.arange(reps)[:, None]
+    draws = np.empty_like(perms)  # row r as its involution, one array per matching
+    draws[rows, perms[:, 0::2]], draws[rows, perms[:, 1::2]] = perms[:, 1::2], perms[:, 0::2]
     matchings, counts = np.unique(draws, axis=0, return_counts=True)
     assert len(counts) == 15
     se = np.sqrt((1 / 15) * (14 / 15) / reps)
@@ -160,7 +192,7 @@ def test_component_partition_and_ordering():
     rng = stream_gen(3, 1)
     for _ in range(50):
         g = sample_white_matching(seq, rng)
-        sizes, _, white_edges, surplus, labels, order = component_table(g)
+        sizes, _, white_edges, surplus, labels, order = full_table(g)
         assert sum(sizes) == 3
         assert sizes.tolist() == sorted(sizes, reverse=True)
         assert np.array_equal(np.bincount(labels)[order], sizes)
@@ -171,22 +203,22 @@ def test_path_graph_component():
     # degrees (1,2,1), forced matching 0-1, 2-3 up to the sampled permutation:
     # construct a matching by hand to pin the structure
     seq = _seq([1, 2, 1])
-    g = ColoredMultigraph(seq, np.array([1, 0, 3, 2]))
-    sizes, _, white_edges, surplus, *_ = component_table(g)
+    g = ColoredMultigraph(seq, np.array([0, 1, 2, 3]))
+    sizes, _, white_edges, surplus, *_ = full_table(g)
     assert sizes.tolist() == [3] and white_edges.tolist() == [2] and surplus.tolist() == [0]
 
 
 def test_double_edge_euler_relation():
     seq = _seq([2, 2])
-    g = ColoredMultigraph(seq, np.array([2, 3, 0, 1]))  # two parallel edges between the vertices
-    sizes, _, white_edges, surplus, *_ = component_table(g)
+    g = ColoredMultigraph(seq, np.array([0, 2, 1, 3]))  # two parallel edges between the vertices
+    sizes, _, white_edges, surplus, *_ = full_table(g)
     assert sizes.tolist() == [2] and white_edges.tolist() == [2] and surplus.tolist() == [1]
 
 
 def test_black_half_edge_counts():
     seq = _seq([1, 1, 2], black=[3, 1, 2])
     g = sample_white_matching(seq, 1)
-    sizes, blacks, _, _, labels, order = component_table(g)
+    sizes, blacks, labels, order = component_table(g)
     assert blacks.sum() == 6
     for k, black in enumerate(blacks):
         assert black == seq.black[labels == order[k]].sum()
@@ -210,7 +242,7 @@ def test_percolate_merge_frequency_half():
     rng = stream_gen(9, 2)
     reps = 100_000
     merged = 0
-    g = ColoredMultigraph(seq, np.array([1, 0, 3, 2]))  # components {0,1} and {2,3}
+    g = ColoredMultigraph(seq, np.array([0, 1, 2, 3]))  # components {0,1} and {2,3}
     gb = sample_black_matching(g, rng)  # single black pair, forced
     for _ in range(reps):
         gp = percolate_black(gb, 0.5, rng)
@@ -222,19 +254,55 @@ def test_percolate_merge_frequency_half():
 def test_invariants_assert_after_sampling():
     seq = _seq([3, 2, 2, 1], black=[1, 1, 0, 0])
     g = sample_white_matching(seq, 11)
-    g.assert_matching(g.white_match)
+    assert_matching(seq, g.white_match)
     bad = g.white_match.copy()
     bad[0] = 0
     with pytest.raises(InvariantError):
-        g.assert_matching(bad)
+        assert_matching(seq, bad)
+    self_paired = g.pairs.copy()
+    self_paired[1] = self_paired[0]
     with pytest.raises(InvariantError):
-        ColoredMultigraph(seq, bad)
+        ColoredMultigraph(seq, self_paired)
     with pytest.raises(InvariantError):
-        ColoredMultigraph(seq, g.white_match[:-2])  # leaves two half-edges out
-    unpaired = g.white_match.copy()
-    unpaired[[0, unpaired[0]]] = -1
+        ColoredMultigraph(seq, g.pairs[:-2])  # leaves two half-edges out
+    unpaired = g.pairs.copy()
+    unpaired[[0, 1]] = -1
     with pytest.raises(InvariantError):
         ColoredMultigraph(seq, unpaired)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=10), st.integers(0, 2**32 - 1),
+       st.sampled_from([None, "duplicate", "self_pair", "negative", "too_large", "short"]), st.data())
+@example([0], 0, None, None)  # no white half-edges at all
+def test_matching_check_accepts_exactly_the_permutations(white, seed, corruption, data):
+    # a graph holds the sampled permutation itself; its check must reject
+    # every array that the involution check rejected
+    if sum(white) % 2:
+        white = white + [1]
+    seq = _seq(white)
+    pairs = _uniform_matching(seq.total_white, as_generator(seed))
+    n_half = pairs.size
+    if corruption is None:
+        g = ColoredMultigraph(seq, pairs)
+        assert_matching(seq, g.white_match)
+        assert np.array_equal(g.partner_owner, seq.white_owner[g.white_match])
+        return
+    assume(n_half >= 2)
+    k, j = data.draw(st.lists(st.integers(0, n_half - 1), min_size=2, max_size=2, unique=True))
+    bad = pairs.copy()
+    if corruption == "duplicate":
+        bad[k] = bad[j]
+    elif corruption == "self_pair":
+        bad[k | 1] = bad[k & ~1]
+    elif corruption == "negative":
+        bad[k] -= n_half  # numpy would wrap it onto the half-edge it replaced
+    elif corruption == "too_large":
+        bad[k] += n_half
+    else:
+        bad = bad[: data.draw(st.integers(0, n_half - 1))]
+    with pytest.raises(InvariantError):
+        ColoredMultigraph(seq, bad)
 
 
 def test_edge_csv(tmp_path):
@@ -266,7 +334,7 @@ def test_labels_number_components_by_least_member(n):
 def test_component_table_equals_full_relabel(n, seeds):
     for seed in seeds:
         g = _critical_graph(n, seed)
-        for got, want in zip(component_table(g), relabel_table(g)):
+        for got, want in zip(full_table(g), relabel_table(g)):
             assert np.array_equal(got, want)
 
 
@@ -276,7 +344,7 @@ def test_component_table_equals_full_relabel_small():
         seq = _seq(white, black=np.arange(len(white)) % 3)
         for _ in range(20):
             g = sample_white_matching(seq, rng)
-            for got, want in zip(component_table(g), relabel_table(g)):
+            for got, want in zip(full_table(g), relabel_table(g)):
                 assert np.array_equal(got, want)
 
 
@@ -299,14 +367,14 @@ def test_blocks_equal_the_public_labelling(white, seed):
     assert np.array_equal(labels_from_edges(pairs[:, 0], pairs[:, 1], g.n), b.label)
     sizes, blacks, edges, _, _, order = relabel_table(g)
     assert np.array_equal(b.order, order)
-    for got, want in ((b.size, sizes), (b.black, blacks), (b.edges, edges)):
+    for got, want in ((b.size, sizes), (b.black, blacks), (g.block_edges, edges)):
         assert np.array_equal(got[b.order], want)
 
 
 def test_graph_is_frozen():
     g = sample_white_matching(_seq([1, 1, 2]), 0)
     with pytest.raises(FrozenInstanceError):
-        g.white_match = np.array([1, 0, 3, 2])
+        g.pairs = np.array([0, 1, 2, 3])
 
 
 def test_owners_built_once_per_sequence():
