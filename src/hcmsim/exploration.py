@@ -64,7 +64,7 @@ def _seed_order(g: ColoredMultigraph, rng) -> np.ndarray:
     owner = g.seq.white_owner
     perm = rng.permutation(owner.size)
     first = np.full(g.blocks.size.size, owner.size)
-    np.minimum.at(first, g.blocks.label[owner[perm]], np.arange(owner.size))
+    np.minimum.at(first, g.blocks.label[owner[perm].astype(np.intp)], np.arange(owner.size))
     return owner[perm[np.sort(first[first < owner.size])]]
 
 

@@ -59,17 +59,6 @@ class ColoredMultigraph:
         return partner
 
     @cached_property
-    def white_match(self) -> np.ndarray:  # partner of each white half-edge
-        p, match = self.pairs, np.empty(self.pairs.size, dtype=self.seq.white_indptr.dtype)
-        match[p[0::2]], match[p[1::2]] = p[1::2], p[0::2]
-        return match
-
-    def white_pairs(self) -> np.ndarray:
-        """(m, 2) array of matched white half-edge pairs, first id smaller."""
-        a = np.flatnonzero(self.white_match > np.arange(self.white_match.size))
-        return np.column_stack((a, self.white_match[a]))
-
-    @cached_property
     def blocks(self) -> Blocks:
         """The components of G_n(0), labelled once per graph."""
         indices, indptr = self.partner_owner, self.seq.white_indptr
@@ -154,6 +143,10 @@ def merged_sizes(g: ColoredMultigraph, u, v) -> np.ndarray:
 
 
 def write_edge_csv(g: ColoredMultigraph, path):
-    """G_n(0)'s white edges as CSV rows (half_edge_a, half_edge_b, color)."""
-    pairs = g.white_pairs()
-    write_int_rows(path, (pairs[:, 0], pairs[:, 1]), header="half_edge_a,half_edge_b,color\r\n", suffix=",white\r\n")
+    """G_n(0)'s white edges as CSV rows (half_edge_a, half_edge_b, color),
+    smaller half-edge first and in order of it."""
+    p = g.pairs
+    other = np.full(p.size, -1)
+    other[np.minimum(p[0::2], p[1::2])] = np.maximum(p[0::2], p[1::2])  # each edge at its smaller half-edge
+    a = np.flatnonzero(other >= 0)
+    write_int_rows(path, (a, other[a]), header="half_edge_a,half_edge_b,color\r\n", suffix=",white\r\n")

@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import InvariantError, as_generator, write_rows
+from .core import as_generator, write_rows
 from .degrees import LimitParameters
 from .excursions import gamma_rows, pad_rows
-from .paths import CadlagPath, jump_rows, raise_first
+from .paths import CadlagPath, _segment_minima, jump_rows, raise_first
 
 
 @dataclass
@@ -72,25 +72,22 @@ def limit_pairs_batch(params: LimitParameters, T: float, xi: np.ndarray, top_j: 
 def sample_surplus_process(x: CadlagPath, rng_seed) -> CadlagPath:
     """Counting path with conditional intensity (X - running min) dt.
 
-    Simulated by thinning each linear cell of the reflected path against
-    its sup; the reflected path must be non-negative.
+    On a segment of X whose running minimum where it starts is m, the
+    intensity is X(u) - m clipped at 0, with sup max(v, end) - m; the
+    candidates of all segments are thinned against their sups in one pass.
     """
     rng = as_generator(rng_seed)
-    R = x.reflected()
-    if float(np.min(R.values)) < -1e-9:
-        raise InvariantError("reflected path went negative")
-    a, v, s, b, _ = (c[0] for c in R.rows())
-    hi = np.maximum(v, v + s * (b - a))
+    a, v, s, b, _ = (c[0] for c in x.rows())
+    end, m = _segment_minima(a, v, s, b)
+    hi = np.maximum(v, end) - m
     cells = (b > a) & (hi > 0)
-    events = []
-    for a, b, v, s, hi in zip(*(c[cells].tolist() for c in (a, b, v, s, hi))):
-        n_cand = rng.poisson(hi * (b - a))
-        u = a + (b - a) * rng.random(n_cand)
-        events.extend(u[rng.random(n_cand) * hi < v + s * (u - a)])
-    events.sort()
-    times = np.concatenate(([0.0], np.asarray(events)))
-    values = np.arange(times.size, dtype=float)
-    return CadlagPath(times, values, np.zeros_like(values), x.horizon)
+    a, v, s, w, m, hi = (c[cells] for c in (a, v, s, b - a, m, hi))
+    k = np.repeat(np.arange(a.size), rng.poisson(hi * w))
+    u = a[k] + w[k] * rng.random(k.size)
+    # where X is under m, X - m < 0 <= every draw: the clip at 0
+    events = np.sort(u[rng.random(k.size) * hi[k] < v[k] + s[k] * (u - a[k]) - m[k]])
+    times = np.concatenate(([0.0], events))
+    return CadlagPath(times, np.arange(times.size, dtype=float), np.zeros(times.size), x.horizon)
 
 
 def exploration_limit_params(params: LimitParameters) -> LimitParameters:

@@ -139,36 +139,6 @@ class CadlagPath:
         out = self.values[k] + self.slopes[k] * (t - self.times[k])
         return out if out.ndim else float(out)
 
-    # -- derived paths ---------------------------------------------------
-
-    def _minimum_points(self):
-        """The running minimum's breakpoints as rows (times, values, slopes),
-        and for each the segment of ``self`` that ``eval`` picks there."""
-        a, v, s, b, _ = (x[0] for x in self.rows())
-        end, m = _segment_minima(a, v, s, b)
-        # a falling segment that starts on the minimum or ends below it rides
-        # the minimum from tstar, where it crosses it, to its right end
-        down = (s < 0.0) & ((v <= m) | (end < m))
-        tstar = a + np.divide(m - v, s, out=np.zeros_like(v), where=down)
-        # flat on [a, tstar) first; a crossing that rounds onto b or past it
-        # leaves the whole segment flat, and the next one starts below m
-        cross = (tstar > a) & (tstar < b)
-        seg = np.repeat(np.arange(a.size), 1 + cross)  # segment k's points: a_k, then tstar_k
-        at = np.arange(a.size) + np.cumsum(cross) - cross
-        pts = np.empty((3, seg.size))  # (times, values, slopes)
-        pts[:, at] = a, m, np.where(down & (tstar <= a), s, 0.0)
-        pts[:, at[cross] + 1] = tstar[cross], m[cross], s[cross]
-        return pts, seg
-
-    def reflected(self) -> "CadlagPath":
-        """Pathwise ``f - running minimum``; non-negative everywhere.
-
-        The minimum's breakpoints include the path's own, so both paths are
-        evaluated there as ``eval`` does, each on its segment at that time."""
-        (t, mv, ms), k = self._minimum_points()
-        a, v, s = self.times[k], self.values[k], self.slopes[k]
-        return CadlagPath(t, (v + s * (t - a)) - (mv + ms * (t - t)), s - ms, self.horizon)
-
     # -- export -----------------------------------------------------------
 
     def sample_grid(self, step):

@@ -119,6 +119,10 @@ def test_levy_subcommand(tmp_path):
     lines = (tmp_path / "limit_path.csv").read_text().splitlines()
     assert lines[0] == "t,X,Y,N"
     assert len(lines) > 10
+    t, n = np.loadtxt(lines[1:], delimiter=",", usecols=(0, 3), unpack=True)
+    # a counting path: whole numbers, never falling, none before time 0
+    assert np.array_equal(n, np.round(n)) and np.all(np.diff(n) >= 0)
+    assert t[0] == 0.0 and n[0] == 0.0 < n[-1]
 
 
 def test_validate_degrees_subcommand(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hcmsim.core import as_generator, stream_gen, write_int_rows, write_rows
+from test_graphs import white_pairs
 
 
 def test_seed_stream_distinct_and_stable():
@@ -187,7 +188,7 @@ def _csv_writer_edges(g, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["half_edge_a", "half_edge_b", "color"])
-        for a, b in g.white_pairs():
+        for a, b in white_pairs(g):
             writer.writerow([int(a), int(b), "white"])
 
 

@@ -22,9 +22,8 @@ from test_paths import (
     has_negative_jumps,
     jump_drift_paths,
     linear_path,
-    running_minimum,
+    minima_match_the_loop,
     running_minimum_loop,
-    same_bits,
     step_path,
 )
 
@@ -146,7 +145,7 @@ def point_process_from_hitting_times(f: CadlagPath, g: CadlagPath, t_list) -> Ex
     t = np.asarray(t_list, dtype=float)
     if np.any(np.diff(t) <= 0):
         raise ValueError("hitting times must be strictly increasing")
-    m = running_minimum(f)
+    m = running_minimum_loop(f)
     fv = np.atleast_1d(f.eval(t))
     mv = np.atleast_1d(m.eval(t))
     tol = _tol(float(np.max(np.abs(f.values))))
@@ -517,7 +516,7 @@ def test_piecewise_linear_walks_vs_dense_oracle():
         p = linear_path(np.arange(walk.size, dtype=float), walk)
         exc = excursion_decompose(p)
         assert_same_excursions(p)
-        assert same_bits(running_minimum(p), running_minimum_loop(p))
+        assert minima_match_the_loop(p)
 
         def merge(intervals, gap_tol):
             out = []

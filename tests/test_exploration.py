@@ -26,7 +26,7 @@ from hcmsim.exploration import (
 )
 from hcmsim.graphs import ColoredMultigraph, labels_from_edges, sample_white_matching
 from hcmsim.paths import CadlagPath
-from test_graphs import full_table, relabel_table
+from test_graphs import full_table, involution, relabel_table
 from test_paths import step_path
 
 
@@ -145,7 +145,7 @@ def _matched(white, pairs, black=None):
 
 
 def _labels(g):
-    return labels_from_edges(g.seq.white_owner, g.seq.white_owner[g.white_match], g.n)
+    return labels_from_edges(g.seq.white_owner, g.seq.white_owner[involution(g.pairs)], g.n)
 
 
 def _loop_oracle(g, seeds) -> ExplorationTrace:
@@ -156,7 +156,7 @@ def _loop_oracle(g, seeds) -> ExplorationTrace:
     d_w = seq.white
     d_b = seq.black
     owner = g.seq.white_owner
-    match = g.white_match
+    match = involution(g.pairs)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(d_w, out=indptr[1:])
     is_alive = np.ones(owner.size, dtype=bool)

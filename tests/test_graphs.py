@@ -47,6 +47,14 @@ def involution(pairs: np.ndarray) -> np.ndarray:
     return match
 
 
+def white_pairs(g) -> np.ndarray:
+    """(m, 2) array of the matched white half-edge pairs, first id smaller,
+    in order of it: the rows that write_edge_csv writes."""
+    match = involution(g.pairs)
+    a = np.flatnonzero(match > np.arange(match.size))
+    return np.column_stack((a, match[a]))
+
+
 def full_table(g):
     """component_table with the white edges and surplus of each row:
     (sizes, black_half_edges, white_edges, surplus, labels, order)."""
@@ -57,7 +65,7 @@ def full_table(g):
 
 def _vertex_pairs(g, extra_edges=None) -> np.ndarray:
     """Vertex pairs of the white edges, followed by the extra pairs."""
-    pairs = g.seq.white_owner[g.white_pairs()]
+    pairs = g.seq.white_owner[white_pairs(g)]
     if extra_edges is None or not len(extra_edges):
         return pairs
     return np.concatenate((pairs, np.asarray(extra_edges)))
@@ -79,7 +87,7 @@ def relabel_table(g, extra_edges=None):
     sizes = np.bincount(labels, minlength=ncomp)
     blacks = np.bincount(labels, weights=g.seq.black.astype(float), minlength=ncomp).astype(np.int64)
     first = labels[pairs[:, 0]]  # every edge lies inside one component
-    white_edges = np.bincount(first[: g.white_pairs().shape[0]], minlength=ncomp)
+    white_edges = np.bincount(first[: white_pairs(g).shape[0]], minlength=ncomp)
     surplus = np.bincount(first, minlength=ncomp) + 1 - sizes
     min_member = np.full(ncomp, g.n, dtype=np.int64)
     np.minimum.at(min_member, labels, np.arange(g.n))
@@ -140,7 +148,7 @@ def test_single_vertex_self_loop():
 def test_two_degree_one_vertices_single_edge():
     seq = _seq([1, 1])
     g = sample_white_matching(seq, 0)
-    assert g.seq.white_owner[g.white_match[0]] == 1
+    assert g.seq.white_owner[involution(g.pairs)[0]] == 1
     sizes, _, _, surplus, *_ = full_table(g)
     assert sizes.tolist() == [2] and surplus.tolist() == [0]
 
@@ -159,7 +167,7 @@ def test_self_loop_probability_one_third():
     hits = 0
     for _ in range(reps):
         g = sample_white_matching(seq, rng)
-        hits += g.white_match[0] == 1
+        hits += involution(g.pairs)[0] == 1
     p_hat = hits / reps
     se = np.sqrt((1 / 3) * (2 / 3) / reps)
     assert abs(p_hat - 1 / 3) <= 3 * se
@@ -254,8 +262,8 @@ def test_percolate_merge_frequency_half():
 def test_invariants_assert_after_sampling():
     seq = _seq([3, 2, 2, 1], black=[1, 1, 0, 0])
     g = sample_white_matching(seq, 11)
-    assert_matching(seq, g.white_match)
-    bad = g.white_match.copy()
+    assert_matching(seq, involution(g.pairs))
+    bad = involution(g.pairs)
     bad[0] = 0
     with pytest.raises(InvariantError):
         assert_matching(seq, bad)
@@ -285,8 +293,9 @@ def test_matching_check_accepts_exactly_the_permutations(white, seed, corruption
     n_half = pairs.size
     if corruption is None:
         g = ColoredMultigraph(seq, pairs)
-        assert_matching(seq, g.white_match)
-        assert np.array_equal(g.partner_owner, seq.white_owner[g.white_match])
+        match = involution(g.pairs)
+        assert_matching(seq, match)
+        assert np.array_equal(g.partner_owner, seq.white_owner[match])
         return
     assume(n_half >= 2)
     k, j = data.draw(st.lists(st.integers(0, n_half - 1), min_size=2, max_size=2, unique=True))

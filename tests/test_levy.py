@@ -16,10 +16,10 @@ from hcmsim.levy import (
     sample_surplus_process,
     sample_thinned_levy,
 )
-from hcmsim.paths import CadlagPath, eval_rows, jump_rows
+from hcmsim.paths import CadlagPath, _segment_minima, eval_rows, jump_rows
 from hcmsim.stats import _pad_pairs
 from test_excursions import gamma_down_loop
-from test_paths import from_jumps_unique, is_nondecreasing, jumps
+from test_paths import from_jumps_unique, is_nondecreasing, jumps, reflected_loop
 
 
 def identity_residuals(real: ThinnedLevyRealization, times) -> tuple[np.ndarray, np.ndarray]:
@@ -136,18 +136,6 @@ def test_truncation_stability_bound():
         assert gap <= bound + 1e-12
 
 
-def test_reflected_paths():
-    # non-decreasing path reflects to x - x(0)
-    up = CadlagPath.from_jumps(2.0, [0.5], [1.0], drift=0.2, start=3.0)
-    r = up.reflected()
-    t = np.linspace(0, 2, 40)
-    assert np.allclose(np.atleast_1d(r.eval(t)), np.atleast_1d(up.eval(t)) - 3.0)
-    # pure down-drift reflects to zero
-    down = CadlagPath.from_jumps(2.0, [], [], drift=-1.0)
-    rd = down.reflected()
-    assert np.allclose(np.atleast_1d(rd.eval(t)), 0.0)
-
-
 def test_surplus_zero_intensity():
     down = CadlagPath.from_jumps(1.0, [], [], drift=-2.0)
     N = sample_surplus_process(down, 5)
@@ -175,6 +163,22 @@ def test_surplus_intensity_additivity():
         rng = stream_gen(78, int(h))
         means.append(np.mean([final_value(sample_surplus_process(ramp, rng)) for _ in range(reps)]))
     assert abs(means[1] - 2 * means[0]) <= 4 * np.sqrt(2.0 / reps + 4 * 1.0 / reps)
+
+
+def test_surplus_mean_on_a_limit_path():
+    # given X, N(T) is Poisson with mean the integral of X - inf X; this
+    # path has segments that fall through their running minimum, below
+    # which the intensity is 0
+    X = sample_thinned_levy(make_limit_parameters(3.5, 15), 8.0, stream_gen(3, 7)).X_path
+    a, v, s, b, _ = (c[0] for c in X.rows())
+    end, m = _segment_minima(a, v, s, b)
+    assert np.any((v > m) & (end < m))
+    a, v, s, b, _ = (c[0] for c in reflected_loop(X).rows())
+    mean = float(np.sum((v + s * (b - a) / 2) * (b - a)))  # exact on linear pieces
+    reps = 4_000
+    rng = stream_gen(3, 8)
+    vals = np.array([final_value(sample_surplus_process(X, rng)) for _ in range(reps)])
+    assert abs(vals.mean() - mean) <= 4 * np.sqrt(mean / reps)
 
 
 def test_exploration_limit_params_embedding():

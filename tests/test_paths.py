@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcmsim.paths import CadlagPath, _tol
+from hcmsim.paths import CadlagPath, _segment_minima, _tol
 
 
 # Path builders, the path members that only tests read, and the segment
-# loop of the running minimum, kept as the reference that running_minimum
-# is compared against.
+# loop of the running minimum, kept as the reference that the segment
+# minima are compared against.
 def step_path(values, horizon=None, dt=1.0):
     """Right-continuous step path through ``values`` at spacing ``dt``."""
     values = np.asarray(values, dtype=float)
@@ -64,10 +64,15 @@ def is_nondecreasing(f: CadlagPath) -> bool:
     return bool(np.all(f.slopes >= -tol)) and not has_negative_jumps(f, tol)
 
 
-def running_minimum(f: CadlagPath) -> CadlagPath:
-    """Continuous non-increasing path ``t -> inf_{s<=t} f(s)``, from the
-    breakpoints that ``CadlagPath.reflected`` subtracts."""
-    return CadlagPath(*f._minimum_points()[0], f.horizon)
+def segment_minima(f: CadlagPath) -> np.ndarray:
+    """Running minimum where each segment of ``f`` starts, as
+    ``_segment_minima`` computes it for the excursions and the surplus process."""
+    return _segment_minima(*(c[0] for c in f.rows()[:4]))[1]
+
+
+def minima_match_the_loop(f: CadlagPath) -> bool:
+    """Whether each segment's running minimum has the bits of the loop's at its start."""
+    return segment_minima(f).tobytes() == np.atleast_1d(running_minimum_loop(f).eval(f.times)).tobytes()
 
 
 def running_minimum_loop(self: CadlagPath) -> CadlagPath:
@@ -102,7 +107,7 @@ def running_minimum_loop(self: CadlagPath) -> CadlagPath:
 
 
 def reflected_loop(f: CadlagPath) -> CadlagPath:
-    """``f`` minus running_minimum_loop(f), built as CadlagPath.reflected builds it."""
+    """``f`` minus running_minimum_loop(f), on the breakpoints of both."""
     m = running_minimum_loop(f)
     ts = np.union1d(f.times, m.times)
     vals = np.atleast_1d(f.eval(ts)) - np.atleast_1d(m.eval(ts))
@@ -195,31 +200,13 @@ def test_step_function_and_left_limits():
 def test_running_minimum_with_jumps_and_drift():
     # down to -1 at t=1, jump to +1, back down to -1 at t=3, on to -2 at t=4
     p = CadlagPath.from_jumps(4.0, [1.0], [2.0], drift=-1.0)
-    m = running_minimum(p)
+    m = running_minimum_loop(p)
     for t, want in [(0.5, -0.5), (1.0, -1.0), (2.0, -1.0), (3.0, -1.0), (3.5, -1.5), (4.0, -2.0)]:
         assert float(m.eval(t)) == pytest.approx(want)
     # the running minimum never rises: no positive slope, no upward jump
     assert np.all(m.slopes <= 0)
     assert np.all(jumps(m)[1] < 0)
     assert not is_nondecreasing(m)
-
-
-def test_reflected_sawtooth_hand_values():
-    delta = 1e-9
-    p = CadlagPath.from_jumps(3.0, [delta], [2.0], drift=-1.0)
-    r = p.reflected()
-    assert float(r.eval(0.0)) == 0.0
-    assert float(r.eval(1.0)) == pytest.approx(1.0, abs=1e-8)
-    assert float(r.eval(2.0)) == pytest.approx(0.0, abs=1e-8)
-    assert float(r.eval(3.0)) == pytest.approx(0.0, abs=1e-8)
-    assert np.min(np.atleast_1d(r.eval(np.linspace(0, 3, 1000)))) >= -1e-9
-
-
-def test_reflected_nondecreasing_path_is_shifted():
-    p = CadlagPath.from_jumps(2.0, [0.5, 1.5], [1.0, 1.0], drift=0.3, start=4.0)
-    r = p.reflected()
-    t = np.linspace(0, 2, 100)
-    assert np.allclose(np.atleast_1d(r.eval(t)), np.atleast_1d(p.eval(t)) - 4.0)
 
 
 def test_piecewise_linear_interpolates():
@@ -243,10 +230,12 @@ def test_crossing_rounded_onto_the_next_breakpoint():
     s, v, m = -1.272988341563213, 0.9287020701322124, -1.2505409096612918
     assert a + (m - v) / s == b and v + s * (b - a) < m
     f = CadlagPath([0.0, a, b], [m, v, m + 1.0], [0.0, s, 1.0], b + 1.0)
-    assert running_minimum(f).slopes.tolist() == [0.0, 0.0, 0.0]
-    r = f.reflected()
-    assert same_bits(r, reflected_loop(f))
-    assert r.eval(b + 1.0) == pytest.approx(2.0)
+    assert running_minimum_loop(f).slopes.tolist() == [0.0, 0.0, 0.0]
+    # the last segment starts from the end of the crossing one, below m
+    last = segment_minima(f)[-1]
+    assert minima_match_the_loop(f) and last < m
+    # the surplus intensity at the horizon, as the kernel reads it
+    assert f.eval(b + 1.0) - last == reflected_loop(f).eval(b + 1.0) == pytest.approx(2.0)
 
 
 def test_invalid_paths_rejected():
@@ -259,8 +248,7 @@ def test_invalid_paths_rejected():
 @settings(max_examples=500)
 @given(jump_drift_paths(negative_jumps=True))
 def test_running_minimum_equals_the_segment_loop(f):
-    assert same_bits(running_minimum(f), running_minimum_loop(f))
-    assert same_bits(f.reflected(), reflected_loop(f))
+    assert minima_match_the_loop(f)
 
 
 @settings(max_examples=300)

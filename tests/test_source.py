@@ -12,7 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hcmsim"
 
-# members read only from outside src/: perfbench's tracer wraps BlockSystem.roots
+# members read only from outside src/: perfbench's tracer reads BlockSystem.roots
 READ_OUTSIDE_SRC = {"BlockSystem.roots"}
 
 
