@@ -221,6 +221,23 @@ def test_limit_replicate_zero_mismatch_exits_3(tmp_path, monkeypatch):
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_non_finite_ks_sample_exits_3(tmp_path, monkeypatch):
+    from hcmsim import stats
+
+    sample = stats.sample_limit_pairs
+
+    def spoiled(*args):
+        rows = sample(*args)
+        rows[3, 0] = np.nan
+        return rows
+
+    monkeypatch.setattr(stats, "sample_limit_pairs", spoiled)
+    cfg = tmp_path / "thm16.cfg"
+    cfg.write_text(f"experiment=thm16\nn_grid=200,400\nreplicates=10\nlimit_replicates=20\nout_dir={tmp_path}\n")
+    assert run_cli(["--config", str(cfg)]) == EXIT_INVARIANT
+    assert not (tmp_path / "thm16_report.json").exists()
+
+
 @pytest.mark.parametrize("which", ["thm16", "thm17"])
 @pytest.mark.parametrize("key,value,message", [
     ("limit_replicates", 0, "limit_replicates must be >= 1"),
@@ -529,16 +546,16 @@ import json, sys
 from hcmsim.cli import main
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-    print("scipy.stats" in sys.modules)
+    print(json.dumps([m in sys.modules for m in ("scipy.stats", "scipy.special")]))
 """
 
 
-def _scipy_stats_loaded(commands):
+def _scipy_loaded(commands):
     """For each command line, run in turn in one fresh interpreter: whether
-    ``scipy.stats`` is loaded after it."""
+    ``scipy.stats`` and ``scipy.special`` are loaded after it."""
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
                           capture_output=True, text=True, check=True)
-    return [line == "True" for line in proc.stdout.splitlines()]
+    return [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
 
 
 _LEVY_IMPORT_PROBE = """
@@ -554,21 +571,22 @@ def test_levy_module_loads_no_graph_code():
     assert proc.stdout.strip() == "[]"
 
 
-def test_only_the_theorem_experiments_import_scipy_stats(tmp_path):
+def test_no_command_imports_scipy_stats(tmp_path):
     def command(name, *args, config=None):
         return [*(["--config", str(config)] if config else []), "--out-dir", str(tmp_path / name), name, *args]
 
-    loaded = _scipy_stats_loaded([
+    cfg = tmp_path / "thm.cfg"
+    cfg.write_text("n_grid=200,300\nreplicates=25\nlimit_replicates=30\nmaster_seed=3\nK_max=5\n")
+    loaded = _scipy_loaded([
         command("validate-degrees", "--n", "1000", "--dump-trace", "1"),
         command("mcmw", "--masses", "1,2,1", "--weights", "1,1,1", "--time", "0.5", "--reps", "20"),
         command("percolate", "--n", "300", "--mu", "0.5", "--dump-graph"),
         command("levy", "--k-max", "50", "--horizon", "4.0"),
+        command("thm17", config=cfg),
     ])
-    assert loaded == [False] * 4
-    # the guard can fail: a KS test loads the module
-    cfg = tmp_path / "t16.cfg"
-    cfg.write_text("n_grid=200,300\nreplicates=25\nlimit_replicates=30\nmaster_seed=3\nK_max=5\n")
-    assert _scipy_stats_loaded([command("thm16", config=cfg)]) == [True]
+    # only a KS test loads scipy.special (the Kolmogorov law), so the guard can fail
+    assert loaded == [(False, False)] * 4 + [(False, True)]
+    assert _scipy_loaded([command("thm16", config=cfg)]) == [(False, True)]
 
 
 def _outputs(out_dir):

@@ -1,5 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.stats import ks_2samp
 
 from hcmsim.core import InvariantError, stream_gen
 from hcmsim.degrees import make_limit_parameters
@@ -77,6 +83,71 @@ def test_ks_two_sample_basics():
     assert stat == 1.0
     with pytest.raises(ValueError):
         ks_two_sample([1.0] * 5, [2.0] * 50)
+
+
+def test_ks_two_sample_rejects_non_finite_samples():
+    # a NaN or infinity must stop the run (exit 3), never reach a report
+    good = np.linspace(0.0, 1.0, 20)
+    for bad in (np.nan, np.inf, -np.inf):
+        spoiled = good.copy()
+        spoiled[7] = bad
+        for a, b in ((spoiled, good), (good, spoiled)):
+            with pytest.raises(InvariantError, match="non-finite"):
+                ks_two_sample(a, b)
+    with pytest.raises(ValueError, match="at least 10"):
+        ks_two_sample([np.nan] * 9, good)
+
+
+# few distinct values, so ties within and across the samples are common
+_KS_POOL = [0.0, -0.0, 1.0, 2.5, -3.0, 1e-300, 1e300]
+_KS_SAMPLE = hnp.arrays(
+    float,
+    st.integers(10, 300),
+    elements=st.one_of(st.sampled_from(_KS_POOL), st.floats(-1e6, 1e6, allow_nan=False)),
+)
+
+
+@settings(max_examples=300)
+@given(_KS_SAMPLE, _KS_SAMPLE, st.sampled_from([None, 0, 1]))
+@example(np.arange(10.0), np.arange(300.0) / 30, None)
+@example(np.zeros(17), np.r_[np.zeros(40), np.ones(3)], None)
+def test_ks_statistic_equals_scipy_bit_for_bit(a, b, decimals):
+    # method="asymp" keeps d as computed; "exact" rounds it onto the
+    # 1/lcm(n1, n2) lattice, which can move its last bit
+    if decimals is not None:
+        a, b = np.round(a, decimals), np.round(b, decimals)
+    assert ks_two_sample(a, b)[0] == ks_2samp(a, b, method="asymp").statistic
+
+
+def _ks_lattice(n1, n2):
+    """Sample pairs of sizes n1, n2, one for each value d = |i/n1 - j/n2| a
+    KS statistic can take: i points of the first sample and j of the second
+    at 0, the rest at 1."""
+    g = math.gcd(n1, n2)
+    i, j = np.meshgrid(np.arange(n1 + 1), np.arange(n2 + 1), indexing="ij")
+    k = np.abs(i * (n2 // g) - j * (n1 // g)).ravel()
+    _, first = np.unique(k, return_index=True)
+    for i0, j0 in zip(i.ravel()[first], j.ravel()[first]):
+        yield np.repeat([0.0, 1.0], [i0, n1 - i0]), np.repeat([0.0, 1.0], [j0, n2 - j0])
+
+
+@pytest.mark.parametrize("n1,n2", [(10, 150), (50, 250), (100, 150)])
+def test_ks_p_value_near_the_exact_two_sample_p_value(n1, n2):
+    from scipy.special import kolmogorov
+
+    root = np.sqrt(n1 * n2 / (n1 + n2))
+    err = uncorrected = 0.0
+    for count, (a, b) in enumerate(_ks_lattice(n1, n2), 1):
+        d, p = ks_two_sample(a, b)
+        exact = ks_2samp(a, b, method="exact").pvalue
+        err = max(err, abs(p - exact))
+        uncorrected = max(uncorrected, abs(kolmogorov(root * d) - exact))
+    assert count >= n1 * n2 // math.gcd(n1, n2)  # all but a few of the k / lcm(n1, n2)
+    assert err <= 0.02
+    if (n1, n2) == (10, 150):
+        # the gate can fail: without Stephens' 0.12 + 0.11 / sqrt(Ne) the
+        # Kolmogorov law is 0.067 off at these sizes
+        assert uncorrected > 0.05
 
 
 def test_ks_self_calibration():
