@@ -211,7 +211,7 @@ def _run_percolate(cfg: dict, out_dir: Path, seed: int) -> list:
 def _run_levy(cfg: dict, out_dir: Path, seed: int) -> list:
     limits = make_limit_parameters(cfg.get("tau", 3.5), cfg.get("K_max", 1000), lam=cfg.get("lambda", 0.0))
     T = cfg.get("levy_horizon", 10.0)
-    real = sample_thinned_levy(limits, T=T, rng_seed=stream_gen(seed, 7))
+    real = sample_thinned_levy(limits, T=T, rng=stream_gen(seed, 7))
     surplus = sample_surplus_process(real.X_path, stream_gen(seed, 8))
     path = out_dir / "limit_path.csv"
     write_limit_path_csv(real, path, grid_step=cfg.get("grid_step", T / 512.0), surplus=surplus)

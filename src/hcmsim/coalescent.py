@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _ROWS_PER_WRITE, InvariantError, as_generator
+from .core import _ROWS_PER_WRITE, InvariantError
 from .graphs import labels_from_edges
 
 
@@ -58,14 +58,14 @@ class BlockSystem:
         return np.sort(self.mass[self._roots])[::-1]
 
 
-def _sample_labels(x, y, t: float, reps: int, rng_seed, xi_batch=None):
+def _sample_labels(x, y, t: float, reps: int, rng, xi_batch=None):
     """Draw the edges of ``reps`` independent graphical constructions of MC2
     and label them as one block-diagonal graph, system r owning vertices
     r*J .. r*J + J - 1.
 
     x and y are 1-D (J,), shared by every system, or (reps, J), system r
     being MC2(x[r], y[r], t). The edges are per-pair Bernoullis drawn from
-    the one stream ``rng_seed`` as ``random((reps, pairs)) < p``, or
+    the one stream ``rng`` as ``random((reps, pairs)) < p``, or
     ``xi <= y_i y_j t`` on shared clock rows ``xi_batch`` (reps, pairs),
     pairs in np.triu_indices(J, 1) order.
     """
@@ -84,19 +84,19 @@ def _sample_labels(x, y, t: float, reps: int, rng_seed, xi_batch=None):
             raise ValueError(f"xi_batch must have shape {(reps, iu.size)}")
         E = xi_batch <= w
     else:
-        E = as_generator(rng_seed).random((reps, iu.size)) < -np.expm1(-w)
+        E = rng.random((reps, iu.size)) < -np.expm1(-w)
     r, k = np.nonzero(E)
     return x, y, labels_from_edges(r * J + iu[k], r * J + ju[k], reps * J)
 
 
-def mcmw_graphical(x, y, t: float, rng_seed, xi_batch: np.ndarray | None = None):
+def mcmw_graphical(x, y, t: float, rng: np.random.Generator, xi_batch: np.ndarray | None = None):
     """MC2(x, y, t): ordered component masses plus the block system.
 
     The one-replicate case of :func:`mcmw_batch`, drawing the same edges
     from the same stream; ``xi_batch`` is then one clock row, shape
     (1, n_pairs).
     """
-    x, y, labels = _sample_labels(x, y, t, 1, rng_seed, xi_batch)
+    x, y, labels = _sample_labels(x, y, t, 1, rng, xi_batch)
     blocks = BlockSystem(x, y, labels)
     return blocks.ordered_masses(), blocks
 
@@ -124,23 +124,22 @@ def _ordered_masses(x: np.ndarray, labels: np.ndarray, reps: int) -> np.ndarray:
     return masses
 
 
-def mcmw_batch(x, y, t: float, reps: int, rng_seed, xi_batch: np.ndarray | None = None) -> np.ndarray:
+def mcmw_batch(x, y, t: float, reps: int, rng: np.random.Generator, xi_batch: np.ndarray | None = None) -> np.ndarray:
     """(reps, n) ordered component masses of MC2(x, y, t), zero-padded.
 
     x and y are shared by all replicates (n,), or give each its own row
     (reps, n); every replicate draws its row of one ``random((reps, pairs))``
-    from ``rng_seed``, so row r is the same for every ``reps`` > r.
+    from ``rng``, so row r is the same for every ``reps`` > r.
     ``xi_batch`` (reps, n_pairs) reuses clocks across calls for coupled
     comparisons; otherwise per-pair Bernoulli edges are drawn. All
     replicates are labelled in a single sparse pass. MC1(x, t), the
     classical multiplicative coalescent, is ``mcmw_batch(x, x, t, ...)``.
     """
-    x, _, labels = _sample_labels(x, y, t, reps, rng_seed, xi_batch)
+    x, _, labels = _sample_labels(x, y, t, reps, rng, xi_batch)
     return _ordered_masses(x, labels, reps)
 
 
-def sample_xi_batch(n: int, reps: int, rng_seed) -> np.ndarray:
-    rng = as_generator(rng_seed)
+def sample_xi_batch(n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
     return rng.exponential(size=(reps, n * (n - 1) // 2))
 
 

@@ -26,18 +26,6 @@ class cached_property:
         return value
 
 
-def as_generator(seed) -> np.random.Generator:
-    """Return a counter-based Generator for ``seed``.
-
-    ``seed`` may be an int or an existing Generator (returned unchanged).
-    All fresh generators use the Philox engine so that streams derived by
-    :func:`stream_gen` are counter-based and cannot collide.
-    """
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-
-
 def stream_gen(master_seed: int, stream_index: int) -> np.random.Generator:
     """Philox generator for replicate ``stream_index`` under ``master_seed``.
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvariantError, as_generator, write_rows
+from .core import InvariantError, write_rows
 from .graphs import ColoredMultigraph, merged_sizes
 
 
@@ -60,7 +60,7 @@ class PercolationState:
         return merged_sizes(self.graph, *self.event_vertex_pairs().T)
 
 
-def run_dynamic(g: ColoredMultigraph, s_max: float, rng_seed) -> PercolationState:
+def run_dynamic(g: ColoredMultigraph, s_max: float, rng: np.random.Generator) -> PercolationState:
     """Algorithm: at each event of a rate-Q(t) clock, pair two distinct
     uniformly chosen unpaired black half-edges.
 
@@ -70,7 +70,6 @@ def run_dynamic(g: ColoredMultigraph, s_max: float, rng_seed) -> PercolationStat
     picks are a uniform ordered sample of 2K half-edges without
     replacement, paired consecutively.
     """
-    rng = as_generator(rng_seed)
     n_he = _black_half_edges(g, s_max)
     q0 = n_he // 2
     k = rng.binomial(q0, -np.expm1(-s_max))
@@ -81,9 +80,8 @@ def run_dynamic(g: ColoredMultigraph, s_max: float, rng_seed) -> PercolationStat
     return PercolationState(g, q0, log)
 
 
-def run_modified(g: ColoredMultigraph, s_max: float, rng_seed) -> PercolationState:
+def run_modified(g: ColoredMultigraph, s_max: float, rng: np.random.Generator) -> PercolationState:
     """Constant rate Q(0); the chosen half-edges remain available."""
-    rng = as_generator(rng_seed)
     n_he = _black_half_edges(g, s_max)
     q0 = n_he // 2
     n_events = rng.poisson(q0 * s_max)
@@ -100,12 +98,11 @@ class CoupledPair:
     modified: PercolationState
 
 
-def run_coupled(g: ColoredMultigraph, s_max: float, rng_seed) -> CoupledPair:
+def run_coupled(g: ColoredMultigraph, s_max: float, rng: np.random.Generator) -> CoupledPair:
     """Thinning coupling: modified events are generated first and the
     dynamic component accepts one exactly when both half-edges are still
     unpaired, so its edge set is a subset of the modified edge set at
     every time."""
-    rng = as_generator(rng_seed)
     modified = run_modified(g, s_max, rng)
     mod_log = modified.event_log
     used: set[int] = set()

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
-from .core import InvariantError, as_generator, write_int_rows
+from .core import InvariantError, write_int_rows
 from .graphs import ColoredMultigraph
 
 
@@ -52,9 +52,9 @@ class ExplorationTrace:
         return self.X.size - 1
 
 
-def explore(g: ColoredMultigraph, rng_seed) -> ExplorationTrace:
+def explore(g: ColoredMultigraph, rng: np.random.Generator) -> ExplorationTrace:
     """Run the exploration, following the sampled white matching."""
-    return _walk(g, _seed_order(g, as_generator(rng_seed)))
+    return _walk(g, _seed_order(g, rng))
 
 
 def _seed_order(g: ColoredMultigraph, rng) -> np.ndarray:

@@ -13,7 +13,7 @@ from scipy.sparse._sparsetools import coo_tocsr
 # _component_labels) because that wrapper transposes even a symmetric graph
 from scipy.sparse.csgraph._traversal import _connected_components_undirected
 
-from .core import InvariantError, as_generator, cached_property, write_int_rows
+from .core import InvariantError, cached_property, write_int_rows
 from .degrees import DegreeSequence
 
 
@@ -85,11 +85,11 @@ def _uniform_matching(n_half: int, rng) -> np.ndarray:
     return rng.permutation(n_half)
 
 
-def sample_white_matching(seq: DegreeSequence, rng_seed) -> ColoredMultigraph:
+def sample_white_matching(seq: DegreeSequence, rng: np.random.Generator) -> ColoredMultigraph:
     """G_n(0): white half-edges uniformly matched, black ones left unpaired."""
     if seq.total_white % 2:
         raise ValueError("white parity violated")
-    return ColoredMultigraph(seq, _uniform_matching(seq.total_white, as_generator(rng_seed)))
+    return ColoredMultigraph(seq, _uniform_matching(seq.total_white, rng))
 
 
 def labels_from_edges(rows, cols, n: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import as_generator, write_rows
+from .core import write_rows
 from .degrees import LimitParameters
 from .excursions import gamma_rows, pad_rows
 from .paths import CadlagPath, _segment_minima, jump_rows, raise_first
@@ -33,24 +33,26 @@ class ThinnedLevyRealization:
     params: LimitParameters
 
 
-def sample_thinned_levy(params: LimitParameters, T: float, rng_seed) -> ThinnedLevyRealization:
+def sample_thinned_levy(params: LimitParameters, T: float, rng: np.random.Generator) -> ThinnedLevyRealization:
     """Draw the clocks and build (X, Y) on [0, T] as exact jump+drift paths."""
     if params.theta.size == 0:
         raise ValueError("the limit pair needs at least one hub: K_max must be >= 1")
     if not 0 < T < np.inf:
         raise ValueError(f"levy_horizon must be finite and > 0, got {T}")
-    rng = as_generator(rng_seed)
     theta, beta = params.theta, params.beta
     xi = rng.exponential(1.0 / theta)
     jump_times = xi / params.kappa
     inside = jump_times <= T
-    X = CadlagPath.from_jumps(T, jump_times[inside], theta[inside], drift=_x_drift(params))
+    X = CadlagPath.from_jumps(T, jump_times[inside], theta[inside], drift=_x_drift(params, T))
     Y = CadlagPath.from_jumps(T, jump_times[inside], beta[inside], drift=params.alpha)
     return ThinnedLevyRealization(xi=xi, X_path=X, Y_path=Y, params=params)
 
 
-def _x_drift(params: LimitParameters) -> float:
-    return params.lam - float(np.sum(params.theta**2)) / params.kappa
+def _x_drift(params: LimitParameters, T: float) -> float:
+    drift = params.lam - float(np.sum(params.theta**2)) / params.kappa
+    if not np.isfinite(drift * T):
+        raise ValueError(f"lambda = {params.lam} makes X's drift overflow over [0, {T}]")
+    return drift
 
 
 def limit_pairs_batch(params: LimitParameters, T: float, xi: np.ndarray, top_j: int) -> np.ndarray:
@@ -62,21 +64,20 @@ def limit_pairs_batch(params: LimitParameters, T: float, xi: np.ndarray, top_j: 
         raise ValueError("the limit pair needs at least one hub: K_max must be >= 1")
     jump_times = xi / params.kappa
     inside = jump_times <= T
-    X, x_check = jump_rows(T, jump_times, params.theta, inside, drift=_x_drift(params))
+    X, x_check = jump_rows(T, jump_times, params.theta, inside, drift=_x_drift(params, T))
     Y, y_check = jump_rows(T, jump_times, params.beta, inside, drift=params.alpha)
     row, pairs, checks = gamma_rows(X, Y)
     raise_first(x_check, y_check, *checks)
     return pad_rows(row, pairs, xi.shape[0], top_j)
 
 
-def sample_surplus_process(x: CadlagPath, rng_seed) -> CadlagPath:
+def sample_surplus_process(x: CadlagPath, rng: np.random.Generator) -> CadlagPath:
     """Counting path with conditional intensity (X - running min) dt.
 
     On a segment of X whose running minimum where it starts is m, the
     intensity is X(u) - m clipped at 0, with sup max(v, end) - m; the
     candidates of all segments are thinned against their sups in one pass.
     """
-    rng = as_generator(rng_seed)
     a, v, s, b, _ = (c[0] for c in x.rows())
     end, m = _segment_minima(a, v, s, b)
     hi = np.maximum(v, end) - m

@@ -128,14 +128,14 @@ def _replicates(config: ExperimentConfig, code: int, n: int, count: int, fn) -> 
         return list(pool.map(one, range(count)))
 
 
-def build_critical_sequence(config: ExperimentConfig, n: int, rng_seed=None):
-    """The tuned critical degree sequence of size n; ``rng_seed`` defaults
+def build_critical_sequence(config: ExperimentConfig, n: int, rng: np.random.Generator | None = None):
+    """The tuned critical degree sequence of size n; ``rng`` defaults
     to the theorem experiments' stream for n."""
-    if rng_seed is None:
-        rng_seed = stream_gen(config.master_seed, _sidx(1, n))
+    if rng is None:
+        rng = stream_gen(config.master_seed, _sidx(1, n))
     scaling = make_scaling(n, config.tau, config.L)
     limits = make_limit_parameters(config.tau, config.K_max, lam=config.lam)
-    seq = build_degree_sequence(scaling, limits, hub_count=config.K_max, bulk_law=DEFAULT_BULK_WHITE, rng_seed=rng_seed)
+    seq = build_degree_sequence(scaling, limits, hub_count=config.K_max, bulk_law=DEFAULT_BULK_WHITE, rng=rng)
     return tune_to_criticality(seq, config.lam)
 
 

@@ -27,6 +27,7 @@ from hcmsim.graphs import component_table, sample_white_matching
 from hcmsim.levy import sample_surplus_process, sample_thinned_levy
 from hcmsim.paths import CadlagPath
 from hcmsim.stats import ExperimentConfig, theorem_1_6_experiment, theorem_1_7_experiment
+from seeding import philox
 from test_coalescent import scaling_transform
 from test_dynamics import modified_block_view, q_trajectory_check
 from test_exploration import components
@@ -103,7 +104,7 @@ def test_c03_three_block_brute_force():
         key = tuple(sorted(masses.values(), reverse=True))
         exact[key] = exact.get(key, 0.0) + pr
     reps = 100_000
-    m = mcmw_batch(x, np.ones(3), t, reps, 303)
+    m = mcmw_batch(x, np.ones(3), t, reps, philox(303))
     counts = {}
     for row in m:
         key = tuple(v for v in row if v > 0)
@@ -122,16 +123,16 @@ def test_c04_speed_and_scaling_identities():
     x = np.array([1.0, 0.7, 0.4])
     c = 2.0
     t = 0.22
-    lhs = mcmw_batch(x, c * x, t, reps, 404)[:, 0]
-    rhs = mcmw_batch(x, x, c * c * t, reps, 405)[:, 0]
+    lhs = mcmw_batch(x, c * x, t, reps, philox(404))[:, 0]
+    rhs = mcmw_batch(x, x, c * c * t, reps, philox(405))[:, 0]
     p_a = ks_2samp(lhs, rhs).pvalue
     assert p_a > 1e-3, p_a
 
     y = np.array([0.8, 0.5, 0.2])
     a, b, cc = 2.0, 1.0, 4.0
-    lhs2 = mcmw_batch(a * x, b * y, cc * t, reps, 406)[:, 0]
+    lhs2 = mcmw_batch(a * x, b * y, cc * t, reps, philox(406))[:, 0]
     (xt, yt), scale = scaling_transform(x, y, a, b, cc)
-    rhs2 = scale * mcmw_batch(xt, yt, t, reps, 407)[:, 0]
+    rhs2 = scale * mcmw_batch(xt, yt, t, reps, philox(407))[:, 0]
     p_b = ks_2samp(lhs2, rhs2).pvalue
     assert p_b > 1e-3, p_b
     _report(4, f"speed identity p={p_a:.3f}, scaling identity p={p_b:.3f}")
@@ -254,8 +255,8 @@ def test_c09_dynamic_vs_static_law():
     graph: largest-component KS p > 1e-3 at 1e4 reps, s in {0.1, 1}."""
     lim = make_limit_parameters(3.5, 5)
     sc = make_scaling(100, 3.5)
-    seq = build_degree_sequence(sc, lim, 5, DEFAULT_BULK_WHITE, 909, DEFAULT_BULK_BLACK)
-    g = sample_white_matching(seq, 910)
+    seq = build_degree_sequence(sc, lim, 5, DEFAULT_BULK_WHITE, philox(909), DEFAULT_BULK_BLACK)
+    g = sample_white_matching(seq, philox(910))
     reps = 10_000
     pvals = []
     for k, s in enumerate((0.1, 1.0)):
@@ -280,9 +281,9 @@ def test_c10_q_trajectory():
     2 gamma T / (delta_n^2 n c_n) + 4 sigma at T = 1."""
     lim = make_limit_parameters(3.5, 10)
     sc = make_scaling(10_000, 3.5)
-    seq = build_degree_sequence(sc, lim, 10, DEFAULT_BULK_WHITE, 1001, DEFAULT_BULK_BLACK)
-    g = sample_white_matching(seq, 1002)
-    rep = q_trajectory_check(g, T=1.0, replicates=300, rng_seed=1003)
+    seq = build_degree_sequence(sc, lim, 10, DEFAULT_BULK_WHITE, philox(1001), DEFAULT_BULK_BLACK)
+    g = sample_white_matching(seq, philox(1002))
+    rep = q_trajectory_check(g, T=1.0, replicates=300, rng=philox(1003))
     assert rep["mean_ok"], rep
     assert rep["exceedance_ok"], rep
     _report(
@@ -305,7 +306,7 @@ def test_c11_modified_process_equals_mcmw():
     for k, (white, black, s) in enumerate(small):
         sc = make_scaling(white.size, 3.5)
         seq = DegreeSequence(white, black, sc, lim, np.zeros(white.size, bool))
-        g = sample_white_matching(seq, 1100 + k)
+        g = sample_white_matching(seq, philox(1100 + k))
         blocks = modified_block_view(g)
         q0 = g.seq.total_black // 2
         rng = stream_gen(1101, k)

@@ -410,6 +410,28 @@ def test_bad_levy_input_exits_2(tmp_path, capsys, args, message):
     assert not (tmp_path / "limit_path.csv").exists()
 
 
+# L is a config-file key only; lambda is also validate-degrees' flag
+_BAD_SCALE = [("lambda", v) for v in ("1e308", "inf", "nan", "-inf")] + [("L", v) for v in ("nan", "inf", "1e-300", "1e300")]
+
+
+@pytest.mark.parametrize("key,value", _BAD_SCALE, ids=[f"{k}={v}" for k, v in _BAD_SCALE])
+def test_bad_L_or_lambda_exits_2_and_names_the_key(tmp_path, capsys, key, value):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"{key} = {value}\nlimit_replicates = 12\nK_max = 5\n")
+    runs = {
+        "validate": ["--config", str(cfg), "validate-degrees", "--n", "1000", "--dump-trace", "1"],
+        "thm16": ["--config", str(cfg), "thm16", "--n-grid", "200", "--reps", "12"],
+        "percolate": ["--config", str(cfg), "percolate", "--n", "1000", "--dump-graph"],
+    }
+    if key == "lambda":
+        runs["flag"] = ["validate-degrees", "--n", "1000", f"--lambda={value}"]
+    for name, args in runs.items():
+        out = tmp_path / name
+        assert run_cli(["--out-dir", str(out), *args]) == EXIT_CONFIG, name
+        assert re.search(rf"^config error: .*\b{key}\b", capsys.readouterr().err, re.M), name
+        assert list(out.glob("*")) == [], name
+
+
 def test_manifest_records_the_seed_of_the_run(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -10,7 +10,8 @@ from hcmsim.coalescent import (
     mcmw_graphical,
     sample_xi_batch,
 )
-from hcmsim.core import InvariantError, as_generator, stream_gen
+from hcmsim.core import InvariantError, stream_gen
+from seeding import philox
 from test_mc2_engine import bipartite_bound_check, union_find
 
 
@@ -36,7 +37,7 @@ def scaling_transform(x, y, a: float, b: float, c: float):
     return (x, b * np.sqrt(c) * y), a
 
 
-def feller_probe(x, y, perturbation_scale: float, t: float, replicates: int, rng_seed) -> dict:
+def feller_probe(x, y, perturbation_scale: float, t: float, replicates: int, rng) -> dict:
     """Continuity probe under the xi-coupling plus the classical envelopes.
 
     Reports E||MC2(x+delta, y+delta', t) - MC2(x, y, t)||^2 for
@@ -49,7 +50,6 @@ def feller_probe(x, y, perturbation_scale: float, t: float, replicates: int, rng
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise ValueError("all weights must be strictly positive")
-    rng = as_generator(rng_seed)
     n = x.size
     eps = perturbation_scale
     delta = np.full(n, eps / np.sqrt(n))
@@ -87,14 +87,14 @@ def feller_probe(x, y, perturbation_scale: float, t: float, replicates: int, rng
 
 
 def test_time_zero_returns_sorted_input():
-    masses, _ = mcmw_graphical([1.0, 3.0, 2.0], [1.0, 1.0, 1.0], 0.0, 0)
+    masses, _ = mcmw_graphical([1.0, 3.0, 2.0], [1.0, 1.0, 1.0], 0.0, philox(0))
     assert masses.tolist() == [3.0, 2.0, 1.0]
 
 
 def test_two_block_merge_probability():
     t = np.log(2.0)  # merge probability exactly 1/2 for unit weights
     reps = 100_000
-    m = mcmw_batch([1.0, 2.0], [1.0, 1.0], t, reps, 5)
+    m = mcmw_batch([1.0, 2.0], [1.0, 1.0], t, reps, philox(5))
     p_hat = np.mean(m[:, 0] == 3.0)
     se = np.sqrt(0.25 / reps)
     assert abs(p_hat - 0.5) <= 3 * se
@@ -127,7 +127,7 @@ def test_three_block_distribution_vs_enumeration():
         key = tuple(sorted(groups.values(), reverse=True))
         probs[key] = probs.get(key, 0.0) + pr
     reps = 100_000
-    m = mcmw_batch(x, y, t, reps, 6)
+    m = mcmw_batch(x, y, t, reps, philox(6))
     counts = {}
     for row in m:
         key = tuple(v for v in row if v > 0)
@@ -144,15 +144,15 @@ def test_graphical_batch_same_law():
     reps = 4000
     rng = stream_gen(17, 0)
     singles = np.array([mcmw_graphical(x, y, 0.8, rng)[0][0] for _ in range(reps)])
-    batch = mcmw_batch(x, y, 0.8, reps, 18)[:, 0]
+    batch = mcmw_batch(x, y, 0.8, reps, philox(18))[:, 0]
     assert ks_2samp(singles, batch).pvalue > 1e-3
 
 
 def test_coupled_pair_identical_inputs():
     # with shared clock rows the edges do not depend on the stream
-    xi = sample_xi_batch(2, 50, 3)
-    m1 = mcmw_batch([1, 2], [1, 1], 0.9, 50, 4, xi_batch=xi)
-    m2 = mcmw_batch([1, 2], [1, 1], 0.9, 50, 5, xi_batch=xi)
+    xi = sample_xi_batch(2, 50, philox(3))
+    m1 = mcmw_batch([1, 2], [1, 1], 0.9, 50, philox(4), xi_batch=xi)
+    m2 = mcmw_batch([1, 2], [1, 1], 0.9, 50, philox(5), xi_batch=xi)
     assert np.array_equal(m1, m2)
     assert 0 < np.count_nonzero(m1[:, 0] == 3.0) < 50
 
@@ -169,8 +169,8 @@ def test_xi_coupling_edge_inclusion_monotone():
     assert np.all(e2 | ~e1)
     assert np.any(e2 & ~e1)
     # more edges only merge blocks: the susceptibility cannot drop
-    S1 = np.sum(mcmw_batch(x, y, 0.7, 200, 0, xi_batch=xi) ** 2, axis=1)
-    S2 = np.sum(mcmw_batch(x, y2, 0.7, 200, 0, xi_batch=xi) ** 2, axis=1)
+    S1 = np.sum(mcmw_batch(x, y, 0.7, 200, philox(0), xi_batch=xi) ** 2, axis=1)
+    S2 = np.sum(mcmw_batch(x, y2, 0.7, 200, philox(0), xi_batch=xi) ** 2, axis=1)
     assert np.all(S2 >= S1 - 1e-12) and np.any(S2 > S1)
 
 
@@ -194,7 +194,7 @@ def test_norm_difference_inequality_coupled():
 def test_mc1_two_block_closed_form():
     reps = 50_000
     t = 0.35
-    m = mcmw_batch([1.0, 1.0], [1.0, 1.0], t, reps, 31)
+    m = mcmw_batch([1.0, 1.0], [1.0, 1.0], t, reps, philox(31))
     p_hat = np.mean(m[:, 0] == 2.0)
     p = 1 - np.exp(-t)
     assert abs(p_hat - p) <= 3 * np.sqrt(p * (1 - p) / reps)
@@ -206,10 +206,10 @@ def test_mc1_speed_identity():
     c = 2.0
     t = 0.22
     reps = 50_000
-    lhs = mcmw_batch(x, c * x, t, reps, 37)[:, 0]
-    rhs = mcmw_batch(x, x, c**2 * t, reps, 38)[:, 0]
+    lhs = mcmw_batch(x, c * x, t, reps, philox(37))[:, 0]
+    rhs = mcmw_batch(x, x, c**2 * t, reps, philox(38))[:, 0]
     assert ks_2samp(lhs, rhs).pvalue > 1e-3
-    single = mcmw_batch(x, x, c**2 * t, 1, 39)[0]
+    single = mcmw_batch(x, x, c**2 * t, 1, philox(39))[0]
     assert 1 <= np.count_nonzero(single) <= 3
     assert single.sum() == pytest.approx(x.sum(), rel=1e-12)
 
@@ -241,9 +241,9 @@ def test_scaling_identity_distributional():
     a, b, c = 2.0, 1.0, 4.0
     t = 0.3
     reps = 50_000
-    lhs = mcmw_batch(a * x, b * y, c * t, reps, 41)[:, 0]
+    lhs = mcmw_batch(a * x, b * y, c * t, reps, philox(41))[:, 0]
     (xt, yt), scale = scaling_transform(x, y, a, b, c)
-    rhs = scale * mcmw_batch(xt, yt, t, reps, 42)[:, 0]
+    rhs = scale * mcmw_batch(xt, yt, t, reps, philox(42))[:, 0]
     assert ks_2samp(lhs, rhs).pvalue > 1e-3
 
 
@@ -271,14 +271,14 @@ def test_subgraph_coupling_induces_subgraph():
     # and weight set to zero (zero weight: no edges), zero-padded
     outside = np.ones(n, dtype=bool)
     outside[sub] = False
-    full = mcmw_batch(np.where(outside, 0.0, x), np.where(outside, 0.0, y), 0.5, reps, 0, xi_batch=xi)
-    part = mcmw_batch(x[sub], ys, 0.5, reps, 0, xi_batch=xi_sub)
+    full = mcmw_batch(np.where(outside, 0.0, x), np.where(outside, 0.0, y), 0.5, reps, philox(0), xi_batch=xi)
+    part = mcmw_batch(x[sub], ys, 0.5, reps, philox(0), xi_batch=xi_sub)
     assert np.array_equal(full[:, : len(sub)], part) and not full[:, len(sub) :].any()
     assert 1 < np.count_nonzero(part, axis=1).max() and np.count_nonzero(part, axis=1).min() < len(sub)
 
 
 def test_feller_probe_zero_perturbation():
-    rep = feller_probe([1.0, 0.5], [1.0, 1.0], 0.0, 0.5, 2000, 61)
+    rep = feller_probe([1.0, 0.5], [1.0, 1.0], 0.0, 0.5, 2000, philox(61))
     assert rep["mean_diff_sq"] == 0.0
     assert rep["chain_violations"] == 0
     assert rep["envelope"]["holds"]
@@ -286,17 +286,17 @@ def test_feller_probe_zero_perturbation():
 
 def test_feller_probe_rejects_zero_weights():
     with pytest.raises(ValueError):
-        feller_probe([1.0], [0.0], 0.1, 1.0, 100, 0)
+        feller_probe([1.0], [0.0], 0.1, 1.0, 100, philox(0))
 
 
 def test_feller_probe_small_perturbation_small_change():
-    rep = feller_probe([1.0, 0.5, 0.25], [1.0, 0.75, 0.5], 0.01, 0.5, 5000, 63)
+    rep = feller_probe([1.0, 0.5, 0.25], [1.0, 0.75, 0.5], 0.01, 0.5, 5000, philox(63))
     assert rep["mean_diff_sq"] < 0.05
     assert rep["chain_violations"] == 0
 
 
 def test_bipartite_bound_trivial_time_zero():
-    rep = bipartite_bound_check([1.0, 1.0], [1.0, 1.0], 1, 0.0, 0.5, 1000, 71)
+    rep = bipartite_bound_check([1.0, 1.0], [1.0, 1.0], 1, 0.0, 0.5, 1000, philox(71))
     assert rep["p_hat"] == 0.0 and rep["lhs"] == 0.0 and rep["holds"]
 
 
@@ -307,7 +307,7 @@ def test_bipartite_single_pair_closed_form():
     t = 0.6
     eps = 0.5
     reps = 50_000
-    rep = bipartite_bound_check(x, y, 1, t, eps, reps, 73)
+    rep = bipartite_bound_check(x, y, 1, t, eps, reps, philox(73))
     p_edge = 1 - np.exp(-t * y[0] * y[1])
     assert abs(rep["p_hat"] - p_edge) <= 4 * np.sqrt(p_edge * (1 - p_edge) / reps)
     assert rep["holds"]
@@ -349,7 +349,7 @@ def test_susceptibility_monotone_in_time_under_shared_clocks():
     xi = sample_xi_batch(x.size, reps, stream_gen(97, 0))
     prev = None
     for t in (0.1, 0.4, 1.0, 2.5):
-        masses = mcmw_batch(x, y, t, reps, 0, xi_batch=xi)
+        masses = mcmw_batch(x, y, t, reps, philox(0), xi_batch=xi)
         S = np.sum(masses**2, axis=1)
         if prev is not None:
             assert np.all(S >= prev - 1e-9)

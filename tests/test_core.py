@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hcmsim.core import as_generator, stream_gen, write_int_rows, write_rows
+from hcmsim.core import stream_gen, write_int_rows, write_rows
+from seeding import philox
 from test_graphs import white_pairs
 
 
@@ -28,12 +29,6 @@ def test_stream_gen_reproducible():
     assert np.array_equal(a, b)
     c = stream_gen(5, 10).random(4)
     assert not np.array_equal(a, c)
-
-
-def test_as_generator_passthrough():
-    g = stream_gen(1, 1)
-    assert as_generator(g) is g
-    assert isinstance(as_generator(17), np.random.Generator)
 
 
 # The writers that write_rows replaced, as byte oracles.
@@ -210,9 +205,9 @@ def test_edge_csv_bytes_equal_csv_writer(tmp_path, black):
     from hcmsim.graphs import sample_white_matching, write_edge_csv
     from hcmsim.stats import ExperimentConfig, build_critical_sequence
 
-    g = sample_white_matching(build_critical_sequence(ExperimentConfig(master_seed=5), 20_000), 6)
+    g = sample_white_matching(build_critical_sequence(ExperimentConfig(master_seed=5), 20_000), philox(6))
     if black == "percolated":
-        assert run_dynamic(g, 0.6, 8).component_sizes().sum() == g.n
+        assert run_dynamic(g, 0.6, philox(8)).component_sizes().sum() == g.n
     write_edge_csv(g, tmp_path / "new.csv")
     _csv_writer_edges(g, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -223,8 +218,8 @@ def test_limit_path_csv_bytes_equal_csv_writer(tmp_path, with_surplus):
     from hcmsim.degrees import make_limit_parameters
     from hcmsim.levy import sample_surplus_process, sample_thinned_levy, write_limit_path_csv
 
-    real = sample_thinned_levy(make_limit_parameters(3.5, 200), T=8.0, rng_seed=4)
-    surplus = sample_surplus_process(real.X_path, 5) if with_surplus else None
+    real = sample_thinned_levy(make_limit_parameters(3.5, 200), T=8.0, rng=philox(4))
+    surplus = sample_surplus_process(real.X_path, philox(5)) if with_surplus else None
     write_limit_path_csv(real, tmp_path / "new.csv", grid_step=8.0 / 30_000, surplus=surplus)
     _csv_writer_limit_path(real, tmp_path / "old.csv", 8.0 / 30_000, surplus)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -17,6 +17,7 @@ from hcmsim.degrees import (
     validate_assumptions,
     write_degree_csv,
 )
+from seeding import philox
 
 
 def zeta_law(exponent: float, k_max: int = 30) -> BulkLaw:
@@ -73,7 +74,7 @@ def test_criticality_hand_values():
 def test_build_point_mass_two_is_exactly_critical():
     sc = make_scaling(50, 3.5)
     lim = make_limit_parameters(3.5, 5)
-    seq = build_degree_sequence(sc, lim, 0, point_mass(2), 1, point_mass(0))
+    seq = build_degree_sequence(sc, lim, 0, point_mass(2), philox(1), point_mass(0))
     assert np.all(seq.white == 2)
     assert np.all(seq.black == 0)
     assert criticality(seq) == pytest.approx(1.0)
@@ -86,7 +87,7 @@ def test_hub_degrees_round_profile():
     lim = type(lim_base)(theta=theta, beta=np.zeros(2), alpha=lim_base.alpha, lam=0.0, kappa=lim_base.kappa, gamma=lim_base.gamma)
     # force a_n = 100 by picking n with n^(0.4) = 100 -> n = 10^5; use scaling directly
     sc = make_scaling(10**5, 3.5)
-    seq = build_degree_sequence(sc, lim, 2, DEFAULT_BULK_WHITE, 3)
+    seq = build_degree_sequence(sc, lim, 2, DEFAULT_BULK_WHITE, philox(3))
     top_two = np.sort(seq.white[seq.hub_mask])[::-1]
     assert list(top_two) == [100, 50]
 
@@ -95,7 +96,7 @@ def test_parity_and_arrangement():
     sc = make_scaling(501, 3.6)
     lim = make_limit_parameters(3.6, 10)
     for seed in range(5):
-        seq = build_degree_sequence(sc, lim, 10, DEFAULT_BULK_WHITE, seed)
+        seq = build_degree_sequence(sc, lim, 10, DEFAULT_BULK_WHITE, philox(seed))
         assert seq.total_white % 2 == 0
         assert seq.total_black % 2 == 0
         assert np.all(seq.white >= 1)
@@ -115,7 +116,7 @@ def test_bulk_mean_matches_kappa():
         kappa=law.mean,
         gamma=lim_default.gamma,
     )
-    seq = build_degree_sequence(sc, lim, 8, law, 11)
+    seq = build_degree_sequence(sc, lim, 8, law, philox(11))
     mean = seq.white.sum() / seq.n
     # hubs shift the mean by O(a_n/n); allow 3 MC standard errors plus that
     se = np.sqrt((law.moment(2) - law.mean**2) / seq.n)
@@ -126,7 +127,7 @@ def test_bulk_mean_matches_kappa():
 def test_tune_identity_when_already_critical():
     sc = make_scaling(60, 3.5)
     lim = make_limit_parameters(3.5, 4)
-    seq = build_degree_sequence(sc, lim, 0, point_mass(2), 5, point_mass(0))
+    seq = build_degree_sequence(sc, lim, 0, point_mass(2), philox(5), point_mass(0))
     tuned = tune_to_criticality(seq, 0.0)
     assert np.array_equal(np.sort(tuned.white), np.sort(seq.white))
     assert criticality(tuned) == pytest.approx(1.0)
@@ -135,7 +136,7 @@ def test_tune_identity_when_already_critical():
 def test_tune_reaches_target_and_preserves_parity():
     sc = make_scaling(10**4, 3.5)
     lim = make_limit_parameters(3.5, 15)
-    seq = build_degree_sequence(sc, lim, 15, DEFAULT_BULK_WHITE, 21)
+    seq = build_degree_sequence(sc, lim, 15, DEFAULT_BULK_WHITE, philox(21))
     for lam in (-1.0, 0.0, 1.0):
         tuned = tune_to_criticality(seq, lam)
         target = 1.0 + lam / sc.c_n
@@ -149,10 +150,20 @@ def test_tune_reaches_target_and_preserves_parity():
 def test_tune_unreachable_raises():
     sc = make_scaling(20, 3.5)
     lim = make_limit_parameters(3.5, 2)
-    seq = build_degree_sequence(sc, lim, 0, point_mass(2), 9, point_mass(0))
+    seq = build_degree_sequence(sc, lim, 0, point_mass(2), philox(9), point_mass(0))
     # no degree-1 or degree-3 bulk vertices: only nu = 1 is reachable
     with pytest.raises(ValueError):
         tune_to_criticality(seq, 30.0)
+
+
+@pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan, 1e307, 4e306, -4e306])
+def test_tune_out_of_range_lambda_raises_value_error_naming_it(lam):
+    # L = 10 puts c_n below 1: 1 + lambda/c_n overflows at lambda = 1e307,
+    # and at +-4e306 the closed form for the flip count is nan
+    sc = make_scaling(1000, 3.5, 10.0)
+    seq = build_degree_sequence(sc, make_limit_parameters(3.5, 5), 5, DEFAULT_BULK_WHITE, philox(0))
+    with pytest.raises(ValueError, match="lambda"):
+        tune_to_criticality(seq, lam)
 
 
 def test_assert_valid_raises_invariant_error():
@@ -220,7 +231,7 @@ def read_degree_csv(path):
 def test_degree_csv_roundtrip(tmp_path):
     sc = make_scaling(200, 3.5)
     lim = make_limit_parameters(3.5, 5)
-    seq = build_degree_sequence(sc, lim, 5, DEFAULT_BULK_WHITE, 33)
+    seq = build_degree_sequence(sc, lim, 5, DEFAULT_BULK_WHITE, philox(33))
     path = tmp_path / "deg.csv"
     write_degree_csv(seq, path)
     w, b = read_degree_csv(path)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom, chi2_contingency, chisquare, ks_2samp, kstest
 
 from hcmsim.coalescent import BlockSystem, mcmw_batch
-from hcmsim.core import InvariantError, as_generator, stream_gen
+from hcmsim.core import InvariantError, stream_gen
 from hcmsim.degrees import DegreeSequence, make_limit_parameters, make_scaling
 from hcmsim.dynamics import (
     EVENT_DTYPE,
@@ -16,6 +16,7 @@ from hcmsim.dynamics import (
 )
 from hcmsim.exploration import explore
 from hcmsim.graphs import ColoredMultigraph, component_table, merged_sizes, sample_white_matching
+from seeding import philox
 from test_graphs import component_labels, percolate_black, relabel_table, sample_black_matching
 
 
@@ -25,7 +26,7 @@ def q_trajectory_check(
     g: ColoredMultigraph,
     T: float,
     replicates: int,
-    rng_seed,
+    rng,
     delta_exponent: float = 0.4,
     t_mean_check: float = 1.0,
 ) -> dict:
@@ -39,7 +40,6 @@ def q_trajectory_check(
     """
     if replicates < 100:
         raise ValueError("trajectory check needs at least 1e2 replicates")
-    rng = as_generator(rng_seed)
     n = g.n
     q0 = g.seq.total_black // 2
     c_n = g.seq.scaling.c_n
@@ -84,7 +84,7 @@ def edge_probability_estimate(
     component_j: np.ndarray,
     s: float,
     replicates: int,
-    rng_seed,
+    rng,
 ) -> float:
     """Monte Carlo frequency that a black edge joins the two components by
     time s*gamma_n/c_n in the dynamic process, given the initial graph."""
@@ -94,7 +94,6 @@ def edge_probability_estimate(
     in_j[np.asarray(component_j, dtype=np.int64)] = True
     if np.any(in_i & in_j):
         raise ValueError("components must be disjoint")
-    rng = as_generator(rng_seed)
     gamma_n = g.seq.total_black / g.n
     horizon = s * gamma_n / g.seq.scaling.c_n
     hits = 0
@@ -118,13 +117,13 @@ def _graph(white, black, seed=0, pairs=None):
     sc = make_scaling(white.size, 3.5)
     lim = make_limit_parameters(3.5, 2)
     seq = DegreeSequence(white, black, sc, lim, np.zeros(white.size, bool))
-    return sample_white_matching(seq, seed) if pairs is None else ColoredMultigraph(seq, np.array(pairs))
+    return sample_white_matching(seq, philox(seed)) if pairs is None else ColoredMultigraph(seq, np.array(pairs))
 
 
 def test_zero_horizon_no_events():
     g = _graph([1, 1, 2, 2], [2, 2, 1, 1])
     for runner in (run_dynamic, run_modified):
-        state = runner(g, 0.0, 3)
+        state = runner(g, 0.0, philox(3))
         assert len(state.event_log) == 0
         assert state.q0 == 3
 
@@ -141,7 +140,7 @@ def test_single_pair_exponential_clock():
 
 def test_q_decreases_by_one_per_event():
     g = _graph([1, 1, 2, 2], [2, 2, 2, 2], seed=2)
-    state = run_dynamic(g, 10.0, 7)
+    state = run_dynamic(g, 10.0, philox(7))
     assert state.q0 == 4
     assert len(state.event_log) == state.q0  # every pair formed by time 10
     he = state.event_log[["a", "b"]].tolist()
@@ -226,13 +225,12 @@ class _RepeatingPicks:
 
 
 @pytest.mark.parametrize("picks", [[0, 1, 2, 0], [3, 3], [1, 2, 0, 5, 4, 2]])
-def test_repeated_half_edge_raises_invariant_error(picks, monkeypatch):
+def test_repeated_half_edge_raises_invariant_error(picks):
     import hcmsim.dynamics as dynamics
 
     g = _graph([1, 1, 2, 2], [2, 2, 1, 1])
-    monkeypatch.setattr(dynamics, "as_generator", lambda seed: _RepeatingPicks(picks))
     with pytest.raises(InvariantError):
-        dynamics.run_dynamic(g, 1.0, 0)
+        dynamics.run_dynamic(g, 1.0, _RepeatingPicks(picks))
     log = np.zeros(len(picks) // 2, dtype=EVENT_DTYPE)
     log["a"], log["b"] = picks[0::2], picks[1::2]
     with pytest.raises(InvariantError):
@@ -259,7 +257,7 @@ def test_dynamic_marginal_equals_static_percolation():
     white = np.full(60, 2, dtype=np.int64)
     black = np.tile([2, 1, 1, 0], 15).astype(np.int64)
     seq = DegreeSequence(white, black, sc, lim, np.zeros(60, bool))
-    g = sample_white_matching(seq, 99)
+    g = sample_white_matching(seq, philox(99))
     s = 0.7
     reps = 3000
     dyn = np.empty(reps)
@@ -335,17 +333,16 @@ def test_q_trajectory_trivial_and_mean():
     white = np.full(2000, 2, dtype=np.int64)
     black = np.tile([1, 1], 1000).astype(np.int64)
     seq = DegreeSequence(white, black, sc, lim, np.zeros(2000, bool))
-    g = sample_white_matching(seq, 1)
-    rep0 = q_trajectory_check(g, 0.0, 100, 2)
+    g = sample_white_matching(seq, philox(1))
+    rep0 = q_trajectory_check(g, 0.0, 100, philox(2))
     assert rep0["sup_deviation_mean"] == 0.0
-    rep = q_trajectory_check(g, 1.0, 150, 3)
+    rep = q_trajectory_check(g, 1.0, 150, philox(3))
     assert rep["mean_ok"], rep
     assert rep["exceedance_ok"], rep
 
 
-def _q_trajectory_oracle(g, T, replicates, rng_seed, delta_exponent=0.4, t_mean_check=1.0):
+def _q_trajectory_oracle(g, T, replicates, rng, delta_exponent=0.4, t_mean_check=1.0):
     """The per-replicate loop q_trajectory_check replaced; returns (sups, q_at_t)."""
-    rng = as_generator(rng_seed)
     n = g.n
     q0 = g.seq.total_black // 2
     horizon_sup = T / g.seq.scaling.c_n
@@ -373,9 +370,9 @@ def test_q_trajectory_check_equals_loop_oracle(n, T, t_mean):
     black = np.tile([1, 1, 2, 0], n)[:n].astype(np.int64)
     black[-1] += black.sum() % 2
     seq = DegreeSequence(white, black, make_scaling(n, 3.5), lim, np.zeros(n, bool))
-    g = sample_white_matching(seq, 1)
-    rep = q_trajectory_check(g, T, 120, 4, t_mean_check=t_mean)
-    sups, q_at_t = _q_trajectory_oracle(g, T, 120, 4, t_mean_check=t_mean)
+    g = sample_white_matching(seq, philox(1))
+    rep = q_trajectory_check(g, T, 120, philox(4), t_mean_check=t_mean)
+    sups, q_at_t = _q_trajectory_oracle(g, T, 120, philox(4), t_mean_check=t_mean)
     assert rep["sup_deviation_mean"] == float(np.mean(sups))
     assert rep["exceedance_rate"] == float(np.mean(sups > rep["delta_n"]))
     assert rep["mean_q_at_t"] == float(np.mean(q_at_t))
@@ -384,7 +381,7 @@ def test_q_trajectory_check_equals_loop_oracle(n, T, t_mean):
 
 def test_edge_probability_zero_time():
     g = _graph([1, 1, 1, 1], [1, 1, 1, 1], pairs=[0, 1, 2, 3])
-    p = edge_probability_estimate(g, [0, 1], [2, 3], 0.0, 200, 5)
+    p = edge_probability_estimate(g, [0, 1], [2, 3], 0.0, 200, philox(5))
     assert p == 0.0
 
 
@@ -404,7 +401,7 @@ def test_edge_probability_two_singletons_closed_form():
     gamma_n = g.seq.total_black / g.n
     s = horizon * sc.c_n / gamma_n
     reps = 40_000
-    p_hat = edge_probability_estimate(g, [0], [1], s, reps, 11)
+    p_hat = edge_probability_estimate(g, [0], [1], s, reps, philox(11))
     p = (1 - np.exp(-horizon)) / 3.0
     assert abs(p_hat - p) <= 3 * np.sqrt(p * (1 - p) / reps)
 
@@ -412,12 +409,12 @@ def test_edge_probability_two_singletons_closed_form():
 def test_edge_probability_rejects_overlap():
     g = _graph([1, 1], [1, 1])
     with pytest.raises(ValueError):
-        edge_probability_estimate(g, [0], [0], 1.0, 10, 0)
+        edge_probability_estimate(g, [0], [0], 1.0, 10, philox(0))
 
 
 def test_dynamic_pairs_distinct_and_consumed():
     g = _graph([1, 1, 2, 2], [3, 1, 2, 2], seed=9)
-    state = run_dynamic(g, 50.0, 21)
+    state = run_dynamic(g, 50.0, philox(21))
     used = [h for _, a, b in state.event_log for h in (a, b)]
     assert len(used) == len(set(used))
     for _, a, b in state.event_log:
@@ -469,8 +466,7 @@ def _death_times(q0: int, horizon: float, rng) -> np.ndarray:
     return times[times <= horizon]
 
 
-def _dynamic_oracle(g, s_max, rng_seed) -> list:
-    rng = as_generator(rng_seed)
+def _dynamic_oracle(g, s_max, rng) -> list:
     n_he = g.seq.total_black
     times = _death_times(n_he // 2, s_max, rng)
     pool = np.arange(n_he, dtype=np.int64)  # swap-pop pool of unpaired half-edges
@@ -489,8 +485,7 @@ def _dynamic_oracle(g, s_max, rng_seed) -> list:
     return log
 
 
-def _modified_oracle(g, s_max, rng_seed) -> list:
-    rng = as_generator(rng_seed)
+def _modified_oracle(g, s_max, rng) -> list:
     n_he = g.seq.total_black
     n_events = rng.poisson(n_he // 2 * s_max)
     times = np.sort(rng.random(n_events) * s_max)
@@ -504,8 +499,8 @@ def _modified_oracle(g, s_max, rng_seed) -> list:
     return log
 
 
-def _coupled_oracle(g, s_max, rng_seed) -> tuple[list, list]:
-    mod_log = _modified_oracle(g, s_max, rng_seed)
+def _coupled_oracle(g, s_max, rng) -> tuple[list, list]:
+    mod_log = _modified_oracle(g, s_max, rng)
     paired = np.zeros(g.seq.total_black, dtype=bool)
     dyn_log = []
     for t, a, b in mod_log:
@@ -586,7 +581,7 @@ def test_event_kernels_equal_loop_oracles_small(white, black, graph_seed):
             _assert_kernels_match_oracles(g, s, seed)
         _assert_dynamic_laws_agree(g, s, 1500, 31)
     if g.seq.total_black:
-        assert len(run_dynamic(g, 50.0, 0).event_log) == g.seq.total_black // 2
+        assert len(run_dynamic(g, 50.0, philox(0)).event_log) == g.seq.total_black // 2
 
 
 @pytest.mark.parametrize("n", [1000, 10_000])
@@ -624,7 +619,7 @@ _PROPERTY = settings(max_examples=150)
 @_PROPERTY
 @given(_small_graphs(), st.floats(0.0, 5.0), st.integers(0, 2**32 - 1))
 def test_dynamic_events_partial_matching_property(g, s, seed):
-    rng = as_generator(seed)
+    rng = philox(seed)
     states = [run_dynamic(g, s, rng) for _ in range(200)]
     for state in states:
         _assert_partial_matching(state, s)
@@ -637,7 +632,7 @@ def test_dynamic_events_partial_matching_property(g, s, seed):
 @_PROPERTY
 @given(_small_graphs(), st.floats(0.0, 5.0), st.integers(0, 2**32 - 1))
 def test_coupled_subset_and_refinement_property(g, s, seed):
-    pair = run_coupled(g, s, seed)
+    pair = run_coupled(g, s, philox(seed))
     dyn, mod = pair.dynamic.event_log, pair.modified.event_log
     assert set(dyn.tolist()) <= set(mod.tolist())
     he = np.concatenate((dyn["a"], dyn["b"]))
@@ -645,7 +640,7 @@ def test_coupled_subset_and_refinement_property(g, s, seed):
     lab_dyn = component_labels(g, pair.dynamic.event_vertex_pairs())
     lab_mod = component_labels(g, pair.modified.event_vertex_pairs())
     assert refines(lab_dyn, lab_mod)
-    assert (dyn.tolist(), mod.tolist()) == _coupled_oracle(g, s, seed)
+    assert (dyn.tolist(), mod.tolist()) == _coupled_oracle(g, s, philox(seed))
 
 
 def _assert_merge_equals_relabel(state):
@@ -664,7 +659,7 @@ def _assert_merges_equal_relabel(g, s, seed):
 @given(_small_graphs(), st.floats(0.0, 5.0), st.integers(0, 2**32 - 1))
 def test_block_merge_equals_full_relabel_property(g, s, seed):
     _assert_merges_equal_relabel(g, s, seed)
-    static = percolate_black(sample_black_matching(g, seed), 1 - np.exp(-s), seed + 1)
+    static = percolate_black(sample_black_matching(g, philox(seed)), 1 - np.exp(-s), philox(seed + 1))
     pairs = static.vertex_pairs()
     assert np.array_equal(merged_sizes(g, pairs[:, 0], pairs[:, 1]), relabel_table(g, pairs)[0])
 
@@ -683,7 +678,7 @@ def test_block_merge_equals_full_relabel_critical(n):
 @pytest.mark.parametrize("field", ["size", "black"])
 def test_component_sizes_rejects_a_broken_block_table(field, monkeypatch):
     g = _graph([1, 1, 2, 2], [2, 2, 1, 1], seed=0)
-    state = run_dynamic(g, 1.0, 3)
+    state = run_dynamic(g, 1.0, philox(3))
     broken = getattr(g.blocks, field).copy()
     broken[0] += 1
     monkeypatch.setitem(g.__dict__, "blocks", g.blocks._replace(**{field: broken}))
@@ -710,10 +705,10 @@ def test_white_graph_labelled_once_per_graph(monkeypatch):
 
     monkeypatch.setattr(graphs, "_component_labels", counting)
     g = _graph([1, 1, 1, 1, 2], [1, 1, 1, 1, 2], seed=0)
-    state = run_dynamic(g, 1.0, 3)
+    state = run_dynamic(g, 1.0, philox(3))
     first = state.component_sizes()
     assert np.array_equal(state.component_sizes(), first)
-    explore(g, 4)
+    explore(g, philox(4))
     modified_block_view(g)
     ncomp = g.blocks.size.size
     assert ncomp < g.n
@@ -725,4 +720,4 @@ def test_bad_horizon_rejected(s):
     g = _graph([1, 1, 2, 2], [2, 2, 1, 1])
     for runner in (run_dynamic, run_modified, run_coupled):
         with pytest.raises(ValueError):
-            runner(g, s, 0)
+            runner(g, s, philox(0))

@@ -17,6 +17,7 @@ from hcmsim.exploration import explore
 from hcmsim.graphs import sample_white_matching
 from hcmsim.levy import sample_thinned_levy
 from hcmsim.paths import CadlagPath, _tol, raise_first
+from seeding import philox
 from test_exploration import components, vertex_time_walks
 from test_paths import (
     has_negative_jumps,
@@ -423,7 +424,7 @@ def test_point_process_requires_min_times():
 def test_point_process_reproduces_component_triples():
     lim = make_limit_parameters(3.5, 5)
     sc = make_scaling(200, 3.5)
-    seq = build_degree_sequence(sc, lim, 5, DEFAULT_BULK_WHITE, 8)
+    seq = build_degree_sequence(sc, lim, 5, DEFAULT_BULK_WHITE, philox(8))
     rng = stream_gen(9, 9)
     g = sample_white_matching(seq, rng)
     tr = explore(g, rng)
@@ -438,7 +439,7 @@ def test_point_process_reproduces_component_triples():
 
 def test_point_process_matches_excursions_on_limit_path():
     p = make_limit_parameters(3.5, 30)
-    real = sample_thinned_levy(p, T=25.0, rng_seed=14)
+    real = sample_thinned_levy(p, T=25.0, rng=philox(14))
     exc = excursion_decompose(real.X_path)
     assert exc, "need at least one excursion for the cross-check"
     t_list = [e.r for e in exc]
@@ -490,7 +491,7 @@ def test_check_good_on_truncated_levy():
     flags_local = 0
     complement_positive = 0
     for seed in range(50):
-        real = sample_thinned_levy(p, T=30.0, rng_seed=seed)
+        real = sample_thinned_levy(p, T=30.0, rng=philox(seed))
         rep = check_good(real.X_path)
         flags_local += rep["local_min_flag"]
         complement_positive += rep["complement_flag"]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from hcmsim.core import as_generator, stream_gen
+from hcmsim.core import stream_gen
 from hcmsim.degrees import (
     DEFAULT_BULK_WHITE,
     DegreeSequence,
@@ -26,6 +26,7 @@ from hcmsim.exploration import (
 )
 from hcmsim.graphs import ColoredMultigraph, labels_from_edges, sample_white_matching
 from hcmsim.paths import CadlagPath
+from seeding import philox
 from test_graphs import full_table, involution, relabel_table
 from test_paths import step_path
 
@@ -85,7 +86,7 @@ def rescale_trace(tr: ExplorationTrace, scaling: ScalingConstants, T: float | No
     return X, Y, Npath
 
 
-def discovery_probability_check(seq, t_checks, replicates, rng_seed, hubs=None, T_cap=None) -> dict:
+def discovery_probability_check(seq, t_checks, replicates, rng, hubs=None, T_cap=None) -> dict:
     """Empirical P(eta_i <= t) for hub vertices against the a priori bounds.
 
     For t <= T b_n the per-step discovery chance of vertex i lies between
@@ -95,7 +96,6 @@ def discovery_probability_check(seq, t_checks, replicates, rng_seed, hubs=None, 
     """
     if replicates < 1000:
         raise ValueError("discovery probability check needs at least 1e3 replicates")
-    rng = as_generator(rng_seed)
     t_checks = np.asarray(t_checks, dtype=np.int64)
     if hubs is None:
         hubs = list(range(min(3, seq.n)))
@@ -348,8 +348,8 @@ def test_seed_order_gates_reject_wrong_laws():
 
 def test_self_loop_trace():
     seq = _seq([2])
-    g = sample_white_matching(seq, 0)
-    tr = explore(g, 1)
+    g = sample_white_matching(seq, philox(0))
+    tr = explore(g, philox(1))
     assert list(tr.X) == [0, 0, -2]
     assert list(tr.N) == [0, 0, 1]
     assert list(tr.tau) == [2]
@@ -359,8 +359,8 @@ def test_self_loop_trace():
 
 def test_two_vertex_edge_trace():
     seq = _seq([1, 1])
-    g = sample_white_matching(seq, 0)
-    tr = explore(g, 1)
+    g = sample_white_matching(seq, philox(0))
+    tr = explore(g, philox(1))
     assert list(tr.tau) == [2]
     c = components(tr)[0]
     assert c.edge_count == 1 and c.size == 2 and c.surplus == 0
@@ -384,7 +384,7 @@ def test_trace_matches_union_find_oracle():
 def test_walk_final_identities():
     lim = make_limit_parameters(3.5, 5)
     sc = make_scaling(300, 3.5)
-    seq = build_degree_sequence(sc, lim, 5, DEFAULT_BULK_WHITE, 4)
+    seq = build_degree_sequence(sc, lim, 5, DEFAULT_BULK_WHITE, philox(4))
     rng = stream_gen(5, 5)
     g = sample_white_matching(seq, rng)
     tr = explore(g, rng)
@@ -402,8 +402,8 @@ def test_walk_final_identities():
 
 def test_eta_marks_discovery_steps():
     seq = _seq([2, 1, 1])
-    g = sample_white_matching(seq, 0)
-    tr = explore(g, 3)
+    g = sample_white_matching(seq, philox(0))
+    tr = explore(g, philox(3))
     order = tr.order
     assert sorted(order.tolist()) == [0, 1, 2]
     for v in range(3):
@@ -437,8 +437,8 @@ def test_rescale_trace_arithmetic():
 
 def test_rescale_single_step_trivial():
     seq = _seq([2])
-    g = sample_white_matching(seq, 0)
-    tr = explore(g, 1)
+    g = sample_white_matching(seq, philox(0))
+    tr = explore(g, philox(1))
     Xp, Yp, Np = rescale_trace(tr, seq.scaling)
     assert float(Xp.eval(0.0)) == 0.0
 
@@ -446,7 +446,7 @@ def test_rescale_single_step_trivial():
 def test_vertex_time_walks_spacings_are_sizes():
     lim = make_limit_parameters(3.5, 5)
     sc = make_scaling(150, 3.5)
-    seq = build_degree_sequence(sc, lim, 5, DEFAULT_BULK_WHITE, 6)
+    seq = build_degree_sequence(sc, lim, 5, DEFAULT_BULK_WHITE, philox(6))
     rng = stream_gen(6, 6)
     g = sample_white_matching(seq, rng)
     tr = explore(g, rng)
@@ -459,9 +459,9 @@ def test_vertex_time_walks_spacings_are_sizes():
 def test_discovery_probability_bounds():
     lim = make_limit_parameters(3.5, 3)
     sc = make_scaling(400, 3.5)
-    seq = build_degree_sequence(sc, lim, 3, DEFAULT_BULK_WHITE, 7)
+    seq = build_degree_sequence(sc, lim, 3, DEFAULT_BULK_WHITE, philox(7))
     t_checks = [0, 5, 20]
-    rep = discovery_probability_check(seq, t_checks, replicates=1500, rng_seed=17)
+    rep = discovery_probability_check(seq, t_checks, replicates=1500, rng=philox(17))
     assert rep["all_contained"], rep
     # t = 0 is trivially zero with zero-width bounds
     for rows in rep["hubs"].values():
@@ -470,8 +470,8 @@ def test_discovery_probability_bounds():
 
 def test_single_vertex_discovered_immediately():
     seq = _seq([2])
-    g = sample_white_matching(seq, 0)
-    tr = explore(g, 9)
+    g = sample_white_matching(seq, philox(0))
+    tr = explore(g, philox(9))
     assert tr.eta[0] == 1
 
 
@@ -511,8 +511,8 @@ def _small_walks(draw):
     white = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     black = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     white[-1] += sum(white) % 2
-    g = sample_white_matching(_seq(white, black), draw(st.integers(0, 2**32 - 1)))
-    return g, explore(g, draw(st.integers(0, 2**32 - 1)))
+    g = sample_white_matching(_seq(white, black), philox(draw(st.integers(0, 2**32 - 1))))
+    return g, explore(g, philox(draw(st.integers(0, 2**32 - 1))))
 
 
 _PROPERTY = settings(max_examples=200)
@@ -563,7 +563,7 @@ def test_eta_marks_exactly_the_discovery_steps(walk):
 
 @pytest.mark.parametrize("stride", [0, -3])
 def test_trace_csv_refuses_a_stride_below_one(tmp_path, stride):
-    tr = explore(sample_white_matching(_seq([3, 2, 1, 1, 1]), 1), 2)
+    tr = explore(sample_white_matching(_seq([3, 2, 1, 1, 1]), philox(1)), philox(2))
     with pytest.raises(ValueError, match="stride"):
         write_trace_csv(tr, tmp_path / "t.csv", stride=stride)
     assert not (tmp_path / "t.csv").exists()
@@ -582,7 +582,7 @@ def test_trace_csv_bytes_equal_csv_writer(tmp_path, stride):
     from hcmsim.stats import ExperimentConfig, build_critical_sequence
 
     seq = build_critical_sequence(ExperimentConfig(master_seed=1), 20_000)
-    tr = explore(sample_white_matching(seq, 1), 2)
+    tr = explore(sample_white_matching(seq, philox(1)), philox(2))
     assert tr.X.size > 16384  # more than one chunk
     write_trace_csv(tr, tmp_path / "new.csv", stride=stride)
     _csv_writer_trace(tr, tmp_path / "old.csv", stride)

@@ -9,7 +9,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 import hcmsim.graphs as graphs
-from hcmsim.core import InvariantError, as_generator, stream_gen
+from hcmsim.core import InvariantError, stream_gen
 from hcmsim.degrees import DegreeSequence, make_limit_parameters, make_scaling
 from hcmsim.graphs import (
     ColoredMultigraph,
@@ -19,6 +19,7 @@ from hcmsim.graphs import (
     sample_white_matching,
     write_edge_csv,
 )
+from seeding import philox
 
 
 # Reference code, imported by the other test modules: the involution check
@@ -112,19 +113,19 @@ class StaticPercolation:
         return self.graph.seq.black_owner[self.black_pairs()]
 
 
-def sample_black_matching(g, rng_seed) -> StaticPercolation:
+def sample_black_matching(g, rng) -> StaticPercolation:
     """The black half-edges uniformly paired, all edges retained."""
     if g.seq.total_black % 2:
         raise ValueError("black parity violated")
-    match = involution(_uniform_matching(g.seq.total_black, as_generator(rng_seed)))
+    match = involution(_uniform_matching(g.seq.total_black, rng))
     return StaticPercolation(g, match, np.ones(match.size // 2, dtype=bool))
 
 
-def percolate_black(sp: StaticPercolation, keep_probability: float, rng_seed) -> StaticPercolation:
+def percolate_black(sp: StaticPercolation, keep_probability: float, rng) -> StaticPercolation:
     """Retain each black edge independently with probability ``keep_probability``."""
     if not 0.0 <= keep_probability <= 1.0:
         raise ValueError("keep probability must lie in [0, 1]")
-    keep = as_generator(rng_seed).random(sp.black_match.size // 2) < keep_probability
+    keep = rng.random(sp.black_match.size // 2) < keep_probability
     return StaticPercolation(sp.graph, sp.black_match, keep)
 
 
@@ -138,7 +139,7 @@ def _seq(white, black=None, n_scale=None):
 
 def test_single_vertex_self_loop():
     seq = _seq([2])
-    g = sample_white_matching(seq, 0)
+    g = sample_white_matching(seq, philox(0))
     sizes, _, white_edges, surplus, *_ = full_table(g)
     assert sizes.tolist() == [1]
     assert white_edges.tolist() == [1]
@@ -147,7 +148,7 @@ def test_single_vertex_self_loop():
 
 def test_two_degree_one_vertices_single_edge():
     seq = _seq([1, 1])
-    g = sample_white_matching(seq, 0)
+    g = sample_white_matching(seq, philox(0))
     assert g.seq.white_owner[involution(g.pairs)[0]] == 1
     sizes, _, _, surplus, *_ = full_table(g)
     assert sizes.tolist() == [2] and surplus.tolist() == [0]
@@ -156,7 +157,7 @@ def test_two_degree_one_vertices_single_edge():
 def test_odd_parity_rejected():
     seq = _seq([2, 1])
     with pytest.raises(ValueError):
-        sample_white_matching(seq, 0)
+        sample_white_matching(seq, philox(0))
 
 
 def test_self_loop_probability_one_third():
@@ -225,7 +226,7 @@ def test_double_edge_euler_relation():
 
 def test_black_half_edge_counts():
     seq = _seq([1, 1, 2], black=[3, 1, 2])
-    g = sample_white_matching(seq, 1)
+    g = sample_white_matching(seq, philox(1))
     sizes, blacks, labels, order = component_table(g)
     assert blacks.sum() == 6
     for k, black in enumerate(blacks):
@@ -234,11 +235,11 @@ def test_black_half_edge_counts():
 
 def test_percolate_black_extremes():
     seq = _seq([1, 1, 1, 1], black=[2, 2, 2, 2])
-    g = sample_white_matching(seq, 5)
-    gb = sample_black_matching(g, 6)
-    g0 = percolate_black(gb, 0.0, 7)
-    g1 = percolate_black(gb, 1.0, 8)
-    base = component_table(sample_white_matching(seq, 5))[0]
+    g = sample_white_matching(seq, philox(5))
+    gb = sample_black_matching(g, philox(6))
+    g0 = percolate_black(gb, 0.0, philox(7))
+    g1 = percolate_black(gb, 1.0, philox(8))
+    base = component_table(sample_white_matching(seq, philox(5)))[0]
     assert np.array_equal(relabel_table(g, g0.vertex_pairs())[0], base)
     assert not g0.black_keep.any()
     assert g1.black_keep.all()
@@ -261,7 +262,7 @@ def test_percolate_merge_frequency_half():
 
 def test_invariants_assert_after_sampling():
     seq = _seq([3, 2, 2, 1], black=[1, 1, 0, 0])
-    g = sample_white_matching(seq, 11)
+    g = sample_white_matching(seq, philox(11))
     assert_matching(seq, involution(g.pairs))
     bad = involution(g.pairs)
     bad[0] = 0
@@ -289,7 +290,7 @@ def test_matching_check_accepts_exactly_the_permutations(white, seed, corruption
     if sum(white) % 2:
         white = white + [1]
     seq = _seq(white)
-    pairs = _uniform_matching(seq.total_white, as_generator(seed))
+    pairs = _uniform_matching(seq.total_white, philox(seed))
     n_half = pairs.size
     if corruption is None:
         g = ColoredMultigraph(seq, pairs)
@@ -316,7 +317,7 @@ def test_matching_check_accepts_exactly_the_permutations(white, seed, corruption
 
 def test_edge_csv(tmp_path):
     seq = _seq([1, 1], black=[1, 1])
-    g = sample_white_matching(seq, 0)
+    g = sample_white_matching(seq, philox(0))
     path = tmp_path / "g.csv"
     write_edge_csv(g, path)
     lines = path.read_text().splitlines()
@@ -368,7 +369,7 @@ def test_blocks_equal_the_public_labelling(white, seed):
     # a change to its signature or its numbering must show here
     if sum(white) % 2:
         white = white + [1]
-    g = sample_white_matching(_seq(white, black=np.arange(len(white)) % 3), seed)
+    g = sample_white_matching(_seq(white, black=np.arange(len(white)) % 3), philox(seed))
     pairs = _vertex_pairs(g)
     adj = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(g.n, g.n))
     b = g.blocks
@@ -381,14 +382,14 @@ def test_blocks_equal_the_public_labelling(white, seed):
 
 
 def test_graph_is_frozen():
-    g = sample_white_matching(_seq([1, 1, 2]), 0)
+    g = sample_white_matching(_seq([1, 1, 2]), philox(0))
     with pytest.raises(FrozenInstanceError):
         g.pairs = np.array([0, 1, 2, 3])
 
 
 def test_owners_built_once_per_sequence():
     seq = _seq([1, 3, 2], [2, 0, 1])
-    first, second = sample_white_matching(seq, 0), sample_white_matching(seq, 1)
+    first, second = sample_white_matching(seq, philox(0)), sample_white_matching(seq, philox(1))
     assert first.blocks.label.size == second.blocks.label.size == 3  # both read the owners
     assert seq.white_owner.tolist() == [0, 1, 1, 1, 2, 2]
     assert seq.black_owner.tolist() == [0, 0, 2]
@@ -442,7 +443,7 @@ def test_block_tables_of_two_graphs_build_concurrently(monkeypatch):
 
     monkeypatch.setattr(graphs, "_component_labels", held_in_first)
     seq = _seq([1, 1, 2, 2])
-    first, second = sample_white_matching(seq, 0), sample_white_matching(seq, 1)
+    first, second = sample_white_matching(seq, philox(0)), sample_white_matching(seq, philox(1))
     t1 = threading.Thread(target=lambda: first.blocks, name="first")
     t1.start()
     assert entered.wait(5)

@@ -18,6 +18,7 @@ from hcmsim.levy import (
 )
 from hcmsim.paths import CadlagPath, _segment_minima, eval_rows, jump_rows
 from hcmsim.stats import _pad_pairs
+from seeding import philox
 from test_excursions import gamma_down_loop
 from test_paths import from_jumps_unique, is_nondecreasing, jumps, reflected_loop
 
@@ -62,7 +63,7 @@ def test_pure_drift_when_clock_exceeds_horizon():
     p = _params([1.0], [0.0])
     # find a seed whose single clock lands beyond T = 1
     for seed in range(100):
-        real = sample_thinned_levy(p, T=1.0, rng_seed=seed)
+        real = sample_thinned_levy(p, T=1.0, rng=philox(seed))
         if real.xi[0] > 1.0:
             break
     else:
@@ -74,7 +75,7 @@ def test_pure_drift_when_clock_exceeds_horizon():
 
 def test_zero_beta_and_alpha_gives_flat_y():
     p = _params([1.0, 0.5], [0.0, 0.0], alpha=0.0)
-    real = sample_thinned_levy(p, T=5.0, rng_seed=3)
+    real = sample_thinned_levy(p, T=5.0, rng=philox(3))
     t = np.linspace(0, 5, 64)
     assert np.allclose(np.atleast_1d(real.Y_path.eval(t)), 0.0)
 
@@ -82,7 +83,7 @@ def test_zero_beta_and_alpha_gives_flat_y():
 def test_identity_residuals_below_1e9():
     p = make_limit_parameters(3.7, 200)
     for seed in range(5):
-        real = sample_thinned_levy(p, T=6.0, rng_seed=seed)
+        real = sample_thinned_levy(p, T=6.0, rng=philox(seed))
         rx, ry = identity_residuals(real, np.linspace(0, 6, 257))
         assert np.max(np.abs(rx)) < 1e-9
         assert np.max(np.abs(ry)) < 1e-9
@@ -91,7 +92,7 @@ def test_identity_residuals_below_1e9():
 
 def test_y_jump_times_subset_of_x():
     p = make_limit_parameters(3.5, 100)
-    real = sample_thinned_levy(p, T=4.0, rng_seed=11)
+    real = sample_thinned_levy(p, T=4.0, rng=philox(11))
     xt, _ = jumps(real.X_path)
     yt, ys = jumps(real.Y_path)
     assert np.all(ys > 0)
@@ -138,7 +139,7 @@ def test_truncation_stability_bound():
 
 def test_surplus_zero_intensity():
     down = CadlagPath.from_jumps(1.0, [], [], drift=-2.0)
-    N = sample_surplus_process(down, 5)
+    N = sample_surplus_process(down, philox(5))
     assert final_value(N) == 0.0
 
 
@@ -192,11 +193,9 @@ def test_exploration_limit_params_embedding():
 
 
 def test_thinned_levy_needs_a_seed():
-    # a default seed of None could not work: as_generator(None) calls int(None)
-    import inspect
-
-    params = inspect.signature(sample_thinned_levy).parameters
-    assert params["rng_seed"].default is inspect.Parameter.empty
+    # the generator has no default: a sampler draws from the stream it is handed
+    with pytest.raises(TypeError):
+        sample_thinned_levy(make_limit_parameters(3.5, 5), T=1.0)
 
 
 # -- the array pass over a clock matrix ------------------------------------------

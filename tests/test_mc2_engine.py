@@ -15,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcmsim.coalescent import _root_masses, mcmw_batch, mcmw_graphical, sample_xi_batch
-from hcmsim.core import InvariantError, as_generator, stream_gen
+from hcmsim.core import InvariantError, stream_gen
 from hcmsim.graphs import labels_from_edges
+from seeding import philox
 
 
 # The bipartite susceptibility-increment bound, a lemma check that no CLI
 # command runs; the acceptance suite imports it from here.
-def bipartite_bound_check(x, y, m_split: int, t: float, epsilon: float, replicates: int, rng_seed) -> dict:
+def bipartite_bound_check(x, y, m_split: int, t: float, epsilon: float, replicates: int, rng) -> dict:
     """Empirical check of the bipartite susceptibility-increment bound.
 
     Edges only across the split, P(i~j) = 1 - exp(-t y_i y_j). With
@@ -36,7 +37,6 @@ def bipartite_bound_check(x, y, m_split: int, t: float, epsilon: float, replicat
     n = x.size
     if not 1 <= m_split < n:
         raise ValueError("split must satisfy 1 <= m < n")
-    rng = as_generator(rng_seed)
     left = np.arange(n) < m_split
     p = -np.expm1(-t * np.outer(y[left], y[~left]))
     alpha1 = float(np.sum(x[left] ** 2))
@@ -229,7 +229,7 @@ def test_graphical_equals_dense_oracle(m, coupled):
 
 
 def test_graphical_empty_input():
-    masses, blocks = mcmw_graphical([], [], 1.0, 0)
+    masses, blocks = mcmw_graphical([], [], 1.0, philox(0))
     assert masses.shape == blocks.mass.shape == blocks.weight.shape == blocks.roots().shape == (0,)
 
 
@@ -245,9 +245,9 @@ def test_graphical_empty_input():
 )
 def test_engine_rejects_bad_input(x, y, t):
     with pytest.raises(ValueError):
-        mcmw_batch(x, y, t, 3, 0)
+        mcmw_batch(x, y, t, 3, philox(0))
     with pytest.raises(ValueError):
-        mcmw_graphical(x, y, t, 0)
+        mcmw_graphical(x, y, t, philox(0))
 
 
 def test_batch_detects_a_labelling_that_leaks_across_replicates(monkeypatch):
@@ -256,7 +256,7 @@ def test_batch_detects_a_labelling_that_leaks_across_replicates(monkeypatch):
     # one label for every vertex puts all replicates' mass into one row
     monkeypatch.setattr(coalescent, "labels_from_edges", lambda rows, cols, n: np.zeros(n, dtype=np.int64))
     with pytest.raises(InvariantError):
-        mcmw_batch([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], 0.5, 4, 0)
+        mcmw_batch([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], 0.5, 4, philox(0))
 
 
 def test_thm17_detects_a_labelling_that_joins_two_limit_replicates(monkeypatch):
@@ -313,22 +313,22 @@ def test_per_row_batch_rejects_a_row_count_other_than_reps():
     x = np.ones((2, 3))
     for reps in (0, 1, 3):
         with pytest.raises(ValueError):
-            mcmw_batch(x, x, 0.5, reps, 0)
+            mcmw_batch(x, x, 0.5, reps, philox(0))
     with pytest.raises(ValueError):
-        mcmw_batch(x, np.ones(3), 0.5, 2, 0)
+        mcmw_batch(x, np.ones(3), 0.5, 2, philox(0))
     with pytest.raises(ValueError):
-        mcmw_graphical(x, x, 0.5, 0)
+        mcmw_graphical(x, x, 0.5, philox(0))
     with pytest.raises(ValueError):
-        mcmw_batch(np.ones((2, 2, 3)), np.ones((2, 2, 3)), 0.5, 2, 0)
+        mcmw_batch(np.ones((2, 2, 3)), np.ones((2, 2, 3)), 0.5, 2, philox(0))
 
 
 def test_batch_empty_shapes():
-    assert mcmw_batch([1.0, 2.0], [1.0, 1.0], 1.0, 0, 0).shape == (0, 2)
-    assert mcmw_batch([], [], 1.0, 3, 0).shape == (3, 0)
+    assert mcmw_batch([1.0, 2.0], [1.0, 1.0], 1.0, 0, philox(0)).shape == (0, 2)
+    assert mcmw_batch([], [], 1.0, 3, philox(0)).shape == (3, 0)
 
 
 def test_batch_rejects_clocks_of_another_shape():
     # one clock row for many replicates would leave the other rows edgeless
-    xi = sample_xi_batch(3, 1, 0)
+    xi = sample_xi_batch(3, 1, philox(0))
     with pytest.raises(ValueError):
-        mcmw_batch([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], 0.5, 4, 0, xi_batch=xi)
+        mcmw_batch([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], 0.5, 4, philox(0), xi_batch=xi)

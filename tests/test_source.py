@@ -1,4 +1,5 @@
-"""Every function, class and method of ``src/hcmsim`` has a reader there.
+"""Every function, class and method of ``src/hcmsim`` has a reader there,
+and ``core.stream_gen`` is the one place that makes a random stream.
 
 Members that only tests read belong in ``tests/``, next to the tests that
 read them. A name counts as read when code in ``src/hcmsim`` loads it as a
@@ -70,3 +71,39 @@ def test_the_scan_flags_a_member_without_a_reader(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import C\nC()\n")
     assert unread_members(tmp_path) == ["a.py: C.unused", "a.py: dead"]
+
+
+# Calls that make a generator, a bit generator or a seed sequence, by bare name.
+RNG_MAKERS = {"Generator", "Philox", "SeedSequence", "default_rng"}
+
+
+def rng_makers(src: Path = SRC) -> list[tuple[str, str]]:
+    """(module, top-level definition or ``<module>``) of every call in
+    ``src`` to a name in ``RNG_MAKERS``, as a plain name or an attribute."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                    if name in RNG_MAKERS:
+                        found.append((path.name, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_stream_gen_is_the_one_stream_derivation():
+    # every sampler draws from the Generator it is handed
+    assert set(rng_makers()) == {("core.py", "stream_gen")}
+
+
+def test_the_scan_flags_every_rng_maker(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n"
+        "from numpy.random import Philox\n"
+        "G = np.random.default_rng(0)\n"
+        "def f(seed):\n    return np.random.Generator(Philox(seed))\n"
+        "class C:\n    def m(self):\n        return np.random.SeedSequence(1)\n"
+        "def g(rng):\n    return rng.random(3)\n"
+    )
+    assert rng_makers(tmp_path) == [("a.py", "<module>"), ("a.py", "f"), ("a.py", "f"), ("a.py", "C")]
