@@ -144,15 +144,25 @@ def sample_xi_batch(n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def write_masses_csv(masses: np.ndarray, path):
-    """One replicate per row, ordered masses, zero-padded columns.
+    """One replicate per row, ordered masses, zero-padded columns; each
+    mass as ``format(v, ".12g")``, joined by ``,``.
 
     Masses repeat a lot (the zero padding above all), so each distinct
     value is formatted once, keyed by its bits so that -0.0 keeps its sign.
+    The texts form a (distinct, width) byte table, NUL-padded and ending in
+    ``,``. About 16k cells at a time are gathered from it, each row's last
+    ``,`` becomes a newline, and ``bytes.translate`` drops the NULs.
     """
-    masses = np.ascontiguousarray(np.atleast_2d(masses), dtype=float)
-    bits, inverse = np.unique(masses.view(np.uint64), return_inverse=True)
-    text = np.array([format(v, ".12g") for v in bits.view(float).tolist()], dtype=object)
-    inverse = inverse.reshape(masses.shape)
-    with open(path, "w", newline="") as fh:
-        for s in range(0, len(masses), _ROWS_PER_WRITE):
-            fh.write("\n".join(map(",".join, text[inverse[s : s + _ROWS_PER_WRITE]].tolist())) + "\n")
+    bits = np.ascontiguousarray(np.atleast_2d(masses), dtype=float).view(np.uint64)
+    distinct = np.sort(bits, axis=None)
+    # the first value (if any), then each one that differs from the one before
+    distinct = distinct[np.r_[distinct[:1] == distinct[:1], distinct[1:] != distinct[:-1]]]
+    text = np.array([format(v, ".12g") for v in distinct.view(float).tolist()], dtype=bytes)
+    table = text.astype(f"S{text.itemsize + 1}").view(np.uint8).reshape(text.size, text.itemsize + 1)
+    table[:, -1] = ord(",")
+    rows = max(1, _ROWS_PER_WRITE // bits.shape[1])
+    with open(path, "wb") as fh:
+        for s in range(0, len(bits), rows):
+            chunk = np.take(table, np.searchsorted(distinct, bits[s : s + rows]), axis=0)
+            chunk[:, -1, -1] = ord("\n")
+            fh.write(chunk.tobytes().translate(None, b"\0"))

@@ -61,60 +61,62 @@ def write_int_rows(path, columns, header: str, suffix: str = "\r\n"):
     by ``suffix``. The bytes are those of ``write_rows`` with the line
     ``"{},{},...{}" + suffix``.
 
-    Rows are encoded about 16k at a time as one byte matrix with NumPy. A
-    column whose dtype is not integer raises ``TypeError``, so that floats
-    are never truncated.
+    Rows are encoded about 16k at a time as one NUL-padded byte matrix
+    with NumPy (``_encode_int_rows``). A column whose dtype is not integer
+    raises ``TypeError``, so that floats are never truncated, and a
+    ``suffix`` holding a NUL raises ``ValueError``, since the encoding
+    drops every NUL.
     """
     columns = [np.asarray(c) for c in columns]
     for c in columns:
         if c.dtype.kind not in "iu":
             raise TypeError(f"integer columns only, not {c.dtype}")
-    tail = np.frombuffer(suffix.encode(), dtype=np.uint8)
+    tail = suffix.encode()
+    if b"\0" in tail:
+        raise ValueError("the row suffix must not hold a NUL")
     with open(path, "wb") as fh:
         fh.write(header.encode())
         for s in range(0, len(columns[0]), _ROWS_PER_WRITE):
             fh.write(_encode_int_rows([c[s : s + _ROWS_PER_WRITE] for c in columns], tail))
 
 
-def _encode_int_rows(columns, tail) -> np.ndarray:
-    """The rows' bytes, as a 1-D uint8 array.
+def _encode_int_rows(columns, tail: bytes) -> bytes:
+    """The rows' bytes.
 
-    Each row of the byte matrix holds, per field, a sign byte and as many
-    digit bytes as the chunk's widest value needs, then the separators and
-    the suffix; a mask drops the sign of non-negative values and the
-    leading zeros.
+    One byte matrix, a row per byte position of a line and a column per
+    row of the table, holds per field a sign slot (only if a value is
+    negative) and as many digit slots as the widest value needs, then the
+    separators and ``tail``. The sign slot of a non-negative value and the
+    leading zeros are NUL, and ``bytes.translate`` drops them. Digits are
+    computed in uint32 for a column whose magnitudes are all below 2**32.
     """
-    rows = len(columns[0])
     fields = []
     for c in columns:
-        if c.dtype.kind == "u":
-            mag, neg = c.astype(np.uint64), np.zeros(rows, dtype=bool)
-        else:
-            v = c.astype(np.int64)
-            # abs wraps int64's minimum onto itself, which reads 2**63 as uint64
-            mag, neg = np.abs(v).view(np.uint64), v < 0
-        fields.append((mag, neg, len(str(mag.max()))))
-    width = sum(2 + d for *_, d in fields) - 1 + tail.size
-    mat = np.empty((rows, width), dtype=np.uint8)
-    keep = np.ones((rows, width), dtype=bool)
-    ten = np.uint64(10)
+        neg = c < 0 if c.dtype.kind == "i" and c.min() < 0 else None
+        # abs wraps int64's minimum onto itself, which reads 2**63 as uint64
+        mag = c if neg is None else np.abs(c.astype(np.int64)).view(np.uint64)
+        top = int(mag.max())
+        fields.append((mag.astype(np.uint32 if top < 2**32 else np.uint64), neg, len(str(top))))
+    width = sum(1 + (neg is not None) + d for _, neg, d in fields) - 1 + len(tail)
+    mat = np.zeros((width, len(columns[0])), dtype=np.uint8)
     at = 0
     for i, (mag, neg, d) in enumerate(fields):
         if i:
-            mat[:, at] = ord(",")
+            mat[at] = ord(",")
             at += 1
-        mat[:, at] = ord("-")
-        keep[:, at] = neg
-        at += 1
+        if neg is not None:
+            np.multiply(neg, np.uint8(ord("-")), out=mat[at])
+            at += 1
+        ten = mag.dtype.type(10)
         for j in range(at + d - 1, at - 1, -1):  # units digit first
-            keep[:, j] = mag != 0
             q = mag // ten
-            mat[:, j] = mag - q * ten + ord("0")
+            np.multiply(mag != 0, np.uint8(ord("0")), out=mat[j])
+            mat[j] |= (mag - q * ten).astype(np.uint8)
             mag = q
-        keep[:, at + d - 1] = True  # zero is written "0"
+        mat[at + d - 1] |= ord("0")  # zero is written "0"
         at += d
-    mat[:, at:] = tail
-    return mat[keep]
+    mat[at:] = np.frombuffer(tail, np.uint8)[:, None]
+    return mat.T.tobytes().translate(None, b"\0")
 
 
 def write_json(obj, path):

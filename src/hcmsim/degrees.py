@@ -211,7 +211,8 @@ def build_degree_sequence(
     rng: np.random.Generator,
     bulk_black_law: BulkLaw = DEFAULT_BULK_BLACK,
 ) -> DegreeSequence:
-    """Hub degrees round(theta_i a_n) (floored at 1) plus an i.i.d. bulk.
+    """Hub degrees round(theta_i a_n) (floored at 1) and round(beta_i b_n),
+    each at most n, plus an i.i.d. bulk.
 
     Parity of each colour total is repaired by incrementing the last bulk
     vertex, and the result is re-sorted to satisfy the arrangement
@@ -225,8 +226,15 @@ def build_degree_sequence(
     n_bulk = n - hub_count
     if n_bulk < 0:
         raise ValueError("hub_count exceeds n")
-    hub_w = np.maximum(np.rint(limits.theta[:hub_count] * scaling.a_n), 1).astype(np.int64)
-    hub_b = np.rint(limits.beta[:hub_count] * scaling.b_n).astype(np.int64)
+    hub_w = np.maximum(np.rint(limits.theta[:hub_count] * scaling.a_n), 1)
+    hub_b = np.rint(limits.beta[:hub_count] * scaling.b_n)
+    # hub degrees are o(n) in the paper's regime; the bound also keeps the int64 casts exact
+    if not (np.all(hub_w <= n) and np.all(hub_b <= n)):
+        raise ValueError(
+            f"L must keep every hub degree at most n = {n}, but gives theta_1 a_n = {hub_w.max():.6g} "
+            f"and beta_1 b_n = {hub_b.max():.6g}"
+        )
+    hub_w, hub_b = hub_w.astype(np.int64), hub_b.astype(np.int64)
     bulk_w = bulk_law.sample(rng, n_bulk)
     bulk_b = bulk_black_law.sample(rng, n_bulk)
     if (hub_w.sum() + bulk_w.sum()) % 2:

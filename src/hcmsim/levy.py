@@ -71,19 +71,33 @@ def limit_pairs_batch(params: LimitParameters, T: float, xi: np.ndarray, top_j: 
     return pad_rows(row, pairs, xi.shape[0], top_j)
 
 
+_MAX_SURPLUS_CANDIDATES = 1e7
+
+
 def sample_surplus_process(x: CadlagPath, rng: np.random.Generator) -> CadlagPath:
     """Counting path with conditional intensity (X - running min) dt.
 
     On a segment of X whose running minimum where it starts is m, the
     intensity is X(u) - m clipped at 0, with sup max(v, end) - m; the
     candidates of all segments are thinned against their sups in one pass.
+    Their expected number, the sum of sup times length over the segments,
+    may be at most 1e7; a larger one raises ``ValueError``, since every
+    candidate takes array slots.
     """
     a, v, s, b, _ = (c[0] for c in x.rows())
     end, m = _segment_minima(a, v, s, b)
     hi = np.maximum(v, end) - m
     cells = (b > a) & (hi > 0)
     a, v, s, w, m, hi = (c[cells] for c in (a, v, s, b - a, m, hi))
-    k = np.repeat(np.arange(a.size), rng.poisson(hi * w))
+    with np.errstate(over="ignore"):  # an overflow reads inf, which the cap rejects
+        mean = hi * w
+        total = mean.sum()
+    if not total <= _MAX_SURPLUS_CANDIDATES:
+        raise ValueError(
+            f"lambda or levy_horizon is too large: the surplus process would draw {total:.3g} "
+            f"candidate events, above the cap of {_MAX_SURPLUS_CANDIDATES:.0e}"
+        )
+    k = np.repeat(np.arange(a.size), rng.poisson(mean))
     u = a[k] + w[k] * rng.random(k.size)
     # where X is under m, X - m < 0 <= every draw: the clip at 0
     events = np.sort(u[rng.random(k.size) * hi[k] < v[k] + s[k] * (u - a[k]) - m[k]])

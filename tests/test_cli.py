@@ -410,8 +410,11 @@ def test_bad_levy_input_exits_2(tmp_path, capsys, args, message):
     assert not (tmp_path / "limit_path.csv").exists()
 
 
-# L is a config-file key only; lambda is also validate-degrees' flag
-_BAD_SCALE = [("lambda", v) for v in ("1e308", "inf", "nan", "-inf")] + [("L", v) for v in ("nan", "inf", "1e-300", "1e300")]
+# L is a config-file key only; lambda is also validate-degrees' flag. L = 1e+-100
+# passes make_scaling but gives hub degrees far above n; lambda = 1e300 keeps X's
+# drift finite but gives levy's surplus process about 1e301 expected candidates.
+_BAD_SCALE = [("lambda", v) for v in ("1e308", "1e300", "inf", "nan", "-inf")] + [
+    ("L", v) for v in ("nan", "inf", "1e-300", "1e300", "1e-100", "1e100")]
 
 
 @pytest.mark.parametrize("key,value", _BAD_SCALE, ids=[f"{k}={v}" for k, v in _BAD_SCALE])
@@ -425,9 +428,12 @@ def test_bad_L_or_lambda_exits_2_and_names_the_key(tmp_path, capsys, key, value)
     }
     if key == "lambda":
         runs["flag"] = ["validate-degrees", "--n", "1000", f"--lambda={value}"]
+        runs["levy"] = ["--config", str(cfg), "levy", "--k-max", "5"]
     for name, args in runs.items():
         out = tmp_path / name
-        assert run_cli(["--out-dir", str(out), *args]) == EXIT_CONFIG, name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no numpy warning on the way to the message
+            assert run_cli(["--out-dir", str(out), *args]) == EXIT_CONFIG, name
         assert re.search(rf"^config error: .*\b{key}\b", capsys.readouterr().err, re.M), name
         assert list(out.glob("*")) == [], name
 

@@ -55,7 +55,8 @@ def _awkward_floats(rng, size):
     return np.concatenate((special, rng.random(size), wide))
 
 
-@pytest.mark.parametrize("shape", [(4,), (1, 3), (40_000, 3), (9, 250)])
+# (200, 250) spans several chunks of about 16k cells
+@pytest.mark.parametrize("shape", [(4,), (1, 3), (40_000, 3), (9, 250), (200, 250)])
 def test_masses_csv_bytes_equal_savetxt(tmp_path, shape):
     from hcmsim.coalescent import write_masses_csv
 
@@ -155,27 +156,48 @@ def _int_table(rows, seed):
     return [*table, unsigned]
 
 
+def _small_int_table(rows, seed):
+    """Columns of small magnitudes, as trace.csv's are: a step count, a
+    column that reaches +-(2**32 - 1), the largest uint32 magnitude, and an
+    all-zero one like N; and a walk that goes negative, led by -2**32, the
+    smallest magnitude that needs uint64."""
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.integers(-3, 2, rows))
+    walk[:1] = -(2**32)
+    edge = rng.integers(-(2**32) + 1, 2**32, rows)
+    edge[: min(rows, 2)] = [2**32 - 1, -(2**32) + 1][:rows]
+    return [np.arange(rows), walk, edge, np.zeros(rows, dtype=np.int64)]
+
+
 @pytest.mark.parametrize("rows", [0, 1, len(_EDGE_INTS), 16_384, 16_385])
 @pytest.mark.parametrize("suffix", ["\r\n", ",white\r\n"])
 def test_int_rows_bytes_equal_format_and_csv_writer(tmp_path, rows, suffix):
-    columns = _int_table(rows, rows)
-    write_int_rows(tmp_path / "new.csv", columns, header="a,b,c,d\r\n", suffix=suffix)
-    write_rows(tmp_path / "fmt.csv", "{},{},{},{}" + suffix, columns, header="a,b,c,d\r\n")
-    with open(tmp_path / "csv.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "b", "c", "d"])
-        for row in zip(*(c.tolist() for c in columns)):
-            writer.writerow([*row, "white"] if suffix != "\r\n" else row)
-    new = (tmp_path / "new.csv").read_bytes()
-    assert new == (tmp_path / "fmt.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
-    if rows == 0:
-        assert new == b"a,b,c,d\r\n"
+    # the whole int64 and uint64 ranges, then magnitudes that take the uint32 digits
+    for columns in (_int_table(rows, rows), _small_int_table(rows, rows)):
+        write_int_rows(tmp_path / "new.csv", columns, header="a,b,c,d\r\n", suffix=suffix)
+        write_rows(tmp_path / "fmt.csv", "{},{},{},{}" + suffix, columns, header="a,b,c,d\r\n")
+        with open(tmp_path / "csv.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["a", "b", "c", "d"])
+            for row in zip(*(c.tolist() for c in columns)):
+                writer.writerow([*row, "white"] if suffix != "\r\n" else row)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "fmt.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+        if rows == 0:
+            assert new == b"a,b,c,d\r\n"
 
 
 @pytest.mark.parametrize("dtype", [float, bool, object])
 def test_int_rows_refuse_non_integer_columns(tmp_path, dtype):
     with pytest.raises(TypeError):
         write_int_rows(tmp_path / "x.csv", (np.arange(3), np.array([1, 2, 3], dtype=dtype)), header="a,b\r\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_int_rows_refuse_a_nul_in_the_suffix(tmp_path):
+    # the encoding drops every NUL byte, so this one would vanish silently
+    with pytest.raises(ValueError, match="NUL"):
+        write_int_rows(tmp_path / "x.csv", (np.arange(3),), header="a\r\n", suffix=",\0\r\n")
     assert not (tmp_path / "x.csv").exists()
 
 
