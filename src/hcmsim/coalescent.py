@@ -154,6 +154,8 @@ def write_masses_csv(masses: np.ndarray, path):
     ``,`` becomes a newline, and ``bytes.translate`` drops the NULs.
     """
     bits = np.ascontiguousarray(np.atleast_2d(masses), dtype=float).view(np.uint64)
+    if bits.shape[1] == 0:  # no masses: np.savetxt's empty line per row
+        return np.savetxt(path, bits)
     distinct = np.sort(bits, axis=None)
     # the first value (if any), then each one that differs from the one before
     distinct = distinct[np.r_[distinct[:1] == distinct[:1], distinct[1:] != distinct[:-1]]]

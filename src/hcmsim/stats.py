@@ -10,7 +10,7 @@ Monte Carlo noise.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -101,6 +101,10 @@ class ExperimentConfig:
         return self.replicates
 
 
+# Stream codes of _sidx(code, n, r): 1 the degree sequence of n (r = 0),
+# 2/3 the finite replicates of thm16/thm17, one stream per (n, r). The
+# limit codes, 4/5 the hub clocks of thm16/thm17 and 6 thm17's limit MC2,
+# have one stream each (n = r = 0); limit replicate r is row r of its draw.
 def _sidx(code: int, n: int, r: int = 0) -> int:
     """Stable stream index: results depend only on (code, n, r), never on
     worker scheduling or interpreter hash salts. Distinct triples give
@@ -108,24 +112,6 @@ def _sidx(code: int, n: int, r: int = 0) -> int:
     if not (0 <= n < _STREAM_FIELD and 0 <= r < _STREAM_FIELD):
         raise ValueError(f"stream index fields n={n}, r={r} must lie in [0, {_STREAM_FIELD})")
     return (code * _STREAM_FIELD + n) * _STREAM_FIELD + r
-
-
-# Stream codes of _sidx(code, n, r): 1 the degree sequence of n (r = 0),
-# 2/3 the finite replicates of thm16/thm17, one stream per (n, r), run
-# through _replicates. The limit codes, 4/5 the hub clocks of thm16/thm17
-# and 6 thm17's limit MC2, have one stream each (n = r = 0), and limit
-# replicate r is row r of its one draw.
-def _replicates(config: ExperimentConfig, code: int, n: int, count: int, fn) -> list:
-    """``[fn(rng) for r in range(count)]`` with ``rng`` the stream
-    (code, n, r), mapped over ``config.threads`` worker threads."""
-
-    def one(r):
-        return fn(stream_gen(config.master_seed, _sidx(code, n, r)))
-
-    if config.threads <= 1:
-        return [one(r) for r in range(count)]
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        return list(pool.map(one, range(count)))
 
 
 def build_critical_sequence(config: ExperimentConfig, n: int, rng: np.random.Generator | None = None):
@@ -171,30 +157,41 @@ def trend_non_increasing(stats_by_n: dict) -> dict:
     return {"comparisons": comparisons, "passed": passed, "required": 2, "ok": passed >= 2}
 
 
-def _grid_report(config: ExperimentConfig, experiment: str, code: int, replicate, record) -> dict:
-    """Run ``replicate(seq, rng)`` on the streams of ``code`` for every n of
-    the grid; ``record`` turns the array of its rows into the fields of the
-    record of n, whose ``statistic`` enters the trend."""
-    records = []
-    for n in config.n_grid:
-        seq = build_critical_sequence(config, n)
-        rows = np.array(_replicates(config, code, n, config.reps_for(n), lambda rng: replicate(seq, rng)))
-        records.append({"experiment": experiment, "n": n, **record(rows), "seed": config.master_seed})
+def _grid_report(config: ExperimentConfig, experiment: str, code: int, limit, replicate, record) -> dict:
+    """Run one experiment on one pool of ``config.threads`` workers: every n's
+    degree build, largest n first, then ``limit()``, then ``replicate(seq, rng)``
+    on each stream (code, n, r) along the grid, after its n's build (queued
+    before it, so no wait deadlocks). ``record(rows, lim)`` gives the fields of
+    n's record, whose ``statistic`` enters the trend. Results are read in the
+    serial order; the first exception cancels the queued tasks and is raised."""
+    _check_ks_sizes(config.limit_replicates, *map(config.reps_for, config.n_grid))
+    pool = ThreadPoolExecutor(max_workers=config.threads)
+    try:
+        builds = {n: pool.submit(build_critical_sequence, config, n) for n in reversed(config.n_grid)}
+        limit_task = pool.submit(limit)
+
+        def one(n, r):
+            return replicate(builds[n].result(), stream_gen(config.master_seed, _sidx(code, n, r)))
+        tasks = {n: [pool.submit(one, n, r) for r in range(config.reps_for(n))] for n in config.n_grid}
+        lim, records = limit_task.result(), []
+        for n in config.n_grid:
+            wait(tasks[n], return_when=FIRST_EXCEPTION)  # one wake-up per n, not one per replicate
+            rows = np.array([f.result() for f in tasks[n]])
+            records.append({"experiment": experiment, "n": n, **record(rows, lim), "seed": config.master_seed})
+    finally:
+        pool.shutdown(cancel_futures=True)
     size_stats = {rec["n"]: rec["statistic"] for rec in records}
     return {"records": records, "trend": trend_non_increasing(size_stats), "size_stats": size_stats}
 
 
 def theorem_1_6_experiment(config: ExperimentConfig) -> dict:
     """Rescaled (size, black half-edge) pairs of G_n(0) against Gamma(X, Y)."""
-    _check_ks_sizes(config.limit_replicates, *map(config.reps_for, config.n_grid))
-    limit = sample_limit_pairs(config)
-
     def replicate(seq, rng):
         sizes, blacks, *_ = component_table(sample_white_matching(seq, rng))
         b_n = seq.scaling.b_n
         return _pad_pairs(np.column_stack((sizes / b_n, blacks / b_n)), config.top_j)
 
-    def record(data):
+    def record(data, limit):
         ks_size, p_size = ks_two_sample(data[:, 0], limit[:, 0])
         ks_black, p_black = ks_two_sample(data[:, 1], limit[:, 1])
         return {
@@ -206,7 +203,7 @@ def theorem_1_6_experiment(config: ExperimentConfig) -> dict:
             "limit_tail_mass": float(np.mean(limit[:, -1])),
         }
 
-    return _grid_report(config, "thm16", 2, replicate, record)
+    return _grid_report(config, "thm16", 2, lambda: sample_limit_pairs(config), replicate, record)
 
 
 def percolation_time(seq, mu: float) -> float:
@@ -217,30 +214,31 @@ def percolation_time(seq, mu: float) -> float:
 
 def theorem_1_7_experiment(config: ExperimentConfig) -> dict:
     """Percolated component sizes at s = mu gamma_n / c_n against MC2(Gamma(X,Y), mu)."""
-    _check_ks_sizes(config.limit_replicates, *map(config.reps_for, config.n_grid))
-    limit = sample_limit_pairs(config, 5)
-    # the blocks of replicate r are its pairs of positive length; its other
-    # pairs of the top_j row get weight 0 as well, so they stay inert
-    x = limit[:, :-1:2]
-    y = np.where(x > 0, limit[:, 1:-1:2], 0.0)
-    masses = mcmw_batch(x, y, config.mu, x.shape[0], stream_gen(config.master_seed, _sidx(6, 0)))
-    # replicate r once more on its own graph, from row r of the same draw: the
-    # first whose masses depend on its edges, as it merged a pair and still
-    # ended in two or more blocks (row 0 if none did)
-    blocks = np.count_nonzero(masses, axis=1)
-    r = int(np.argmax((blocks >= 2) & (blocks < np.count_nonzero(x, axis=1))))
-    rng = stream_gen(config.master_seed, _sidx(6, 0))
-    rng.random((r, x.shape[1] * (x.shape[1] - 1) // 2))  # rows 0 .. r-1
-    own, _ = mcmw_graphical(x[r], y[r], config.mu, rng)
-    if np.pad(own, (0, x.shape[1] - own.size)).tobytes() != masses[r].tobytes():
-        raise InvariantError(f"limit replicate {r}: the MC2 batch and mcmw_graphical disagree")
+    def limit():
+        pairs = sample_limit_pairs(config, 5)
+        # the blocks of replicate r are its pairs of positive length; its other
+        # pairs of the top_j row get weight 0 as well, so they stay inert
+        x = pairs[:, :-1:2]
+        y = np.where(x > 0, pairs[:, 1:-1:2], 0.0)
+        masses = mcmw_batch(x, y, config.mu, x.shape[0], stream_gen(config.master_seed, _sidx(6, 0)))
+        # replicate r once more on its own graph, from row r of the same draw: the
+        # first whose masses depend on its edges, as it merged a pair and still
+        # ended in two or more blocks (row 0 if none did)
+        blocks = np.count_nonzero(masses, axis=1)
+        r = int(np.argmax((blocks >= 2) & (blocks < np.count_nonzero(x, axis=1))))
+        rng = stream_gen(config.master_seed, _sidx(6, 0))
+        rng.random((r, x.shape[1] * (x.shape[1] - 1) // 2))  # rows 0 .. r-1
+        own, _ = mcmw_graphical(x[r], y[r], config.mu, rng)
+        if np.pad(own, (0, x.shape[1] - own.size)).tobytes() != masses[r].tobytes():
+            raise InvariantError(f"limit replicate {r}: the MC2 batch and mcmw_graphical disagree")
+        return masses
 
     def replicate(seq, rng):
         sizes = run_dynamic(sample_white_matching(seq, rng), percolation_time(seq, config.mu), rng).component_sizes()
         b_n = seq.scaling.b_n
         return sizes[0] / b_n, sizes[0] / seq.n, float(np.sum((sizes[config.top_j :] / b_n) ** 2))
 
-    def record(rows):
+    def record(rows, masses):
         ks, p = ks_two_sample(rows[:, 0], masses[:, 0])
         return {
             "statistic": ks,
@@ -251,7 +249,7 @@ def theorem_1_7_experiment(config: ExperimentConfig) -> dict:
             "limit_largest_mean": float(np.mean(masses[:, 0])),
         }
 
-    report = _grid_report(config, "thm17", 3, replicate, record)
+    report = _grid_report(config, "thm17", 3, limit, replicate, record)
     # at desk scale the KS statistic saturates at 1: the finite bulk keeps a
     # hub-free l2 mass that grows with n while the limit's is 0 (README,
     # "Desk-scale convergence notes"); the giant fraction then falls only

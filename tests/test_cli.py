@@ -70,20 +70,38 @@ def test_thm16_smoke_run(tmp_path):
     }
 
 
-def test_determinism_across_thread_counts(tmp_path):
+def _outputs_at_thread_counts(tmp_path, monkeypatch, experiment, extra=""):
+    """Each output but manifest.json of ``experiment`` on an uneven grid, by
+    thread count: three n, each with its own replicate count."""
+    make, made = cli._experiment_config, []
+
+    def uneven(cfg):
+        config = make(cfg)
+        config.replicates_by_n = {300: 11, 400: 17}
+        made.append([config.reps_for(n) for n in config.n_grid])
+        return config
+
+    monkeypatch.setattr(cli, "_experiment_config", uneven)
     outs = {}
-    for threads in (1, 8):
+    for threads in (1, 2, 8):
         out_dir = tmp_path / f"t{threads}"
         cfg = tmp_path / f"run{threads}.cfg"
         cfg.write_text(
-            "experiment=thm16\nn_grid=200,300\nreplicates=24\nlimit_replicates=30\n"
+            f"experiment={experiment}\nn_grid=200,300,400\nreplicates=14\nlimit_replicates=30\n{extra}"
             f"master_seed=5\nK_max=5\nthreads={threads}\nout_dir={out_dir}\n"
         )
         assert run_cli(["--config", str(cfg)]) == EXIT_OK
         outs[threads] = {
             p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.name != "manifest.json"
         }
-    assert outs[1] == outs[8]
+    assert sorted(outs[1]) == [f"{experiment}_report.csv", f"{experiment}_report.json"]
+    assert made == [[14, 11, 17]] * 3
+    return outs
+
+
+def test_determinism_across_thread_counts(tmp_path, monkeypatch):
+    outs = _outputs_at_thread_counts(tmp_path, monkeypatch, "thm16")
+    assert outs[1] == outs[2] == outs[8]
 
 
 def test_same_seed_twice_byte_identical(tmp_path):
@@ -236,6 +254,36 @@ def test_non_finite_ks_sample_exits_3(tmp_path, monkeypatch):
     cfg.write_text(f"experiment=thm16\nn_grid=200,400\nreplicates=10\nlimit_replicates=20\nout_dir={tmp_path}\n")
     assert run_cli(["--config", str(cfg)]) == EXIT_INVARIANT
     assert not (tmp_path / "thm16_report.json").exists()
+
+
+def _two_thread_run(tmp_path, experiment, extra=""):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"experiment={experiment}\nn_grid=200,400\nreplicates=10\nlimit_replicates=20\nK_max=5\n"
+                   f"threads=2\nout_dir={tmp_path / 'out'}\n{extra}")
+    return run_cli(["--config", str(cfg)])
+
+
+def test_a_build_error_leaves_the_pool_with_exit_2(tmp_path, capsys):
+    # L = 1e100 passes the config check and fails in the degree build, a pool task
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _two_thread_run(tmp_path, "thm16", "L=1e100\n") == EXIT_CONFIG
+    assert re.search(r"^config error: .*\bL\b", capsys.readouterr().err, re.M)
+    assert list((tmp_path / "out").glob("*")) == []
+
+
+def test_a_limit_side_error_leaves_the_pool_with_exit_3(tmp_path, monkeypatch):
+    from hcmsim import stats
+
+    graphical = stats.mcmw_graphical
+
+    def heavier(*args):
+        own, blocks = graphical(*args)
+        return own + 1.0, blocks
+
+    monkeypatch.setattr(stats, "mcmw_graphical", heavier)
+    assert _two_thread_run(tmp_path, "thm17") == EXIT_INVARIANT
+    assert list((tmp_path / "out").glob("*")) == []
 
 
 @pytest.mark.parametrize("which", ["thm16", "thm17"])
@@ -472,21 +520,9 @@ def test_flag_beats_config_file(tmp_path):
     assert report["criticality_target"] > 1.0
 
 
-def test_thm17_determinism_across_thread_counts(tmp_path):
-    outs = {}
-    for threads in (1, 4):
-        out_dir = tmp_path / f"t{threads}"
-        cfg = tmp_path / f"run{threads}.cfg"
-        cfg.write_text(
-            "experiment=thm17\nn_grid=200,300\nreplicates=24\nlimit_replicates=30\nmu=0.5\n"
-            f"master_seed=5\nK_max=5\nthreads={threads}\nout_dir={out_dir}\n"
-        )
-        assert run_cli(["--config", str(cfg)]) == EXIT_OK
-        outs[threads] = {
-            p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.name != "manifest.json"
-        }
-    assert sorted(outs[1]) == ["thm17_report.csv", "thm17_report.json"]
-    assert outs[1] == outs[4]
+def test_thm17_determinism_across_thread_counts(tmp_path, monkeypatch):
+    outs = _outputs_at_thread_counts(tmp_path, monkeypatch, "thm17", "mu=0.5\n")
+    assert outs[1] == outs[2] == outs[8]
 
 
 def _percolate(out, config_text=None, *flags):

@@ -55,8 +55,8 @@ def _awkward_floats(rng, size):
     return np.concatenate((special, rng.random(size), wide))
 
 
-# (200, 250) spans several chunks of about 16k cells
-@pytest.mark.parametrize("shape", [(4,), (1, 3), (40_000, 3), (9, 250), (200, 250)])
+# (200, 250) spans several chunks of about 16k cells; (3, 0) rows hold no masses
+@pytest.mark.parametrize("shape", [(4,), (1, 3), (40_000, 3), (9, 250), (200, 250), (3, 0)])
 def test_masses_csv_bytes_equal_savetxt(tmp_path, shape):
     from hcmsim.coalescent import write_masses_csv
 

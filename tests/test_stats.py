@@ -268,6 +268,27 @@ def test_thm16_threads_do_not_change_results():
     assert r1["size_stats"] == r8["size_stats"]
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("experiment", [theorem_1_6_experiment, theorem_1_7_experiment])
+def test_one_pool_per_experiment(monkeypatch, experiment, threads):
+    # the degree builds, the limit side and every (n, r) replicate are tasks
+    # of one pool, at every thread count
+    import hcmsim.stats as stats
+
+    made = []
+
+    class Counting(stats.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("max_workers", args[0] if args else None))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", Counting)
+    cfg = ExperimentConfig(n_grid=[200, 300], replicates=10, limit_replicates=12, master_seed=1, K_max=5,
+                           threads=threads)
+    experiment(cfg)
+    assert made == [threads]
+
+
 def test_thm17_mu_zero_reduces_to_thm16_sizes():
     from hcmsim.graphs import component_table, sample_white_matching
     from hcmsim.dynamics import run_dynamic
